@@ -1,11 +1,9 @@
-// Observability-cost microbenches: what the obs:: hooks and the timeline
+// Observability-cost microbenches: what the demand probe and the timeline
 // tracer cost, pinned by the CI bench gate so instrumentation overhead
 // cannot silently creep into the simulation hot path.
 //
 // The registered benchmarks are bench-gate entries (tools/bench_compare.py
 // vs bench/baselines.json):
-//   BM_RegistryCounterAdd  -- one obs::Counter::add (the fast path that
-//                             CBUS_OBS=OFF compiles to nothing);
 //   BM_DemandWindowRecord  -- one sliding-window demand update;
 //   BM_ObsRunBare          -- a 4-core H-CBA contention run, no tracer;
 //   BM_ObsRunTraced        -- the same run with a Timeline attached PLUS
@@ -19,7 +17,6 @@
 #include <iostream>
 
 #include "obs/demand_window.hpp"
-#include "obs/registry.hpp"
 #include "obs/timeline.hpp"
 #include "platform/multicore.hpp"
 #include "platform/platform_config.hpp"
@@ -30,17 +27,6 @@ namespace {
 using namespace cbus;
 using platform::BusSetup;
 using platform::PlatformConfig;
-
-void BM_RegistryCounterAdd(benchmark::State& state) {
-  obs::Registry registry;
-  obs::Counter& counter = registry.counter("bench");
-  for (auto _ : state) {
-    counter.add();
-    benchmark::DoNotOptimize(counter);
-  }
-  benchmark::DoNotOptimize(counter.value());
-}
-BENCHMARK(BM_RegistryCounterAdd);
 
 void BM_DemandWindowRecord(benchmark::State& state) {
   obs::DemandWindow window(4, /*window=*/4096, /*buckets=*/16);

@@ -123,9 +123,9 @@ BENCHMARK(BM_ScalingRun)->Arg(2)->Arg(4)->Arg(8);
 //
 // The multi-seed campaign is THE hot loop of the paper's evaluation
 // (1,000 runs per configuration); this measures what the batched
-// sim::BatchKernel path buys over the serial replay, and what threading
-// across batches adds on top. Args are {batch, threads}; {1, 1} is the
-// serial reference point.
+// sim::BatchKernel path buys over one machine at a time, and what
+// threading across batches adds on top. Args are {batch, threads}; {1, 1}
+// (one run per slice on one thread) is the unbatched reference point.
 
 constexpr std::uint32_t kCampaignRuns = 24;
 

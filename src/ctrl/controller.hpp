@@ -11,9 +11,9 @@
 // switch-side loop onto the bus arbiter:
 //
 //   demand  -- an obs::DemandWindow fed from bus statistics deltas (a
-//              first-class sim input: independent of CBUS_OBS and of
-//              BusObserver availability, so the controller can never
-//              silently read zeros);
+//              first-class sim input: independent of BusObserver
+//              availability, so the controller can never silently read
+//              zeros);
 //   target  -- weighted max-min water-filling over the windowed demand
 //              rates, with a 1-unit MCR floor per master so an idle
 //              master can always ramp back up;

@@ -8,6 +8,7 @@
 #include "common/binary_io.hpp"
 #include "common/build_info.hpp"
 #include "common/contracts.hpp"
+#include "platform/scenarios.hpp"
 
 namespace cbus::exp {
 
@@ -141,10 +142,8 @@ CheckpointMeta make_meta(const ExperimentSpec& spec,
   std::size_t job_count = 1;
   for (const auto& axis : spec.sweeps) job_count *= axis.values.size();
   meta.job_count = static_cast<std::uint32_t>(job_count);
-  const std::uint32_t slices_per_job =
-      (spec.runs + meta.batch - 1) / meta.batch;
-  meta.slice_count =
-      static_cast<std::uint32_t>(job_count * slices_per_job);
+  meta.slice_count = static_cast<std::uint32_t>(
+      platform::SlicePlan{job_count, spec.runs, meta.batch}.size());
   meta.shard_index = shard_index;
   meta.shard_count = shard_count;
   return meta;
@@ -294,76 +293,6 @@ void CheckpointWriter::append(const SliceState& slice) {
   write_framed(out_, slice_payload(slice));
   out_.flush();
   CBUS_EXPECTS_MSG(out_.good(), "checkpoint append failed (disk full?)");
-}
-
-LoadedCheckpoint merge_checkpoints(const ExperimentSpec& spec,
-                                   const std::vector<std::string>& paths) {
-  CBUS_EXPECTS_MSG(!paths.empty(), "no checkpoint files to merge");
-
-  std::vector<LoadedCheckpoint> shards;
-  shards.reserve(paths.size());
-  for (const std::string& path : paths) {
-    shards.push_back(load_checkpoint(path));
-  }
-  const std::uint32_t shard_count = shards.front().meta.shard_count;
-  CBUS_EXPECTS_MSG(
-      paths.size() == shard_count,
-      "the campaign ran as " + std::to_string(shard_count) + " shard(s) "
-          "but " + std::to_string(paths.size()) + " checkpoint file(s) "
-          "were given");
-
-  std::vector<bool> shard_seen(shard_count, false);
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const CheckpointMeta& meta = shards[i].meta;
-    // Each file must describe this spec as its own shard; comparing
-    // against make_meta with the file's own index checks every other
-    // field (including shard_count) with named diagnostics.
-    CBUS_EXPECTS_MSG(meta.shard_index < shard_count,
-                     paths[i] + ": shard index " +
-                         std::to_string(meta.shard_index) +
-                         " out of range for " +
-                         std::to_string(shard_count) + " shard(s)");
-    validate_checkpoint_meta(
-        meta, make_meta(spec, meta.shard_index, shard_count));
-    CBUS_EXPECTS_MSG(!shard_seen[meta.shard_index],
-                     "two checkpoint files claim shard " +
-                         std::to_string(meta.shard_index));
-    shard_seen[meta.shard_index] = true;
-  }
-
-  LoadedCheckpoint merged;
-  merged.meta = make_meta(spec, 0, 1);
-  std::vector<bool> slice_seen(merged.meta.slice_count, false);
-  for (const LoadedCheckpoint& shard : shards) {
-    for (const SliceState& slice : shard.slices) {
-      CBUS_EXPECTS_MSG(slice.slice < merged.meta.slice_count,
-                       "slice " + std::to_string(slice.slice) +
-                           " is outside the campaign's slice plan");
-      CBUS_EXPECTS_MSG(
-          slice.slice % shard_count == shard.meta.shard_index,
-          "slice " + std::to_string(slice.slice) + " appears in shard " +
-              std::to_string(shard.meta.shard_index) +
-              "'s checkpoint but belongs to shard " +
-              std::to_string(slice.slice % shard_count));
-      CBUS_EXPECTS_MSG(!slice_seen[slice.slice],
-                       "slice " + std::to_string(slice.slice) +
-                           " appears twice in the checkpoint set");
-      slice_seen[slice.slice] = true;
-      merged.slices.push_back(slice);
-    }
-  }
-  for (std::uint32_t s = 0; s < merged.meta.slice_count; ++s) {
-    CBUS_EXPECTS_MSG(slice_seen[s],
-                     "checkpoint set is incomplete: slice " +
-                         std::to_string(s) + " (shard " +
-                         std::to_string(s % shard_count) +
-                         ") has not finished");
-  }
-  std::sort(merged.slices.begin(), merged.slices.end(),
-            [](const SliceState& a, const SliceState& b) {
-              return a.slice < b.slice;
-            });
-  return merged;
 }
 
 }  // namespace cbus::exp

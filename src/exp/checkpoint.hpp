@@ -121,13 +121,4 @@ class CheckpointWriter {
   std::ofstream out_;
 };
 
-/// Load one checkpoint per shard and fold them into the complete slice
-/// set of the campaign `spec` describes. Validates every header against
-/// the spec, requires exactly one file per shard with distinct indices,
-/// every slice exactly once in its owning shard's file, and full
-/// coverage of the slice plan. The merged meta reads as a completed
-/// single process (shard 0 of 1).
-[[nodiscard]] LoadedCheckpoint merge_checkpoints(
-    const ExperimentSpec& spec, const std::vector<std::string>& paths);
-
 }  // namespace cbus::exp

@@ -1,16 +1,13 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <mutex>
-#include <span>
 #include <sstream>
-#include <thread>
 
 #include "common/contracts.hpp"
 #include "obs/timeline.hpp"
@@ -104,9 +101,8 @@ namespace {
   return workloads;
 }
 
-/// The job's campaign in stream-factory form: every run builds its own
-/// streams, so any worker thread can execute any contiguous slice of the
-/// campaign as one lockstep batch (platform::run_campaign_slice).
+/// The job's campaign: every run builds its own streams, so any worker
+/// thread can execute any contiguous slice of it as one lockstep batch.
 [[nodiscard]] platform::CampaignSpec make_campaign(const ExperimentSpec& spec,
                                                    const Job& job) {
   platform::CampaignSpec campaign;
@@ -150,7 +146,7 @@ namespace {
 }
 
 /// A JobResult shell carrying the job's identity (everything but the
-/// campaign payload), shared by run_job and run_experiment.
+/// campaign payload).
 [[nodiscard]] JobResult job_shell(const Job& job) {
   JobResult out;
   out.index = job.index;
@@ -173,23 +169,6 @@ void attach_mbpta(const ExperimentSpec& spec, JobResult& out) {
   } catch (const std::exception& e) {
     out.mbpta_error = e.what();
   }
-}
-
-/// Fold a job's per-run outcomes (in run order, retaining the raw
-/// series) and attach the optional MBPTA analysis -- the tail of the
-/// original run_job.
-void finalize_job(const ExperimentSpec& spec,
-                  std::span<platform::RunOutcome> outcomes, JobResult& out) {
-  out.campaign.aggregate =
-      metrics::Aggregator(metrics::Aggregator::Options{.retain_raw = true});
-  for (platform::RunOutcome& outcome : outcomes) {
-    if (!outcome.finished) {
-      ++out.campaign.unfinished_runs;
-      continue;
-    }
-    out.campaign.aggregate.add(outcome.record);
-  }
-  attach_mbpta(spec, out);
 }
 
 }  // namespace
@@ -272,20 +251,6 @@ std::vector<Job> expand(const ExperimentSpec& spec) {
   return jobs;
 }
 
-JobResult run_job(const ExperimentSpec& spec, const Job& job) {
-  JobResult out = job_shell(job);
-  try {
-    // run_campaign's factory form does the slice partitioning and
-    // run-order folding itself (single-threaded here; run_experiment
-    // schedules the slices of all jobs on its own pool instead).
-    out.campaign = platform::run_campaign(make_campaign(spec, job));
-    attach_mbpta(spec, out);
-  } catch (const std::exception& e) {
-    out.error = e.what();
-  }
-  return out;
-}
-
 ExperimentResult run_experiment(const ExperimentSpec& spec,
                                 const RunOptions& options) {
   validate_spec(spec);
@@ -305,21 +270,20 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
                    "belong to another shard); trace a single-process run");
   const bool progress = spec.progress || options.progress;
 
+  // One campaign per sweep job, all on one platform::run_campaigns pool:
+  // its job-major slice plan spans jobs, so workers stay busy even when
+  // the experiment has fewer jobs than threads.
   const std::vector<Job> jobs = expand(spec);
-  const std::uint32_t batch = std::max(1u, spec.batch);
-
-  // Per-job campaign in factory form plus (raw mode only) its per-run
-  // outcome slots. Building the campaign cannot fail (streams are made
-  // lazily inside slices), so failures surface per slice below.
-  struct Plan {
-    platform::CampaignSpec campaign;
-    std::vector<platform::RunOutcome> outcomes;
-  };
-  std::vector<Plan> plans(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    plans[j].campaign = make_campaign(spec, jobs[j]);
-    if (spec.retain_raw) plans[j].outcomes.resize(spec.runs);
+  std::vector<platform::CampaignSpec> campaigns;
+  campaigns.reserve(jobs.size());
+  for (const Job& job : jobs) {
+    campaigns.push_back(make_campaign(spec, job));
+    campaigns.back().threads = options.threads_override != 0
+                                   ? options.threads_override
+                                   : spec.threads;
   }
+  const platform::SlicePlan plan{jobs.size(), spec.runs,
+                                 std::max(1u, spec.batch)};
 
   // The timeline tracer captures exactly ONE run: run `trace_run` of job
   // 0 (the first sweep point). It rides the campaign's instrument hook;
@@ -333,204 +297,93 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     tcfg.window_begin = spec.trace_window_begin;
     tcfg.window_end = spec.trace_window_end;
     timeline.emplace(tcfg);
-    plans[0].campaign.instrument =
+    campaigns[0].instrument =
         [&timeline, target = spec.trace_run](std::uint32_t run,
                                              platform::Multicore& machine) {
           if (run == target) timeline->attach(machine);
         };
   }
 
-  // ONE job-major slice plan across every sweep job: batches span jobs,
-  // so the worker pool stays busy even when the experiment has fewer
-  // jobs than threads (e.g. one job with thousands of runs). In raw
-  // mode every slice writes into its job's pre-sized outcome slots and
-  // results are folded in run order; in streaming mode each slice folds
-  // into a local digest merged under a mutex -- exact mergeability
-  // makes both identical for any thread count, batch, shard split or
-  // resume. Every job has the same runs/batch, so the plan is a pure
-  // function of the slice index and is computed on demand rather than
-  // materialized: per-slice bookkeeping vectors would put the run count
-  // back into the memory profile that streaming mode exists to flatten
-  // (docs/CAMPAIGNS.md pins peak RSS independent of the run count).
-  struct Slice {
-    std::size_t job;
-    std::uint32_t first;
-    std::uint32_t count;
-  };
-  const std::uint32_t slices_per_job = (spec.runs + batch - 1) / batch;
-  const std::size_t slice_count =
-      jobs.size() * static_cast<std::size_t>(slices_per_job);
-  const auto slice_of = [&](std::size_t s) {
-    const std::uint32_t first =
-        static_cast<std::uint32_t>(s % slices_per_job) * batch;
-    return Slice{s / slices_per_job, first,
-                 std::min(batch, spec.runs - first)};
-  };
-
-  // A failed slice fails its whole job; only the lowest-numbered
-  // slice's error is reported so the report is thread-count
-  // independent.
-  constexpr std::size_t kNoErrorSlice = ~static_cast<std::size_t>(0);
-  struct JobError {
-    std::size_t slice = kNoErrorSlice;
-    std::string message;
-  };
-  std::vector<JobError> job_errors(jobs.size());
-  std::mutex error_mutex;
-
-  // Streaming fold state, one aggregator per job; and the checkpoint,
-  // whose already-completed slices are merged in up front and skipped.
-  std::vector<metrics::Aggregator> folded(jobs.size());
-  std::vector<std::uint32_t> fold_unfinished(jobs.size(), 0);
-  std::vector<bool> done(slice_count, false);
-  std::mutex fold_mutex;
+  // The checkpoint: its finished slices are folded into per-job digests
+  // as the file streams past, then skipped by the scheduler; newly
+  // finished ones are appended.
+  std::vector<bool> done(plan.size(), false);
+  std::vector<platform::CampaignResult> resumed(jobs.size());
   std::optional<CheckpointWriter> writer;
   if (!checkpoint_path.empty()) {
     const CheckpointMeta meta =
         make_meta(spec, options.shard_index, options.shard_count);
     CBUS_ASSERT(meta.job_count == jobs.size() &&
-                meta.slice_count == slice_count);
+                meta.slice_count == plan.size());
     if (std::filesystem::exists(checkpoint_path)) {
-      LoadedCheckpoint loaded = load_checkpoint(checkpoint_path);
-      validate_checkpoint_meta(loaded.meta, meta);
-      for (SliceState& state : loaded.slices) {
-        CBUS_EXPECTS_MSG(state.slice < slice_count && !done[state.slice],
-                         "checkpoint repeats slice " +
-                             std::to_string(state.slice));
-        const Slice planned = slice_of(state.slice);
-        CBUS_EXPECTS_MSG(
-            state.job == planned.job && state.first_run == planned.first &&
-                state.run_count == planned.count &&
-                state.slice % options.shard_count == options.shard_index,
-            "checkpoint slice " + std::to_string(state.slice) +
-                " does not match the campaign's slice plan");
-        done[state.slice] = true;
-        folded[state.job].merge(state.aggregate);
-        fold_unfinished[state.job] += state.unfinished;
-      }
-      writer.emplace(
-          CheckpointWriter::append_to(checkpoint_path, loaded.valid_bytes));
+      const std::uint64_t valid_bytes = stream_checkpoint(
+          checkpoint_path,
+          [&](const CheckpointMeta& on_disk) {
+            validate_checkpoint_meta(on_disk, meta);
+          },
+          [&](SliceState&& state) {
+            CBUS_EXPECTS_MSG(state.slice < plan.size() && !done[state.slice],
+                             "checkpoint repeats slice " +
+                                 std::to_string(state.slice));
+            const platform::Slice planned = plan[state.slice];
+            CBUS_EXPECTS_MSG(
+                state.job == planned.campaign &&
+                    state.first_run == planned.first_run &&
+                    state.run_count == planned.run_count &&
+                    state.slice % options.shard_count == options.shard_index,
+                "checkpoint slice " + std::to_string(state.slice) +
+                    " does not match the campaign's slice plan");
+            done[state.slice] = true;
+            resumed[state.job].aggregate.merge(state.aggregate);
+            resumed[state.job].unfinished_runs += state.unfinished;
+          });
+      writer.emplace(CheckpointWriter::append_to(checkpoint_path, valid_bytes));
     } else {
       writer.emplace(CheckpointWriter::create(checkpoint_path, meta));
     }
   }
 
-  // This shard's share of the plan, minus what the checkpoint already
-  // holds -- counted (to size the pool), never materialized.
-  std::size_t pending = 0;
-  std::uint64_t pending_runs = 0;
-  for (std::size_t s = options.shard_index; s < slice_count;
-       s += options.shard_count) {
-    if (!done[s]) {
-      ++pending;
-      pending_runs += slice_of(s).count;
-    }
-  }
-
-  std::uint32_t threads = options.threads_override != 0
-                              ? options.threads_override
-                              : spec.threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads =
-      static_cast<std::uint32_t>(std::min<std::size_t>(threads, pending));
-
   // Telemetry counts only the work this process actually executes:
   // resumed/foreign slices are excluded from the totals, so runs/sec and
-  // ETA describe this invocation, not the whole campaign. Counters and
-  // the progress meter are updated under fold_mutex (the meter is not
-  // thread-safe); busy seconds go to per-worker slots, lock-free.
+  // ETA describe this invocation, not the whole campaign. The hooks run
+  // under the scheduler's fold lock, which the progress meter (not
+  // thread-safe) and the checkpoint writer rely on.
   obs::Telemetry telemetry;
-  telemetry.total_slices = pending;
-  telemetry.total_runs = pending_runs;
-  telemetry.thread_busy_seconds.assign(std::max(1u, threads), 0.0);
   std::optional<obs::ProgressMeter> meter;
-  if (progress) meter.emplace(std::cerr, pending_runs);
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  const auto run_one = [&](std::size_t s) {
-    const Slice slice = slice_of(s);
-    const auto slice_start = std::chrono::steady_clock::now();
-    std::optional<SliceState> state;
-    if (spec.retain_raw) {
-      platform::run_campaign_slice(
-          plans[slice.job].campaign, slice.first,
-          std::span<platform::RunOutcome>(plans[slice.job].outcomes)
-              .subspan(slice.first, slice.count));
-    } else {
-      std::vector<platform::RunOutcome> outcomes(slice.count);
-      platform::run_campaign_slice(plans[slice.job].campaign, slice.first,
-                                   outcomes);
-      state.emplace();
-      state->slice = static_cast<std::uint32_t>(s);
-      state->job = static_cast<std::uint32_t>(slice.job);
-      state->first_run = slice.first;
-      state->run_count = slice.count;
-      for (const platform::RunOutcome& outcome : outcomes) {
-        if (!outcome.finished) {
-          ++state->unfinished;
-          continue;
-        }
-        state->aggregate.add(outcome.record);
-      }
-    }
-    const double slice_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - slice_start)
-            .count();
-    const std::lock_guard<std::mutex> lock(fold_mutex);
-    if (state.has_value()) {
-      if (writer.has_value()) writer->append(*state);
-      folded[slice.job].merge(state->aggregate);
-      fold_unfinished[slice.job] += state->unfinished;
+  platform::SliceHooks hooks;
+  hooks.skip = [&](std::size_t s) {
+    return s % options.shard_count != options.shard_index || done[s];
+  };
+  hooks.on_start = [&](std::uint32_t threads, std::size_t slices,
+                       std::uint64_t runs) {
+    telemetry.total_slices = slices;
+    telemetry.total_runs = runs;
+    telemetry.thread_busy_seconds.assign(threads, 0.0);
+    if (progress) meter.emplace(std::cerr, runs);
+  };
+  hooks.on_slice = [&](const platform::SliceReport& report) {
+    if (writer.has_value()) {
+      SliceState state;
+      state.slice = static_cast<std::uint32_t>(report.index);
+      state.job = static_cast<std::uint32_t>(report.slice.campaign);
+      state.first_run = report.slice.first_run;
+      state.run_count = report.slice.run_count;
+      state.unfinished = report.digest->unfinished_runs;
+      state.aggregate = std::move(report.digest->aggregate);
+      writer->append(state);
     }
     ++telemetry.slices_done;
-    telemetry.runs_done += slice.count;
-    telemetry.slice_wall_ms.add(slice_ms);
+    telemetry.runs_done += report.slice.run_count;
+    telemetry.slice_wall_ms.add(report.wall_ms);
+    telemetry.thread_busy_seconds[report.worker] += report.wall_ms / 1e3;
     if (meter.has_value()) {
       meter->update(telemetry.runs_done, telemetry.slices_done);
     }
   };
 
-  // Workers claim raw slice indices and skip the ones this shard does
-  // not own (or the checkpoint already holds); `done` is read-only once
-  // the pool starts, so the scan needs no lock.
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&](std::uint32_t me) {
-    double busy = 0.0;
-    while (true) {
-      const std::size_t s = next.fetch_add(1);
-      if (s >= slice_count) break;
-      if (s % options.shard_count != options.shard_index || done[s]) {
-        continue;
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        run_one(s);
-      } catch (const std::exception& e) {
-        const std::size_t job = s / slices_per_job;
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (s < job_errors[job].slice) {
-          job_errors[job] = JobError{s, e.what()};
-        }
-      }
-      busy += std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-    }
-    telemetry.thread_busy_seconds[me] += busy;  // exclusive per-worker slot
-  };
-
-  if (threads <= 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-    for (std::thread& t : pool) t.join();
-  }
-
+  const auto wall_start = std::chrono::steady_clock::now();
+  std::vector<platform::CampaignRun> runs =
+      platform::run_campaigns(campaigns, hooks);
   telemetry.wall_seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - wall_start)
                                .count();
@@ -550,19 +403,21 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     JobResult& out = result.jobs[j];
     out = job_shell(jobs[j]);
-    // A failed slice fails the whole job (as an exception aborted the
-    // whole campaign before).
-    if (job_errors[j].slice != kNoErrorSlice) {
-      out.error = job_errors[j].message;
+    // A failed slice fails the whole job and is reported, not thrown.
+    if (runs[j].error) {
+      try {
+        std::rethrow_exception(runs[j].error);
+      } catch (const std::exception& e) {
+        out.error = e.what();
+      }
+      continue;
     }
-    if (!out.error.empty()) continue;
-    if (spec.retain_raw) {
-      finalize_job(spec, plans[j].outcomes, out);
-    } else {
-      out.campaign.aggregate = std::move(folded[j]);
-      out.campaign.unfinished_runs = fold_unfinished[j];
-      attach_mbpta(spec, out);  // no-op: stream mode forbids pwcet
+    out.campaign = std::move(runs[j].result);
+    if (!spec.retain_raw) {
+      out.campaign.aggregate.merge(resumed[j].aggregate);
+      out.campaign.unfinished_runs += resumed[j].unfinished_runs;
     }
+    attach_mbpta(spec, out);
   }
   result.telemetry = std::move(telemetry);
   return result;
@@ -573,27 +428,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
   RunOptions options;
   options.threads_override = threads_override;
   return run_experiment(spec, options);
-}
-
-ExperimentResult finalize_from_slices(const ExperimentSpec& spec,
-                                      const std::vector<SliceState>& slices) {
-  validate_spec(spec);
-  const std::vector<Job> jobs = expand(spec);
-  ExperimentResult result;
-  result.jobs.resize(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    result.jobs[j] = job_shell(jobs[j]);
-  }
-  for (const SliceState& state : slices) {
-    CBUS_EXPECTS_MSG(state.job < jobs.size(),
-                     "slice state references job " +
-                         std::to_string(state.job) + " of " +
-                         std::to_string(jobs.size()));
-    result.jobs[state.job].campaign.aggregate.merge(state.aggregate);
-    result.jobs[state.job].campaign.unfinished_runs += state.unfinished;
-  }
-  for (JobResult& job : result.jobs) attach_mbpta(spec, job);
-  return result;
 }
 
 ExperimentResult fold_checkpoints_streaming(
@@ -618,11 +452,11 @@ ExperimentResult fold_checkpoints_streaming(
   if (progress) meter.emplace(std::cerr, telemetry.total_runs);
   const auto wall_start = std::chrono::steady_clock::now();
 
-  // Every validation merge_checkpoints performs, applied as headers and
-  // slices stream past -- never holding more than one slice (and one
-  // aggregator per job) live. The first header establishes the shard
-  // geometry; exact mergeability makes the fold order irrelevant, so
-  // slices fold straight into their job in file order.
+  // The shard set is validated as headers and slices stream past --
+  // never holding more than one slice (and one aggregator per job) live.
+  // The first header establishes the shard geometry; exact mergeability
+  // makes the fold order irrelevant, so slices fold straight into their
+  // job in file order.
   std::uint32_t shard_count = 0;
   std::vector<bool> shard_seen;
   std::vector<bool> slice_seen(merged_meta.slice_count, false);

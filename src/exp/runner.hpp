@@ -1,15 +1,17 @@
-// Experiment execution: sweep expansion into a job list, then a thread
-// pool over lockstep slices of every job's campaign (`batch` runs per
-// slice, platform::run_campaign_slice) -- slices from all sweep jobs
-// share the one pool, so threads stay busy even for a single huge job.
+// Experiment execution: sweep expansion into a job list, one campaign
+// per job, all run on platform::run_campaigns -- the one slice scheduler,
+// whose job-major plan of lockstep slices (`batch` runs each) spans every
+// sweep job, so threads stay busy even for a single huge job. This layer
+// adds only what experiments need on top: checkpoint resume and append,
+// shard ownership, telemetry and progress, the timeline tracer and MBPTA.
 //
 // Determinism contract: expansion happens single-threaded and derives one
 // seed per job from the experiment master seed through an rng::RandBank;
-// every slice derives its runs' seeds from its job seed by run index and
-// writes into pre-allocated per-run outcome slots, which are folded in
-// run order afterwards -- so the result vector is bit-identical no
-// matter how many worker threads run the slices, in which order they
-// finish, or what `batch` is.
+// every slice derives its runs' seeds from its job seed by run index.
+// Raw-series jobs fold their runs in run order; streaming jobs merge
+// exactly mergeable slice digests. So the result vector is bit-identical
+// no matter how many worker threads run the slices, in which order they
+// finish, what `batch` is, or how the work was sharded and resumed.
 #pragma once
 
 #include <cstddef>
@@ -98,29 +100,24 @@ struct RunOptions {
                                               const RunOptions& options);
 
 /// Run every job. `threads_override` (when nonzero) beats spec.threads;
-/// 0/0 falls back to the hardware concurrency, clamped to the job count.
+/// 0/0 falls back to the hardware concurrency, clamped to the pending
+/// slices.
 [[nodiscard]] ExperimentResult run_experiment(
     const ExperimentSpec& spec, std::uint32_t threads_override = 0);
 
-/// Fold externally-executed slice states (a merged shard checkpoint set)
-/// into per-job results, exactly as a local streaming run would have.
-[[nodiscard]] ExperimentResult finalize_from_slices(
-    const ExperimentSpec& spec, const std::vector<SliceState>& slices);
-
-/// Streaming equivalent of merge_checkpoints + finalize_from_slices:
-/// reads each shard checkpoint in one pass and folds every slice digest
-/// into its job's aggregate as it is decoded, so peak live slice states
-/// stay O(1) and peak live aggregators O(jobs) -- independent of the
-/// slice count (merge_checkpoints materializes all slices; million-run
-/// campaigns cannot). Same validation and diagnostics as
-/// merge_checkpoints; exact mergeability makes the result bit-identical
-/// to the materializing path. `progress` renders the fold's stderr
-/// progress line; result.telemetry reports the fold itself.
+/// Fold a shard checkpoint set (one file per shard of `spec`) into
+/// per-job results, exactly as a single-process streaming run would
+/// have: reads each file in one pass and folds every slice digest into
+/// its job's aggregate as it is decoded, so peak live slice states stay
+/// O(1) and peak live aggregators O(jobs) -- independent of the slice
+/// count. Validates every header against the spec and requires exactly
+/// one file per shard, every slice exactly once in its owning shard's
+/// file, and full coverage of the slice plan; exact mergeability makes
+/// the result bit-identical to the single-process run. `progress`
+/// renders the fold's stderr progress line; result.telemetry reports the
+/// fold itself.
 [[nodiscard]] ExperimentResult fold_checkpoints_streaming(
     const ExperimentSpec& spec, const std::vector<std::string>& paths,
     bool progress = false);
-
-/// Run one already-expanded job (exposed for tests).
-[[nodiscard]] JobResult run_job(const ExperimentSpec& spec, const Job& job);
 
 }  // namespace cbus::exp

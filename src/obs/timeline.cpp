@@ -104,7 +104,6 @@ void Timeline::attach(platform::Multicore& machine) {
 void Timeline::on_request(const bus::BusRequest& request, Cycle now) {
   if (request.master >= n_masters_) return;
   demand_->record(request.master, now);
-  registry_.counter("trace.requests").add();
   if (!in_window(now)) return;
   MasterState& ms = masters_[request.master];
   ms.waiting = true;
@@ -121,7 +120,6 @@ void Timeline::on_transfer_start(const bus::BusRequest& request, Cycle start,
     if (start > ms.issued) {
       spans_.push_back({ms.issued, start - ms.issued, request.master, false,
                         request.addr, request.kind});
-      registry_.counter("trace.spans").add();
     }
     ms.waiting = false;
   }
@@ -141,7 +139,6 @@ void Timeline::on_transfer_complete(const bus::BusRequest& request,
   // [started, end] inclusive.
   spans_.push_back({ms.started, end + 1 - ms.started, request.master, true,
                     ms.addr, ms.op});
-  registry_.counter("trace.spans").add();
   ms.transferring = false;
 }
 
@@ -155,7 +152,6 @@ void Timeline::tick(Cycle now) {
     if (clamps != masters_[m].last_underflows) {
       masters_[m].last_underflows = clamps;
       instants_.push_back({now, m});
-      registry_.counter("trace.instants").add();
     }
   }
   if (now % config_.counter_stride == 0) poll_counters(now);
@@ -184,7 +180,6 @@ void Timeline::sample(std::uint32_t track, Cycle now, double value) {
   if (t.last == value) return;  // emit-on-change keeps traces compact
   t.last = value;
   samples_.push_back({now, track, value});
-  registry_.counter("trace.counter_samples").add();
 }
 
 std::uint32_t Timeline::make_track(std::uint32_t pid, std::string name) {

@@ -34,7 +34,6 @@
 #include "bus/interfaces.hpp"
 #include "common/types.hpp"
 #include "obs/demand_window.hpp"
-#include "obs/registry.hpp"
 #include "sim/component.hpp"
 
 namespace cbus::core {
@@ -87,11 +86,6 @@ class Timeline final : public bus::BusObserver, public sim::Component {
   [[nodiscard]] bool attached() const noexcept { return attached_; }
   /// Total captured events (spans + counter samples + instants).
   [[nodiscard]] std::size_t event_count() const noexcept;
-  /// The tracer's own bookkeeping counters (trace.requests, trace.spans,
-  /// trace.counter_samples, trace.instants).
-  [[nodiscard]] const Registry& registry() const noexcept {
-    return registry_;
-  }
   /// The windowed per-master demand probe (the adaptive-controller
   /// substrate); empty before attach().
   [[nodiscard]] const std::optional<DemandWindow>& demand() const noexcept {
@@ -171,7 +165,6 @@ class Timeline final : public bus::BusObserver, public sim::Component {
   std::vector<Instant> instants_;
 
   std::optional<DemandWindow> demand_;
-  Registry registry_;
 };
 
 }  // namespace cbus::obs

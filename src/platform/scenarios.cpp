@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -18,19 +20,18 @@ namespace cbus::platform {
 namespace {
 
 /// Validate the spec's protocol contracts and return the effective
-/// platform config (kIsolation forces operation mode). Shared by the
-/// shared-stream and batched paths so both enforce identical rules.
+/// platform config (kIsolation forces operation mode).
 [[nodiscard]] PlatformConfig resolve_campaign_config(
     const CampaignSpec& spec) {
   CBUS_EXPECTS(spec.runs >= 1);
-  const bool corun = spec.protocol == CampaignSpec::Protocol::kCorun;
-  CBUS_EXPECTS_MSG(corun || spec.corunners.empty(),
+  CBUS_EXPECTS_MSG(spec.tua_factory != nullptr,
+                   "CampaignSpec.tua_factory is required");
+  CBUS_EXPECTS_MSG(spec.protocol == CampaignSpec::Protocol::kCorun ||
+                       spec.corunner_factories.empty(),
                    spec.protocol == CampaignSpec::Protocol::kIsolation
                        ? "isolation runs the TuA alone"
                        : "maximum contention uses Table-I virtual "
                          "contenders, not real co-runners");
-  CBUS_EXPECTS_MSG(corun || spec.corunner_factories.empty(),
-                   "co-runner factories apply to the corun protocol only");
 
   PlatformConfig config = spec.config;
   switch (spec.protocol) {
@@ -46,6 +47,18 @@ namespace {
       break;  // the configured mode and co-runners apply as-is
   }
   return config;
+}
+
+/// Fold outcomes in order: finished runs into the aggregate, the rest
+/// into the unfinished count.
+void fold(std::span<const RunOutcome> outcomes, CampaignResult& into) {
+  for (const RunOutcome& outcome : outcomes) {
+    if (!outcome.finished) {
+      ++into.unfinished_runs;
+      continue;
+    }
+    into.aggregate.add(outcome.record);
+  }
 }
 
 }  // namespace
@@ -85,8 +98,6 @@ std::uint64_t CampaignResult::credit_underflows() const {
 void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
                         std::span<RunOutcome> outcomes) {
   const PlatformConfig config = resolve_campaign_config(spec);
-  CBUS_EXPECTS_MSG(spec.tua_factory != nullptr,
-                   "run_campaign_slice needs the stream-factory form");
   CBUS_EXPECTS(first_run + outcomes.size() <= spec.runs);
   if (outcomes.empty()) return;
   const std::size_t lanes = outcomes.size();
@@ -128,8 +139,8 @@ void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
   std::vector<Lane> replicas(lanes);
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     Lane& r = replicas[lane];
-    // Same per-run derivation as the shared-stream path: machine seed,
-    // then one stream seed for the TuA and one per co-runner.
+    // Per-run derivation: machine seed, then one stream seed for the TuA
+    // and one per co-runner.
     const std::uint64_t seed = mix.next();
     rng::SplitMix64 stream_seeds(seed);
     r.tua = spec.tua_factory();
@@ -189,135 +200,134 @@ void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
   }
 }
 
-CampaignResult run_campaign(const CampaignSpec& spec) {
-  CBUS_EXPECTS_MSG(
-      (spec.tua != nullptr) != (spec.tua_factory != nullptr),
-      "set exactly one of CampaignSpec.tua and CampaignSpec.tua_factory");
+Slice SlicePlan::operator[](std::size_t s) const noexcept {
+  const std::uint32_t first =
+      static_cast<std::uint32_t>(s % per_campaign()) * batch;
+  return Slice{s / per_campaign(), first, std::min(batch, runs - first)};
+}
 
-  if (spec.tua_factory == nullptr) {
-    // Shared-stream form: strictly one run at a time (the streams are
-    // shared state), the original replay loop.
-    CBUS_EXPECTS_MSG(spec.batch <= 1 && spec.threads <= 1,
-                     "batched/threaded campaigns need the stream-factory "
-                     "form (CampaignSpec.tua_factory)");
-    const PlatformConfig config = resolve_campaign_config(spec);
-    CampaignResult result;
-    result.aggregate = metrics::Aggregator(
-        metrics::Aggregator::Options{.retain_raw = spec.retain_raw});
-    rng::SplitMix64 mix(spec.base_seed);
-    for (std::uint32_t run = 0; run < spec.runs; ++run) {
-      const std::uint64_t seed = mix.next();
-      rng::SplitMix64 stream_seeds(seed);
-      spec.tua->reset(stream_seeds.next());
-      for (cpu::OpStream* s : spec.corunners) s->reset(stream_seeds.next());
-
-      Multicore machine(config, seed, *spec.tua, spec.corunners);
-      if (spec.instrument) spec.instrument(run, machine);
-      const RunResult r = machine.run(spec.max_cycles);
-
-      if (!r.tua_finished) {
-        ++result.unfinished_runs;
-        continue;
-      }
-      result.aggregate.add(r.record);
-    }
-    return result;
+std::vector<CampaignRun> run_campaigns(std::span<const CampaignSpec> campaigns,
+                                       const SliceHooks& hooks) {
+  CBUS_EXPECTS(!campaigns.empty());
+  const CampaignSpec& lead = campaigns.front();
+  CBUS_EXPECTS(lead.runs >= 1);
+  for (const CampaignSpec& spec : campaigns) {
+    CBUS_EXPECTS_MSG(spec.runs == lead.runs && spec.batch == lead.batch &&
+                         spec.threads == lead.threads,
+                     "campaigns scheduled together must share runs, batch "
+                     "and threads");
   }
+  const SlicePlan plan{campaigns.size(), lead.runs, std::max(1u, lead.batch)};
+  const auto skipped = [&](std::size_t s) {
+    return hooks.skip && hooks.skip(s);
+  };
 
-  // Factory form: partition the runs into contiguous lockstep slices and
-  // execute them (optionally across threads). In the default streaming
-  // mode every slice folds its outcomes into a local digest immediately
-  // and merges it into the total -- exact mergeability makes the merge
-  // order irrelevant and peak live Records stay O(batch * threads). With
-  // retain_raw the per-run series must keep run order, so all outcomes
-  // are materialized and folded serially, as before.
-  CBUS_EXPECTS_MSG(spec.corunners.empty(),
-                   "give corunner_factories (not shared corunners) with "
-                   "tua_factory");
-  (void)resolve_campaign_config(spec);  // validate before spawning workers
-  const std::uint32_t batch = std::max<std::uint32_t>(1, spec.batch);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> slices;
-  for (std::uint32_t first = 0; first < spec.runs; first += batch) {
-    slices.emplace_back(first, std::min(batch, spec.runs - first));
+  // The pending share of the plan, counted to size the pool -- never
+  // materialized.
+  std::size_t pending = 0;
+  std::uint64_t pending_runs = 0;
+  for (std::size_t s = 0; s < plan.size(); ++s) {
+    if (skipped(s)) continue;
+    ++pending;
+    pending_runs += plan[s].run_count;
   }
-
-  std::uint32_t threads = spec.threads != 0
-                              ? spec.threads
-                              : std::max(1u, std::thread::hardware_concurrency());
+  std::uint32_t threads = lead.threads;
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   threads = static_cast<std::uint32_t>(
-      std::min<std::size_t>(threads, slices.size()));
+      std::clamp<std::size_t>(pending, 1, threads));
+  if (hooks.on_start) hooks.on_start(threads, pending, pending_runs);
 
-  std::vector<RunOutcome> outcomes(spec.retain_raw ? spec.runs : 0);
-  metrics::Aggregator streamed;
-  std::uint32_t streamed_unfinished = 0;
+  std::vector<CampaignRun> out(campaigns.size());
+  // Raw campaigns keep per-run outcome slots (their series must stay in
+  // run order); streaming ones fold every slice into a local digest and
+  // merge it under the lock, so peak live Records stay O(batch *
+  // threads).
+  std::vector<std::vector<RunOutcome>> slots(campaigns.size());
+  for (std::size_t c = 0; c < campaigns.size(); ++c) {
+    if (campaigns[c].retain_raw) slots[c].resize(plan.runs);
+  }
+  constexpr std::size_t kNoError = ~static_cast<std::size_t>(0);
+  std::vector<std::size_t> error_slice(campaigns.size(), kNoError);
   std::mutex fold_mutex;
 
-  const auto run_slice = [&](std::size_t s) {
-    const auto [first, count] = slices[s];
+  const auto run_slice = [&](std::size_t s, std::uint32_t worker) {
+    const Slice slice = plan[s];
+    const CampaignSpec& spec = campaigns[slice.campaign];
+    const auto slice_start = std::chrono::steady_clock::now();
+    std::optional<CampaignResult> digest;
     if (spec.retain_raw) {
-      run_campaign_slice(
-          spec, first,
-          std::span<RunOutcome>(outcomes).subspan(first, count));
-      return;
+      const std::span<RunOutcome> outcomes(slots[slice.campaign]);
+      run_campaign_slice(spec, slice.first_run,
+                         outcomes.subspan(slice.first_run, slice.run_count));
+    } else {
+      std::vector<RunOutcome> outcomes(slice.run_count);
+      run_campaign_slice(spec, slice.first_run, outcomes);
+      fold(outcomes, digest.emplace());
     }
-    std::vector<RunOutcome> local(count);
-    run_campaign_slice(spec, first, local);
-    metrics::Aggregator fold;
-    std::uint32_t unfinished = 0;
-    for (const RunOutcome& outcome : local) {
-      if (!outcome.finished) {
-        ++unfinished;
-        continue;
-      }
-      fold.add(outcome.record);
-    }
+    const double slice_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - slice_start)
+            .count();
+    CampaignResult* partial = digest ? &*digest : nullptr;
     const std::lock_guard<std::mutex> lock(fold_mutex);
-    streamed.merge(fold);
-    streamed_unfinished += unfinished;
+    if (partial != nullptr) {
+      CampaignResult& total = out[slice.campaign].result;
+      total.aggregate.merge(partial->aggregate);
+      total.unfinished_runs += partial->unfinished_runs;
+    }
+    if (hooks.on_slice) hooks.on_slice({s, slice, worker, slice_ms, partial});
   };
-  if (threads <= 1) {
-    for (std::size_t s = 0; s < slices.size(); ++s) run_slice(s);
-  } else {
-    // Workers capture per-slice exceptions; the lowest-indexed one is
-    // rethrown after the join, so failures are thread-count-independent.
-    std::vector<std::exception_ptr> errors(slices.size());
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&]() {
-      while (true) {
-        const std::size_t s = next.fetch_add(1);
-        if (s >= slices.size()) return;
-        try {
-          run_slice(s);
-        } catch (...) {
-          errors[s] = std::current_exception();
+
+  // Workers claim slice indices in plan order. A failure is kept per
+  // campaign, lowest slice index first, so the reported error does not
+  // depend on the thread count or on which slice failed first in time.
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&](std::uint32_t me) {
+    for (std::size_t s = next++; s < plan.size(); s = next++) {
+      try {
+        if (!skipped(s)) run_slice(s, me);
+      } catch (...) {
+        const std::size_t c = s / plan.per_campaign();
+        const std::lock_guard<std::mutex> lock(fold_mutex);
+        if (s < error_slice[c]) {
+          error_slice[c] = s;
+          out[c].error = std::current_exception();
         }
       }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::uint32_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
     }
+  };
+  if (threads == 1) {
+    worker(0);
+  } else {
+    // jthreads join on destruction, also if spawning a later one throws.
+    std::vector<std::jthread> pool;
+    pool.reserve(threads);
+    for (std::uint32_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
   }
 
-  CampaignResult result;
-  if (!spec.retain_raw) {
-    result.aggregate = std::move(streamed);
-    result.unfinished_runs = streamed_unfinished;
-    return result;
-  }
-  result.aggregate = metrics::Aggregator(
-      metrics::Aggregator::Options{.retain_raw = true});
-  for (RunOutcome& outcome : outcomes) {
-    if (!outcome.finished) {
-      ++result.unfinished_runs;
-      continue;
+  // Raw fold in run order, one campaign at a time, releasing each
+  // campaign's outcome slots as soon as they are folded.
+  for (std::size_t c = 0; c < campaigns.size(); ++c) {
+    if (!campaigns[c].retain_raw || out[c].error) continue;
+    CampaignResult& result = out[c].result;
+    result.aggregate = metrics::Aggregator(
+        metrics::Aggregator::Options{.retain_raw = true});
+    const std::span<const RunOutcome> outcomes(slots[c]);
+    for (std::uint32_t k = 0; k < plan.per_campaign(); ++k) {
+      const std::size_t s = c * plan.per_campaign() + k;
+      if (skipped(s)) continue;
+      const Slice slice = plan[s];
+      fold(outcomes.subspan(slice.first_run, slice.run_count), result);
     }
-    result.aggregate.add(outcome.record);
+    std::vector<RunOutcome>().swap(slots[c]);
   }
-  return result;
+  return out;
+}
+
+CampaignResult run_campaign(const CampaignSpec& spec) {
+  CampaignRun run = std::move(run_campaigns({&spec, 1}).front());
+  if (run.error) std::rethrow_exception(run.error);
+  return std::move(run.result);
 }
 
 double slowdown(const CampaignResult& x, const CampaignResult& baseline) {

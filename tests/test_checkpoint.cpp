@@ -380,9 +380,7 @@ TEST(ShardMerge, ShardsReassembleToSingleProcessBytes) {
         const ExperimentResult shard = run_experiment(spec, options);
         ASSERT_EQ(shard.failed_jobs(), 0u);
       }
-      const LoadedCheckpoint merged = merge_checkpoints(spec, paths);
-      const ExperimentResult result =
-          finalize_from_slices(spec, merged.slices);
+      const ExperimentResult result = fold_checkpoints_streaming(spec, paths);
       EXPECT_EQ(json_of(spec, result), expected)
           << shard_count << " shards, " << threads << " threads";
     }
@@ -422,16 +420,13 @@ TEST(ShardMerge, MergeValidatesTheShardSet) {
 
   // Wrong file count for the recorded shard geometry.
   expect_throws_with(
-      [&] {
-        (void)merge_checkpoints(
-            spec, {paths[0], paths[1]});
-      },
+      [&] { (void)fold_checkpoints_streaming(spec, {paths[0], paths[1]}); },
       "ran as 3 shard(s) but 2 checkpoint file(s) were given");
 
   // The same shard twice (and another missing).
   expect_throws_with(
       [&] {
-        (void)merge_checkpoints(spec, {paths[0], paths[1], paths[1]});
+        (void)fold_checkpoints_streaming(spec, {paths[0], paths[1], paths[1]});
       },
       "two checkpoint files claim shard 1");
 
@@ -442,7 +437,7 @@ TEST(ShardMerge, MergeValidatesTheShardSet) {
         CheckpointWriter::create(paths[2], loaded.meta);
   }
   expect_throws_with(
-      [&] { (void)merge_checkpoints(spec, paths); },
+      [&] { (void)fold_checkpoints_streaming(spec, paths); },
       "checkpoint set is incomplete: slice 2 (shard 2) has not "
       "finished");
 }
@@ -457,13 +452,20 @@ TEST(ShardMerge, ShardedRunRequiresACheckpoint) {
 }
 
 TEST(ShardMerge, FinalizeRejectsForeignSlices) {
+  // A well-formed file (header and checksums intact) whose first slice
+  // claims a job the campaign does not have.
   const ExperimentSpec spec = stream_spec();
   const std::string path = temp_path("foreign-slice.ckpt");
   (void)run_with_checkpoint(spec, path);
   std::vector<SliceState> slices = load_checkpoint(path).slices;
   slices[0].job = 99;
+  {
+    CheckpointWriter writer =
+        CheckpointWriter::create(path, make_meta(spec, 0, 1));
+    for (const SliceState& slice : slices) writer.append(slice);
+  }
   expect_throws_with(
-      [&] { (void)finalize_from_slices(spec, slices); },
+      [&] { (void)fold_checkpoints_streaming(spec, {path}); },
       "slice state references job 99 of 2");
 }
 

@@ -487,8 +487,7 @@ TEST(ControllerDeterminism, ShardsMergeToSingleProcessBytes) {
     const auto shard = exp::run_experiment(spec, options);
     ASSERT_EQ(shard.failed_jobs(), 0u);
   }
-  const exp::LoadedCheckpoint merged = exp::merge_checkpoints(spec, paths);
-  const auto result = exp::finalize_from_slices(spec, merged.slices);
+  const auto result = exp::fold_checkpoints_streaming(spec, paths);
   EXPECT_EQ(json_of(spec, result), expected);
 }
 

@@ -376,16 +376,35 @@ TEST(Runner, BatchSlicesShareThePoolAcrossJobs) {
 }
 
 TEST(Runner, FailedJobStaysAJobFailureUnderBatching) {
-  // A per-slice failure must surface as the job's error (not a throw),
-  // identically for any batch/thread count.
-  ExperimentSpec spec = parse("scenario = con\nruns = 4\n");
-  spec.batch = 2;
-  std::vector<Job> jobs = expand(spec);
-  ASSERT_EQ(jobs.size(), 1u);
-  jobs[0].config.mode = PlatformMode::kOperation;
-  const JobResult r = run_job(spec, jobs[0]);
-  EXPECT_TRUE(r.failed());
-  EXPECT_NE(r.error.find("WCET"), std::string::npos);
+  // Every slice of job 1 throws: its kernel is swapped, after parsing,
+  // for a name make_eembc rejects. run_experiment must still return,
+  // report the same error for that job at any batch and thread count,
+  // and leave job 0's rows exactly as a clean one-job run writes them.
+  const ExperimentSpec clean = parse(
+      "scenario = iso\nsweep kernel = canrdr\ncores = 2\nruns = 5\n");
+  const std::string clean_csv = csv_of(clean, run_experiment(clean, 1u));
+
+  std::string first_error;
+  for (const std::uint32_t batch : {1u, 3u}) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      ExperimentSpec spec = parse(
+          "scenario = iso\nsweep kernel = canrdr tblook\ncores = 2\n"
+          "runs = 5\n");
+      spec.sweeps[0].values[1] = "no-such-kernel";
+      spec.batch = batch;
+      const ExperimentResult result = run_experiment(spec, threads);
+      ASSERT_EQ(result.jobs.size(), 2u);
+      EXPECT_FALSE(result.jobs[0].failed());
+      ASSERT_TRUE(result.jobs[1].failed());
+      if (first_error.empty()) first_error = result.jobs[1].error;
+      EXPECT_EQ(result.jobs[1].error, first_error)
+          << "batch=" << batch << " threads=" << threads;
+      EXPECT_EQ(csv_of(spec, result), clean_csv)
+          << "batch=" << batch << " threads=" << threads;
+    }
+  }
+  EXPECT_NE(first_error.find("no-such-kernel"), std::string::npos)
+      << first_error;
 }
 
 TEST(Runner, CorunAssignsCorunnersAndIdleGaps) {
@@ -401,17 +420,6 @@ TEST(Runner, CorunAssignsCorunnersAndIdleGaps) {
   ASSERT_EQ(result.jobs.size(), 1u);
   EXPECT_EQ(result.failed_jobs(), 0u);
   EXPECT_EQ(result.jobs[0].campaign.exec_time().count(), 2u);
-}
-
-TEST(Runner, FailedJobIsReportedNotThrown) {
-  // operation mode + con is impossible; the runner must record the error.
-  ExperimentSpec spec = parse("scenario = con\nruns = 1\n");
-  std::vector<Job> jobs = expand(spec);
-  ASSERT_EQ(jobs.size(), 1u);
-  jobs[0].config.mode = PlatformMode::kOperation;
-  const JobResult r = run_job(spec, jobs[0]);
-  EXPECT_TRUE(r.failed());
-  EXPECT_NE(r.error.find("WCET"), std::string::npos);
 }
 
 TEST(Runner, PwcetProducesCurve) {

@@ -6,8 +6,12 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "metrics/aggregator.hpp"
 #include "metrics/record.hpp"
@@ -16,6 +20,7 @@
 #include "platform/platform_config.hpp"
 #include "platform/scenarios.hpp"
 #include "platform/synthetic_master.hpp"
+#include "rng/splitmix64.hpp"
 #include "workloads/eembc_like.hpp"
 #include "workloads/fixed_stream.hpp"
 #include "workloads/streaming.hpp"
@@ -178,15 +183,18 @@ TEST(SyntheticMaster, IsolatedPeriodIsGapPlusArbPlusHold) {
   EXPECT_EQ(smc.gap, 4u);
 }
 
-/// A CampaignSpec over the given platform (helper for the tests below).
+/// A CampaignSpec over the given platform running `kernel` as the TuA
+/// (helper for the tests below).
 [[nodiscard]] CampaignSpec make_spec(CampaignSpec::Protocol protocol,
                                      PlatformConfig config,
-                                     cpu::OpStream& tua, std::uint32_t runs,
+                                     std::string kernel, std::uint32_t runs,
                                      std::uint64_t seed) {
   CampaignSpec spec;
   spec.protocol = protocol;
   spec.config = std::move(config);
-  spec.tua = &tua;
+  spec.tua_factory = [kernel = std::move(kernel)]() {
+    return workloads::make_eembc(kernel);
+  };
   spec.runs = runs;
   spec.base_seed = seed;
   spec.retain_raw = true;  // these tests read the per-run series
@@ -194,10 +202,9 @@ TEST(SyntheticMaster, IsolatedPeriodIsGapPlusArbPlusHold) {
 }
 
 TEST(ScenarioRunners, IsolationCampaignAggregates) {
-  auto tua = workloads::make_eembc("canrdr");
   const CampaignResult r = run_campaign(
       make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kRp), *tua, 5, 11));
+                PlatformConfig::paper(BusSetup::kRp), "canrdr", 5, 11));
   EXPECT_EQ(r.exec_time().count(), 5u);
   EXPECT_EQ(r.samples().size(), 5u);
   EXPECT_EQ(r.unfinished_runs, 0u);
@@ -208,10 +215,9 @@ TEST(ScenarioRunners, IsolationCampaignAggregates) {
 TEST(ScenarioRunners, CampaignFoldsRunRecords) {
   // Every standard probe key reaches the aggregate, per-master keys at
   // the platform width, and derived views agree with the records.
-  auto tua = workloads::make_eembc("canrdr");
   const CampaignResult r = run_campaign(
       make_spec(CampaignSpec::Protocol::kMaxContention,
-                PlatformConfig::paper_wcet(BusSetup::kCba), *tua, 3, 11));
+                PlatformConfig::paper_wcet(BusSetup::kCba), "canrdr", 3, 11));
   EXPECT_EQ(r.aggregate.width("bus.occupancy_share"), 4u);
   EXPECT_EQ(r.aggregate.width("bus.grant_share"), 4u);
   EXPECT_EQ(r.aggregate.width("credit.budget"), 4u);
@@ -230,10 +236,9 @@ TEST(ScenarioRunners, CampaignFoldsRunRecords) {
 }
 
 TEST(ScenarioRunners, CampaignIsReproducible) {
-  auto tua = workloads::make_eembc("tblook");
   const auto spec =
       make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kCba), *tua, 3, 42);
+                PlatformConfig::paper(BusSetup::kCba), "tblook", 3, 42);
   const auto a = run_campaign(spec);
   const auto b = run_campaign(spec);
   ASSERT_EQ(a.samples().size(), b.samples().size());
@@ -243,24 +248,22 @@ TEST(ScenarioRunners, CampaignIsReproducible) {
 }
 
 TEST(ScenarioRunners, MaxContentionRequiresWcetMode) {
-  auto tua = workloads::make_eembc("canrdr");
   EXPECT_THROW(
       (void)run_campaign(make_spec(CampaignSpec::Protocol::kMaxContention,
                                    PlatformConfig::paper(BusSetup::kCba),
-                                   *tua, 1, 1)),
+                                   "canrdr", 1, 1)),
       std::invalid_argument);
 }
 
 TEST(ScenarioRunners, SpecRequiresTuaAndRejectsStrayCorunners) {
-  auto tua = workloads::make_eembc("canrdr");
   CampaignSpec no_tua;
   no_tua.config = PlatformConfig::paper(BusSetup::kRp);
   EXPECT_THROW((void)run_campaign(no_tua), std::invalid_argument);
 
-  workloads::StreamingStream s(0);
   auto iso = make_spec(CampaignSpec::Protocol::kIsolation,
-                       PlatformConfig::paper(BusSetup::kRp), *tua, 1, 1);
-  iso.corunners = {&s};
+                       PlatformConfig::paper(BusSetup::kRp), "canrdr", 1, 1);
+  iso.corunner_factories = {
+      []() { return std::make_unique<workloads::StreamingStream>(0); }};
   EXPECT_THROW((void)run_campaign(iso), std::invalid_argument);
 }
 
@@ -286,36 +289,44 @@ void expect_same_aggregate(const metrics::Aggregator& a,
   }
 }
 
-/// A factory-form spec mirroring make_spec, for the batched path.
-[[nodiscard]] CampaignSpec make_factory_spec(CampaignSpec::Protocol protocol,
-                                             PlatformConfig config,
-                                             std::string kernel,
-                                             std::uint32_t runs,
-                                             std::uint64_t seed) {
-  CampaignSpec spec;
-  spec.protocol = protocol;
-  spec.config = std::move(config);
-  spec.tua_factory = [kernel = std::move(kernel)]() {
-    return workloads::make_eembc(kernel);
-  };
-  spec.runs = runs;
-  spec.base_seed = seed;
-  spec.retain_raw = true;  // these tests read the per-run series
-  return spec;
+/// The campaign protocol written out by hand, one run at a time over
+/// shared streams: run i resets the TuA and then each co-runner from
+/// seeds drawn off run_seed(base_seed, i), and runs one Multicore.
+/// `spec.config` must already be the protocol's effective config.
+[[nodiscard]] CampaignResult serial_reference(
+    const CampaignSpec& spec, cpu::OpStream& tua,
+    const std::vector<cpu::OpStream*>& corunners = {}) {
+  CampaignResult result;
+  result.aggregate = metrics::Aggregator(
+      metrics::Aggregator::Options{.retain_raw = true});
+  for (std::uint32_t run = 0; run < spec.runs; ++run) {
+    const std::uint64_t seed = run_seed(spec.base_seed, run);
+    rng::SplitMix64 stream_seeds(seed);
+    tua.reset(stream_seeds.next());
+    for (cpu::OpStream* s : corunners) s->reset(stream_seeds.next());
+    Multicore machine(spec.config, seed, tua, corunners);
+    const RunResult r = machine.run(spec.max_cycles);
+    if (!r.tua_finished) {
+      ++result.unfinished_runs;
+      continue;
+    }
+    result.aggregate.add(r.record);
+  }
+  return result;
 }
 
 TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
-  // The batched (stream-factory) path must reproduce the shared-stream
-  // replay loop bit-identically, for every batch and thread count.
+  // The sliced, batched, threaded scheduler must reproduce the
+  // one-run-at-a-time replay over a shared stream bit-identically, for
+  // every batch and thread count.
   auto tua = workloads::make_eembc("cacheb");
-  const auto shared = run_campaign(
-      make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kCba), *tua, 5, 99));
+  const auto reference = make_spec(CampaignSpec::Protocol::kIsolation,
+                                   PlatformConfig::paper(BusSetup::kCba),
+                                   "cacheb", 5, 99);
+  const auto shared = serial_reference(reference, *tua);
   for (const std::uint32_t batch : {1u, 3u, 8u}) {
     for (const std::uint32_t threads : {1u, 4u}) {
-      auto spec = make_factory_spec(CampaignSpec::Protocol::kIsolation,
-                                    PlatformConfig::paper(BusSetup::kCba),
-                                    "cacheb", 5, 99);
+      auto spec = reference;
       spec.batch = batch;
       spec.threads = threads;
       const auto batched = run_campaign(spec);
@@ -330,19 +341,15 @@ TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
 }
 
 TEST(ScenarioRunners, BatchedCorunMatchesSharedStreamForm) {
-  // Co-runner factories against shared co-runner streams, WCET-mode CBA
-  // with real contenders exercising the SoA credit arena.
+  // Co-runner factories against shared co-runner streams, CBA with real
+  // contenders exercising the SoA credit arena.
   auto tua = workloads::make_eembc("cacheb");
   workloads::StreamingStream s1(0), s2(4);
-  auto corun_spec =
-      make_spec(CampaignSpec::Protocol::kCorun,
-                PlatformConfig::paper(BusSetup::kCba), *tua, 4, 99);
-  corun_spec.corunners = {&s1, &s2};
-  const auto shared = run_campaign(corun_spec);
+  auto batched_spec = make_spec(CampaignSpec::Protocol::kCorun,
+                                PlatformConfig::paper(BusSetup::kCba),
+                                "cacheb", 4, 99);
+  const auto shared = serial_reference(batched_spec, *tua, {&s1, &s2});
 
-  auto batched_spec = make_factory_spec(CampaignSpec::Protocol::kCorun,
-                                        PlatformConfig::paper(BusSetup::kCba),
-                                        "cacheb", 4, 99);
   batched_spec.corunner_factories = {
       []() { return std::make_unique<workloads::StreamingStream>(0); },
       []() { return std::make_unique<workloads::StreamingStream>(4); }};
@@ -356,11 +363,11 @@ TEST(ScenarioRunners, BatchedCorunMatchesSharedStreamForm) {
 }
 
 TEST(ScenarioRunners, RunCampaignSliceWindowsAgree) {
-  // Slices are run_campaign's unit of work; a slice starting at run k
+  // Slices are the scheduler's unit of work; a slice starting at run k
   // must reproduce runs k.. of the full campaign (seeds by run index).
-  auto spec = make_factory_spec(CampaignSpec::Protocol::kIsolation,
-                                PlatformConfig::paper(BusSetup::kRp),
-                                "canrdr", 6, 1234);
+  auto spec = make_spec(CampaignSpec::Protocol::kIsolation,
+                        PlatformConfig::paper(BusSetup::kRp), "canrdr", 6,
+                        1234);
   const auto full = run_campaign(spec);
   std::vector<RunOutcome> window(3);
   run_campaign_slice(spec, 2, window);
@@ -372,37 +379,95 @@ TEST(ScenarioRunners, RunCampaignSliceWindowsAgree) {
 }
 
 TEST(ScenarioRunners, FactoryFormContractErrors) {
-  // Exactly one workload form, and batching requires the factory form.
-  auto tua = workloads::make_eembc("canrdr");
-  auto both = make_factory_spec(CampaignSpec::Protocol::kIsolation,
-                                PlatformConfig::paper(BusSetup::kRp),
-                                "canrdr", 1, 1);
-  both.tua = tua.get();
-  EXPECT_THROW((void)run_campaign(both), std::invalid_argument);
+  // Factories must build a stream, and campaigns scheduled together must
+  // share their slice geometry.
+  auto null_tua = make_spec(CampaignSpec::Protocol::kIsolation,
+                            PlatformConfig::paper(BusSetup::kRp), "canrdr",
+                            2, 1);
+  null_tua.tua_factory = []() { return std::unique_ptr<cpu::OpStream>(); };
+  EXPECT_THROW((void)run_campaign(null_tua), std::invalid_argument);
 
-  auto shared_batched =
+  auto null_corunner = make_spec(CampaignSpec::Protocol::kCorun,
+                                 PlatformConfig::paper(BusSetup::kRp),
+                                 "canrdr", 2, 1);
+  null_corunner.corunner_factories = {
+      []() { return std::unique_ptr<cpu::OpStream>(); }};
+  EXPECT_THROW((void)run_campaign(null_corunner), std::invalid_argument);
+
+  const std::vector<CampaignSpec> mismatched = {
       make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kRp), *tua, 2, 1);
-  shared_batched.batch = 4;
-  EXPECT_THROW((void)run_campaign(shared_batched), std::invalid_argument);
+                PlatformConfig::paper(BusSetup::kRp), "canrdr", 2, 1),
+      make_spec(CampaignSpec::Protocol::kIsolation,
+                PlatformConfig::paper(BusSetup::kRp), "canrdr", 3, 1)};
+  EXPECT_THROW((void)run_campaigns(mismatched), std::invalid_argument);
+}
+
+/// A canrdr stream that refuses chosen reset seeds: reset() throws a
+/// message naming the run the seed belongs to.
+class RefusingStream final : public cpu::OpStream {
+ public:
+  explicit RefusingStream(std::map<std::uint64_t, std::uint32_t> refused)
+      : refused_(std::move(refused)) {}
+
+  std::optional<cpu::MemOp> next() override { return inner_->next(); }
+  void reset(std::uint64_t seed) override {
+    if (const auto it = refused_.find(seed); it != refused_.end()) {
+      throw std::runtime_error("refused run " + std::to_string(it->second));
+    }
+    inner_->reset(seed);
+  }
+  std::string_view name() const noexcept override { return "refusing"; }
+
+ private:
+  std::unique_ptr<cpu::OpStream> inner_ = workloads::make_eembc("canrdr");
+  std::map<std::uint64_t, std::uint32_t> refused_;
+};
+
+TEST(ScenarioRunners, LowestFailedSliceErrorIsRethrown) {
+  // Runs 5 and 9 fail (their TuA stream seeds are refused). Whatever
+  // slices hold them and however the workers race, run_campaign
+  // rethrows run 5's error: the lowest failed slice wins.
+  constexpr std::uint64_t kSeed = 404;
+  std::map<std::uint64_t, std::uint32_t> refused;
+  for (const std::uint32_t run : {5u, 9u}) {
+    refused[rng::SplitMix64(run_seed(kSeed, run)).next()] = run;
+  }
+  for (const std::uint32_t batch : {1u, 3u, 8u}) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      auto spec = make_spec(CampaignSpec::Protocol::kIsolation,
+                            PlatformConfig::paper(BusSetup::kRp), "canrdr",
+                            12, kSeed);
+      spec.tua_factory = [refused]() {
+        return std::make_unique<RefusingStream>(refused);
+      };
+      spec.batch = batch;
+      spec.threads = threads;
+      try {
+        (void)run_campaign(spec);
+        ADD_FAILURE() << "no error at batch=" << batch
+                      << " threads=" << threads;
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "refused run 5")
+            << "batch=" << batch << " threads=" << threads;
+      }
+    }
+  }
 }
 
 TEST(ScenarioRunners, ContentionSlowsTheTuaDown) {
-  auto tua = workloads::make_eembc("cacheb");
   const auto iso = run_campaign(
       make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kRp), *tua, 3, 77));
+                PlatformConfig::paper(BusSetup::kRp), "cacheb", 3, 77));
   const auto con = run_campaign(
       make_spec(CampaignSpec::Protocol::kMaxContention,
-                PlatformConfig::paper_wcet(BusSetup::kRp), *tua, 3, 77));
+                PlatformConfig::paper_wcet(BusSetup::kRp), "cacheb", 3, 77));
   EXPECT_GT(slowdown(con, iso), 1.2);
 }
 
 TEST(ScenarioRunners, SlowdownOfSelfIsOne) {
-  auto tua = workloads::make_eembc("canrdr");
   const auto iso = run_campaign(
       make_spec(CampaignSpec::Protocol::kIsolation,
-                PlatformConfig::paper(BusSetup::kRp), *tua, 2, 0xC0FFEE));
+                PlatformConfig::paper(BusSetup::kRp), "canrdr", 2, 0xC0FFEE));
   EXPECT_DOUBLE_EQ(slowdown(iso, iso), 1.0);
 }
 
@@ -423,14 +488,13 @@ TEST(SplitPlatform, SplitNoSlowerThanNonSplitInIsolation) {
   // With one core there is no pipelining benefit, but end-to-end service
   // times are matched by construction: the two protocols should land
   // within a few percent of each other.
-  auto tua = workloads::make_eembc("tblook");
   PlatformConfig nonsplit = PlatformConfig::paper(BusSetup::kRp);
   PlatformConfig split = nonsplit;
   split.bus_protocol = BusProtocol::kSplit;
   const auto a = run_campaign(make_spec(CampaignSpec::Protocol::kIsolation,
-                                        nonsplit, *tua, 3, 21));
+                                        nonsplit, "tblook", 3, 21));
   const auto b = run_campaign(make_spec(CampaignSpec::Protocol::kIsolation,
-                                        split, *tua, 3, 21));
+                                        split, "tblook", 3, 21));
   EXPECT_NEAR(b.exec_time().mean() / a.exec_time().mean(), 1.0, 0.05);
 }
 
@@ -462,25 +526,23 @@ TEST(SplitPlatform, DeterministicPerSeed) {
 TEST(DramPlatform, RunsAndSpeedsUpStreaming) {
   // matrix streams sequentially: open rows make many misses cheaper than
   // the flat 28-cycle latency, so execution gets faster, never slower.
-  auto tua = workloads::make_eembc("matrix");
   PlatformConfig flat = PlatformConfig::paper(BusSetup::kRp);
   PlatformConfig banked = flat;
   banked.dram = mem::DramConfig{};
   const auto a = run_campaign(make_spec(CampaignSpec::Protocol::kIsolation,
-                                        flat, *tua, 3, 31));
+                                        flat, "matrix", 3, 31));
   const auto b = run_campaign(make_spec(CampaignSpec::Protocol::kIsolation,
-                                        banked, *tua, 3, 31));
+                                        banked, "matrix", 3, 31));
   EXPECT_LT(b.exec_time().mean(), a.exec_time().mean());
   EXPECT_GT(b.exec_time().mean(), 0.5 * a.exec_time().mean());
 }
 
 TEST(DramPlatform, NoCreditUnderflowWithCba) {
   // Bank-model worst case (28) keeps MaxL = 56 a valid upper bound.
-  auto tua = workloads::make_eembc("matrix");
   PlatformConfig cfg = PlatformConfig::paper_wcet(BusSetup::kCba);
   cfg.dram = mem::DramConfig{};
   const auto r = run_campaign(make_spec(
-      CampaignSpec::Protocol::kMaxContention, cfg, *tua, 2, 0xC0FFEE));
+      CampaignSpec::Protocol::kMaxContention, cfg, "matrix", 2, 0xC0FFEE));
   EXPECT_EQ(r.credit_underflows(), 0u);
 }
 
@@ -654,9 +716,9 @@ TEST(StreamingCampaign, DigestIsBitIdenticalAcrossBatchAndThreads) {
   // threads finish; exact mergeability must hide that entirely. Every
   // batch x thread combination lands on the same digest bytes.
   auto make = [](std::uint32_t batch, std::uint32_t threads) {
-    auto spec = make_factory_spec(CampaignSpec::Protocol::kMaxContention,
-                                  PlatformConfig::paper_wcet(BusSetup::kCba),
-                                  "canrdr", 12, 77);
+    auto spec = make_spec(CampaignSpec::Protocol::kMaxContention,
+                          PlatformConfig::paper_wcet(BusSetup::kCba),
+                          "canrdr", 12, 77);
     spec.retain_raw = false;
     spec.batch = batch;
     spec.threads = threads;
@@ -679,9 +741,9 @@ TEST(StreamingCampaign, StatsMatchRawRetentionBitForBit) {
   // Streaming derives mean/min/max/stddev from exact sums; the raw
   // mode's OnlineStats folds the same run-ordered series. The derived
   // views must agree to the last bit on every key and element.
-  auto spec = make_factory_spec(CampaignSpec::Protocol::kMaxContention,
-                                PlatformConfig::paper_wcet(BusSetup::kCba),
-                                "canrdr", 10, 31);
+  auto spec = make_spec(CampaignSpec::Protocol::kMaxContention,
+                        PlatformConfig::paper_wcet(BusSetup::kCba),
+                        "canrdr", 10, 31);
   spec.retain_raw = false;
   const auto streamed = run_campaign(spec);
   spec.retain_raw = true;
@@ -723,9 +785,9 @@ TEST(StreamingCampaign, PeakRecordCountIsIndependentOfRunCount) {
   // O(batch * threads) records alive at once, raw keeps O(runs). Record
   // instances are census-counted, so measure the peak directly.
   auto run_with = [](std::uint32_t runs, bool retain) {
-    auto spec = make_factory_spec(CampaignSpec::Protocol::kIsolation,
-                                  PlatformConfig::paper(BusSetup::kRp),
-                                  "canrdr", runs, 3);
+    auto spec = make_spec(CampaignSpec::Protocol::kIsolation,
+                          PlatformConfig::paper(BusSetup::kRp),
+                          "canrdr", runs, 3);
     spec.retain_raw = retain;
     spec.batch = 4;
     spec.threads = 1;

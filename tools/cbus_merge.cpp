@@ -14,7 +14,7 @@
 // digest is folded into its job's aggregate as it is decoded, so peak
 // memory is O(jobs), independent of the slice count (exp::
 // fold_checkpoints_streaming). Million-slice campaigns merge in constant
-// space; the result is bit-identical to the materializing path.
+// space.
 //
 // Usage:
 //   cbus_merge --experiment FILE [--config FILE] [--progress]
