@@ -97,6 +97,29 @@ void NonSplitBus::tick(Cycle now) {
   tick_finish(now);
 }
 
+Cycle NonSplitBus::next_event(Cycle now) const {
+  if (transfer_.has_value()) return now + transfer_->remaining;
+  if (latched_grant_.has_value()) return now + 1;
+  if (pending_bits_ == 0) return kNever;
+  // Arbitration at `now` found no eligible request (or the arbiter
+  // declined, e.g. TDMA): without a filter to say when that changes,
+  // arbitrate again next cycle.
+  if (filter_ == nullptr) return now + 1;
+  return filter_->next_eligible(pending_bits_, now);
+}
+
+void NonSplitBus::skip(Cycle from, Cycle cycles) {
+  stats_.total_cycles += cycles;
+  if (transfer_.has_value()) {
+    CBUS_ASSERT(transfer_->remaining > cycles);
+    transfer_->remaining -= cycles;
+    stats_.busy_cycles += cycles;
+  } else {
+    stats_.idle_cycles += cycles;
+  }
+  if (filter_ != nullptr) filter_->skip(holder(), from, cycles);
+}
+
 void NonSplitBus::complete_transfer(Cycle now) {
   const BusRequest done = transfer_->request;
   const Cycle done_hold = transfer_->hold;

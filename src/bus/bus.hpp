@@ -150,6 +150,16 @@ class NonSplitBus final : public sim::Component, public BusPort {
 
   void tick(Cycle now) override;
 
+  /// Event horizon: the completion cycle of a transfer in flight; t + 1
+  /// for a latched grant; for an idle bus with requests pending but none
+  /// eligible, the filter's first eligibility crossing; kNever for an
+  /// idle bus with nothing pending (only a master's request ends that).
+  [[nodiscard]] Cycle next_event(Cycle now) const override;
+
+  /// Count `cycles` busy or idle cycles, run the transfer's countdown and
+  /// advance the filter with the holder fixed.
+  void skip(Cycle from, Cycle cycles) override;
+
   // --- phased tick (batched campaigns) ----------------------------------
   // The batch credit engine runs the credit bookkeeping VERTICALLY across
   // lanes, so the bus tick splits around it: tick_begin starts a latched

@@ -108,6 +108,23 @@ class EligibilityFilter {
   virtual void on_remote_occupancy(MasterId /*master*/,
                                    Cycle /*occupancy*/) {}
 
+  // --- event horizon (see sim::Component::next_event) ------------------
+
+  /// With the bus idle (on_cycle sees kNoMaster) from `now` on and none
+  /// of `pending` eligible at `now`: the first cycle after `now` whose
+  /// on_cycle can make one of them eligible. The default, now + 1, never
+  /// lets the bus skip an idle arbitration.
+  [[nodiscard]] virtual Cycle next_eligible(std::uint32_t /*pending*/,
+                                            Cycle now) const {
+    return now + 1;
+  }
+
+  /// The `cycles` on_cycle(holder, c) calls of c in [from, from + cycles),
+  /// with the holder fixed throughout. The default makes them one by one.
+  virtual void skip(MasterId holder, Cycle from, Cycle cycles) {
+    for (Cycle c = from; c < from + cycles; ++c) on_cycle(holder, c);
+  }
+
   virtual void reset() = 0;
 };
 

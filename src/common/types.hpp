@@ -14,6 +14,10 @@ namespace cbus {
 /// A point in time or a duration, in bus-clock cycles.
 using Cycle = std::uint64_t;
 
+/// A cycle no simulation reaches: the event horizon of a component that
+/// waits on someone else (see sim::Component::next_event).
+inline constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
 /// Identifier of a bus master (a core, in the paper's platform).
 using MasterId = std::uint32_t;
 

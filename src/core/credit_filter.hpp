@@ -5,6 +5,8 @@
 // applied.").
 #pragma once
 
+#include <algorithm>
+
 #include "bus/arbiter.hpp"
 #include "bus/interfaces.hpp"
 #include "core/credit_state.hpp"
@@ -41,6 +43,18 @@ class CreditFilter final : public bus::EligibilityFilter {
     // already ran while the transaction was away, so the Table-I
     // equation covers the whole path (see CreditState::charge).
     state_.charge(master, occupancy);
+  }
+
+  /// The first cycle whose idle-bus recovery makes a pending master
+  /// eligible (the bus arbitrates after the cycle's credit update).
+  [[nodiscard]] Cycle next_eligible(std::uint32_t pending,
+                                    Cycle now) const override {
+    const Cycle ticks = state_.ticks_to_eligible(pending);
+    return ticks == kNever ? kNever : now + std::max<Cycle>(ticks, 1);
+  }
+
+  void skip(MasterId holder, Cycle /*from*/, Cycle cycles) override {
+    state_.advance(holder, cycles);
   }
 
   void reset() override { state_.reset(); }

@@ -78,6 +78,63 @@ void CreditState::tick(MasterId holder) {
   }
 }
 
+namespace {
+
+/// Holder-free ticks for a counter at `value` gaining `inc` per tick to
+/// reach `target`.
+[[nodiscard]] Cycle ticks_to_reach(std::uint64_t value, std::uint64_t inc,
+                                   std::uint64_t target) {
+  if (value >= target) return 0;
+  if (inc == 0) return kNever;
+  return (target - value + inc - 1) / inc;
+}
+
+}  // namespace
+
+void CreditState::advance(MasterId holder, Cycle cycles) {
+  for (MasterId m = 0; m < config_.n_masters; ++m) {
+    const std::uint64_t inc = config_.increment[m];
+    std::uint64_t& v = value(m);
+    if (m != holder) {
+      // Saturating recovery composes: k steps of min(v + inc, cap) are
+      // min(v + k * inc, cap). Compared in ticks, so k * inc cannot
+      // overflow.
+      const std::uint64_t cap = config_.saturation[m];
+      v = cycles >= ticks_to_reach(v, inc, cap) ? cap : v + cycles * inc;
+      continue;
+    }
+    // The holder's counter never exceeds its cap and increment <= scale,
+    // so each tick subtracts net = scale - inc while v >= net and clamps
+    // to zero (counted) from the first tick it cannot pay -- after which
+    // every tick clamps again.
+    const std::uint64_t net = config_.scale - inc;
+    if (net == 0) continue;
+    const Cycle paid = std::min<Cycle>(cycles, v / net);
+    v -= paid * net;
+    if (paid < cycles) {
+      v = 0;
+      underflow_clamps_ += cycles - paid;
+      underflows_by_master_[m] += cycles - paid;
+    }
+  }
+}
+
+Cycle CreditState::ticks_to_eligible(std::uint32_t mask) const {
+  Cycle ticks = kNever;
+  for (MasterId m = 0; m < config_.n_masters; ++m) {
+    if (((mask >> m) & 1u) == 0) continue;
+    const std::uint64_t thr = config_.threshold[m];
+    const Cycle m_ticks = ticks_to_reach(value(m), config_.increment[m], thr);
+    ticks = std::min(ticks, m_ticks);
+  }
+  return ticks;
+}
+
+Cycle CreditState::ticks_to_saturation(MasterId m) const {
+  CBUS_EXPECTS(m < config_.n_masters);
+  return ticks_to_reach(value(m), config_.increment[m], config_.saturation[m]);
+}
+
 void CreditState::charge(MasterId m, Cycle occupancy) {
   CBUS_EXPECTS(m < config_.n_masters);
   const std::uint64_t units = config_.scale * occupancy;

@@ -65,6 +65,22 @@ class CreditState {
   /// (pass kNoMaster when the bus is idle or arbitrating).
   void tick(MasterId holder);
 
+  /// `cycles` consecutive tick(holder) calls in closed form (the
+  /// quiescence fast-forward): a non-holder ends at
+  /// min(v + cycles * increment, cap); the holder pays its net charge
+  /// (scale - increment) per cycle until the counter can no longer pay,
+  /// and every cycle after that clamps at zero and is counted, exactly as
+  /// the per-cycle update counts it.
+  void advance(MasterId holder, Cycle cycles);
+
+  /// Holder-free ticks until some master in `mask` is eligible: 0 if one
+  /// already is, kNever if none ever can be.
+  [[nodiscard]] Cycle ticks_to_eligible(std::uint32_t mask) const;
+
+  /// Holder-free ticks until master m's counter sits at its cap: 0 if it
+  /// already does, kNever if it never can.
+  [[nodiscard]] Cycle ticks_to_saturation(MasterId m) const;
+
   /// Burst debit of `occupancy` cycles against master m's budget (at
   /// `scale` units per cycle), clamping at zero like the hardware
   /// counter and counting the clamp. Used by the segmented interconnect

@@ -20,10 +20,7 @@ VirtualContender::VirtualContender(const VirtualContenderConfig& config,
 }
 
 bool VirtualContender::budget_full() const {
-  if (credits_ == nullptr) return true;
-  const MasterId slot =
-      config_.credit_slot == kNoMaster ? config_.self : config_.credit_slot;
-  return credits_->saturated(slot);
+  return credits_ == nullptr || credits_->saturated(credit_slot());
 }
 
 void VirtualContender::tick(Cycle now) {
@@ -45,14 +42,40 @@ void VirtualContender::tick(Cycle now) {
   }
 }
 
+Cycle VirtualContender::next_event(Cycle now) const {
+  if (config_.policy == ContenderPolicy::kAlwaysCompete || comp_) {
+    // Pending or holding: the bus's latch or completion frees the port.
+    return bus_.can_request(config_.self) ? now + 1 : kNever;
+  }
+  // The latch rises on the first tick that sees BUDGi saturated while
+  // the TuA has a request pending; the TuA raising one is an event of
+  // its own core.
+  if (!bus_.has_pending(config_.tua)) return kNever;
+  if (holding_) {
+    // A holder's budget cannot rise (increment <= scale); the completion
+    // is a bus event.
+    return credits_->saturated(credit_slot()) ? now + 1 : kNever;
+  }
+  // The tick at cycle now + j sees j - 1 further updates.
+  const Cycle ticks = credits_->ticks_to_saturation(credit_slot());
+  return ticks == kNever ? kNever : now + 1 + ticks;
+}
+
+void VirtualContender::skip(Cycle /*from*/, Cycle /*cycles*/) {
+  if (config_.policy == ContenderPolicy::kAlwaysCompete) comp_ = true;
+}
+
 void VirtualContender::on_grant(const bus::BusRequest& /*request*/,
                                 Cycle /*now*/, Cycle /*hold*/) {
   // COMPi is reset whenever core i is granted access to the bus (Table I).
   comp_ = false;
+  holding_ = true;
   ++grants_;
 }
 
 void VirtualContender::on_complete(const bus::BusRequest& /*request*/,
-                                   Cycle /*now*/) {}
+                                   Cycle /*now*/) {
+  holding_ = false;
+}
 
 }  // namespace cbus::core

@@ -53,6 +53,17 @@ class VirtualContender final : public sim::Component, public bus::BusMaster {
 
   void tick(Cycle now) override;
 
+  /// Event horizon. With the latch up (or the policy always competing):
+  /// t + 1 if the port is free, else kNever -- the bus's latch or
+  /// completion frees it. With the latch down: the cycle whose tick first
+  /// sees BUDGi saturated while the TuA is pending; kNever while the TuA
+  /// is not pending, or while our own transfer holds the bus below the
+  /// cap (a holder's budget cannot rise).
+  [[nodiscard]] Cycle next_event(Cycle now) const override;
+
+  /// Skipped ticks only re-assert an always-competing latch.
+  void skip(Cycle from, Cycle cycles) override;
+
   void on_grant(const bus::BusRequest& request, Cycle now,
                 Cycle hold) override;
   void on_complete(const bus::BusRequest& request, Cycle now) override;
@@ -63,10 +74,16 @@ class VirtualContender final : public sim::Component, public bus::BusMaster {
  private:
   [[nodiscard]] bool budget_full() const;
 
+  [[nodiscard]] MasterId credit_slot() const noexcept {
+    return config_.credit_slot == kNoMaster ? config_.self
+                                            : config_.credit_slot;
+  }
+
   VirtualContenderConfig config_;
   bus::BusPort& bus_;
   const CreditState* credits_;
   bool comp_ = false;
+  bool holding_ = false;  ///< our transfer is in flight (grant..complete)
   std::uint64_t grants_ = 0;
 };
 

@@ -149,6 +149,42 @@ void InOrderCore::tick(Cycle now) {
   CBUS_ASSERT(false);
 }
 
+Cycle InOrderCore::next_event(Cycle now) const {
+  if (done_ || waiting_ != Wait::kNone) return kNever;
+  if (!store_buffer_.empty() && !store_in_flight_) return now + 1;  // drain
+  if (compute_remaining_ > 0) return now + 1 + compute_remaining_;
+  if (!store_in_flight_) return now + 1;  // the op (or the finish) runs
+  // Progress waits on the store drain in flight wherever tick() would
+  // only count a stall: the end of the stream, a recorded load miss
+  // (write-through ordering; the buffer can only shrink, so forwarding
+  // cannot start hitting), a full buffer, an atomic.
+  if (!current_op_.has_value()) return kNever;
+  switch (current_op_->kind) {
+    case MemOpKind::kLoad:
+      return miss_recorded_ ? kNever : now + 1;
+    case MemOpKind::kStore:
+      return store_buffer_.full() ? kNever : now + 1;
+    case MemOpKind::kAtomic:
+      return kNever;
+  }
+  return now + 1;
+}
+
+void InOrderCore::skip(Cycle /*from*/, Cycle cycles) {
+  if (done_) return;
+  stats_.cycles += cycles;
+  if (waiting_ == Wait::kNone && compute_remaining_ > 0) {
+    CBUS_ASSERT(cycles <= compute_remaining_);
+    compute_remaining_ -= static_cast<std::uint32_t>(cycles);
+    stats_.compute_cycles += cycles;
+  } else if (waiting_ == Wait::kNone && current_op_.has_value() &&
+             current_op_->kind == MemOpKind::kStore) {
+    stats_.sb_stall_cycles += cycles;  // full buffer, drain in flight
+  } else {
+    stats_.bus_stall_cycles += cycles;
+  }
+}
+
 void InOrderCore::on_grant(const bus::BusRequest& /*request*/, Cycle /*now*/,
                            Cycle /*hold*/) {}
 

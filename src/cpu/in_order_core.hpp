@@ -39,6 +39,17 @@ class InOrderCore final : public sim::Component, public bus::BusMaster {
 
   void tick(Cycle now) override;
 
+  /// Event horizon: the end of a compute countdown (t + 1 +
+  /// compute_remaining); t + 1 when a buffered store can go on the bus or
+  /// the next op can run; kNever while a wait only a bus completion ends
+  /// (an outstanding load or atomic, or a stall behind a store drain in
+  /// flight) and once done.
+  [[nodiscard]] Cycle next_event(Cycle now) const override;
+
+  /// Count `cycles` cycles into `cycles` and into the compute, bus-stall
+  /// or store-buffer-stall counter the current state ticks.
+  void skip(Cycle from, Cycle cycles) override;
+
   void on_grant(const bus::BusRequest& request, Cycle now,
                 Cycle hold) override;
   void on_complete(const bus::BusRequest& request, Cycle now) override;

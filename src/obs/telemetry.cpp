@@ -41,6 +41,17 @@ void write_telemetry_json(std::ostream& out, const Telemetry& t,
         << ", \"p99\": " << t.slice_wall_ms.quantile(0.99);
   }
   out << "}";
+  out << ",\n  \"slice_paths\": {\"engine\": " << t.engine_slices
+      << ", \"classic\": " << t.classic_slices
+      << ", \"instrumented\": " << t.instrumented_slices << "}";
+  double executed_fraction = 0.0;
+  if (t.simulated_lane_cycles > 0) {
+    executed_fraction = static_cast<double>(t.executed_lane_cycles) /
+                        static_cast<double>(t.simulated_lane_cycles);
+  }
+  out << ",\n  \"lane_cycles\": {\"simulated\": " << t.simulated_lane_cycles
+      << ", \"executed\": " << t.executed_lane_cycles
+      << ", \"executed_fraction\": " << executed_fraction << "}";
   out << ",\n  \"peak_rss_kb\": " << t.peak_rss_kb;
   out << "\n}\n";
 }

@@ -31,6 +31,16 @@ struct Telemetry {
   stats::LogHistogram slice_wall_ms;
   /// Peak resident set size of the process, in KiB (getrusage).
   long peak_rss_kb = 0;
+  /// Completed slices per execution path (platform::SliceExecution):
+  /// the batch credit engine, the classic striped loop, or instrumented
+  /// single-lane batches.
+  std::uint64_t engine_slices = 0;
+  std::uint64_t classic_slices = 0;
+  std::uint64_t instrumented_slices = 0;
+  /// Lane-cycles the completed slices simulated, and the share of them
+  /// they executed (ticked) rather than skipped in closed form.
+  std::uint64_t simulated_lane_cycles = 0;
+  std::uint64_t executed_lane_cycles = 0;
 
   [[nodiscard]] double runs_per_sec() const noexcept {
     return wall_seconds > 0.0

@@ -95,11 +95,13 @@ std::uint64_t CampaignResult::credit_underflows() const {
       aggregate.element_sum("credit.underflows"));
 }
 
-void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
-                        std::span<RunOutcome> outcomes) {
+SliceExecution run_campaign_slice(const CampaignSpec& spec,
+                                  std::uint32_t first_run,
+                                  std::span<RunOutcome> outcomes) {
   const PlatformConfig config = resolve_campaign_config(spec);
   CBUS_EXPECTS(first_run + outcomes.size() <= spec.runs);
-  if (outcomes.empty()) return;
+  SliceExecution execution;
+  if (outcomes.empty()) return execution;
   const std::size_t lanes = outcomes.size();
 
   // Per-run seeds: the run_seed(base_seed, i) sequence, i.e. exactly the
@@ -168,6 +170,7 @@ void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
     // component counts). The lockstep-equivalence contract makes the
     // outcome bit-identical either way; instrumentation only costs the
     // batching speedup, never determinism.
+    execution.path = SliceExecution::Path::kInstrumented;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       Lane& r = replicas[lane];
       spec.instrument(first_run + static_cast<std::uint32_t>(lane),
@@ -180,8 +183,10 @@ void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
       RunResult run = r.machine->harvest(fired[0], single.now());
       outcomes[lane].finished = run.tua_finished;
       outcomes[lane].record = std::move(run.record);
+      execution.simulated_lane_cycles += single.simulated_lane_cycles();
+      execution.executed_lane_cycles += single.executed_lane_cycles();
     }
-    return;
+    return execution;
   }
 
   sim::BatchKernel batch(lanes, sim::BatchKernel::kCampaignStripe);
@@ -198,6 +203,11 @@ void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
     outcomes[lane].finished = r.tua_finished;
     outcomes[lane].record = std::move(r.record);
   }
+  execution.path = engine != nullptr ? SliceExecution::Path::kEngine
+                                     : SliceExecution::Path::kClassic;
+  execution.simulated_lane_cycles = batch.simulated_lane_cycles();
+  execution.executed_lane_cycles = batch.executed_lane_cycles();
+  return execution;
 }
 
 Slice SlicePlan::operator[](std::size_t s) const noexcept {
@@ -255,13 +265,14 @@ std::vector<CampaignRun> run_campaigns(std::span<const CampaignSpec> campaigns,
     const CampaignSpec& spec = campaigns[slice.campaign];
     const auto slice_start = std::chrono::steady_clock::now();
     std::optional<CampaignResult> digest;
+    SliceExecution execution;
     if (spec.retain_raw) {
-      const std::span<RunOutcome> outcomes(slots[slice.campaign]);
-      run_campaign_slice(spec, slice.first_run,
-                         outcomes.subspan(slice.first_run, slice.run_count));
+      const std::span<RunOutcome> all(slots[slice.campaign]);
+      const auto outcomes = all.subspan(slice.first_run, slice.run_count);
+      execution = run_campaign_slice(spec, slice.first_run, outcomes);
     } else {
       std::vector<RunOutcome> outcomes(slice.run_count);
-      run_campaign_slice(spec, slice.first_run, outcomes);
+      execution = run_campaign_slice(spec, slice.first_run, outcomes);
       fold(outcomes, digest.emplace());
     }
     const double slice_ms =
@@ -275,7 +286,9 @@ std::vector<CampaignRun> run_campaigns(std::span<const CampaignSpec> campaigns,
       total.aggregate.merge(partial->aggregate);
       total.unfinished_runs += partial->unfinished_runs;
     }
-    if (hooks.on_slice) hooks.on_slice({s, slice, worker, slice_ms, partial});
+    if (hooks.on_slice) {
+      hooks.on_slice({s, slice, worker, slice_ms, execution, partial});
+    }
   };
 
   // Workers claim slice indices in plan order. A failure is kept per

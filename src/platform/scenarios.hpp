@@ -136,12 +136,31 @@ struct CampaignResult {
 /// operation mode itself).
 [[nodiscard]] CampaignResult run_campaign(const CampaignSpec& spec);
 
+/// How a slice was executed (telemetry only; outcomes never depend on
+/// it).
+struct SliceExecution {
+  enum class Path : std::uint8_t {
+    kEngine,        ///< staged lockstep loop under the batch credit engine
+    kClassic,       ///< striped lane-major loop with quiescence fast-forward
+    kInstrumented,  ///< single-lane batches around the instrument hook
+  };
+  Path path = Path::kClassic;
+  /// Cycles the slice's lanes simulated, summed over lanes.
+  std::uint64_t simulated_lane_cycles = 0;
+  /// The share of those the lanes executed; the rest were skipped in
+  /// closed form (always equal on the engine path, and on lanes holding
+  /// a component without an event horizon such as a tracer).
+  std::uint64_t executed_lane_cycles = 0;
+};
+
 /// Run the contiguous slice of runs [first_run, first_run +
 /// outcomes.size()) as ONE lockstep batch, writing each run's outcome in
-/// order. This is the scheduler's unit of work; folding outcomes in run
-/// order yields the one-run-at-a-time aggregate bit-identically.
-void run_campaign_slice(const CampaignSpec& spec, std::uint32_t first_run,
-                        std::span<RunOutcome> outcomes);
+/// order, and report how it executed. This is the scheduler's unit of
+/// work; folding outcomes in run order yields the one-run-at-a-time
+/// aggregate bit-identically.
+SliceExecution run_campaign_slice(const CampaignSpec& spec,
+                                  std::uint32_t first_run,
+                                  std::span<RunOutcome> outcomes);
 
 /// One entry of a SlicePlan: runs [first_run, first_run + run_count) of
 /// campaign `campaign`, executed as one lockstep batch.
@@ -176,6 +195,7 @@ struct SliceReport {
   Slice slice;
   std::uint32_t worker = 0;  ///< pool worker that ran it, < threads
   double wall_ms = 0.0;      ///< time to run and fold the slice
+  SliceExecution execution;  ///< path taken, simulated/executed cycles
   /// The slice's own streaming digest and unfinished count, already
   /// merged into its campaign's total, so the hook may move from it;
   /// null for campaigns that retain raw series (those fold in run order

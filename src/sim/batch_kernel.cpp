@@ -40,10 +40,14 @@ std::vector<bool> BatchKernel::run_until(
   std::vector<bool> fired(lanes(), false);
   std::vector<std::size_t> live(lanes());
   for (std::size_t l = 0; l < lanes(); ++l) live[l] = l;
+  const auto end_of_lane = [this](Cycle simulated, std::uint64_t executed) {
+    simulated_lane_cycles_ += simulated;
+    executed_lane_cycles_ += executed;
+  };
 
   while (!live.empty() && clock_.now() < max_cycles) {
     const Cycle base = clock_.now();
-    const Cycle stripe = std::min(stripe_, max_cycles - base);
+    const Cycle end = base + std::min(stripe_, max_cycles - base);
     // Each live lane runs the whole stripe before the next lane starts:
     // its data stays cache-hot across the stripe, while lanes still
     // advance through the same cycle window together. erase_if keeps lane
@@ -51,22 +55,41 @@ std::vector<bool> BatchKernel::run_until(
     // -- they share no state).
     std::erase_if(live, [&](std::size_t l) {
       const std::vector<Component*>& components = lane_components_[l];
-      for (Cycle c = 0; c < stripe; ++c) {
-        const Cycle now = base + c;
+      Cycle now = base;
+      std::uint64_t executed = 0;
+      while (now < end) {
         for (Component* component : components) component->tick(now);
+        ++executed;
         // The run_until contract: polled once after every executed cycle.
         if (done(l)) {
           fired[l] = true;
+          end_of_lane(now + 1 - base, executed);
           return true;
         }
+        // Fast-forward to the lane's next event. Asked last-registered
+        // first: a lane holding a component with the default horizon
+        // (the segmented interconnect, a tracer) learns `now + 1` from
+        // its first question.
+        Cycle next = end;
+        for (auto it = components.rbegin();
+             it != components.rend() && next > now + 1; ++it) {
+          next = std::min(next, (*it)->next_event(now));
+        }
+        if (next > now + 1) {
+          for (Component* component : components) {
+            component->skip(now + 1, next - now - 1);
+          }
+        }
+        now = next;
       }
+      end_of_lane(end - base, executed);
       return false;
     });
     // The clock tracks cycles every still-live lane completed; once all
     // lanes have fired it stops (advancing would claim cycles no lane
     // executed).
     if (live.empty()) break;
-    for (Cycle c = 0; c < stripe; ++c) clock_.advance();
+    for (Cycle c = base; c < end; ++c) clock_.advance();
   }
   return fired;
 }
@@ -76,8 +99,9 @@ std::vector<bool> BatchKernel::run_until_staged(
   // Cycle-major lockstep: every live lane executes cycle c (pre
   // components, then the shared stage across all lanes, then post
   // components) before any lane sees c+1. Per lane the observable tick
-  // sequence and the done() polling (once after every executed cycle)
-  // are exactly the serial kernel's -- lanes share no state, so the
+  // sequence and the done() polling (once after every cycle -- this loop
+  // executes every cycle, it never fast-forwards) are exactly the serial
+  // kernel's -- lanes share no state, so the
   // cross-lane interleave inside a cycle is free. The clock advances per
   // executed cycle; as in the striped loop it freezes once every lane
   // has fired, and unfinished lanes stop exactly at max_cycles.
@@ -95,6 +119,8 @@ std::vector<bool> BatchKernel::run_until_staged(
 
   while (!live.empty() && clock_.now() < max_cycles) {
     const Cycle now = clock_.now();
+    simulated_lane_cycles_ += live.size();
+    executed_lane_cycles_ += live.size();
     for (const std::size_t l : live) {
       for (Component* component : lane_components_[l]) component->tick(now);
     }

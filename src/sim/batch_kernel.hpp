@@ -16,16 +16,32 @@
 // already instruction-cache-hot) and costs 5-10% in data-cache misses,
 // so campaign slices use a coarse stripe (kCampaignStripe).
 //
+// Quiescence fast-forward (the striped loop only): after a lane executes
+// cycle t, it asks its components for their event horizons
+// (Component::next_event) and jumps straight to the earliest one, capped
+// at the stripe end; the cycles in between only count, and every
+// component applies them in closed form (Component::skip). A lane thus
+// executes only the cycles some component has an event in -- an op
+// issue, a bus request, latch, transfer start or completion, a credit
+// eligibility crossing, a COMP latch. Components that keep the default
+// horizon (t + 1) make their lane tick every cycle, as traced and
+// segmented lanes do. Random numbers are drawn only inside executed
+// cycles, so skipping never changes a draw. The staged (engine) loop
+// ticks every cycle.
+//
 // Determinism: lanes share no state, so a lane's components observe
-// exactly the tick sequence a serial Kernel would deliver -- any stripe,
-// any lane count. A lane retires the moment its predicate fires (checked
-// once after every cycle it executed, the Kernel::run_until contract) and
-// is never ticked again, just like the serial run stopping. Batched
-// campaigns are therefore bit-identical to serial ones, which
-// tests/test_exp.cpp locks byte-for-byte.
+// exactly the state sequence a serial Kernel would deliver -- any stripe,
+// any lane count, skipped or ticked. A lane retires the moment its
+// predicate fires (checked once after every cycle it executed, the
+// Kernel::run_until contract; a skipped cycle only counts, so it cannot
+// change the predicate) and is never ticked again, just like the serial
+// run stopping. Batched campaigns are therefore bit-identical to serial
+// ones, which tests/test_exp.cpp and tests/test_platform.cpp lock
+// byte-for-byte.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
@@ -60,7 +76,8 @@ class BatchKernel {
   /// costs 5-10% on platform lanes, >= 64 cycles is within noise of
   /// serial), short enough that lanes still move through the run together
   /// (~10 bus transactions). Retirement is unaffected -- a lane's done()
-  /// is polled after every cycle at any stripe.
+  /// is polled after every executed cycle at any stripe. A lane's
+  /// fast-forward never crosses a stripe end.
   static constexpr Cycle kCampaignStripe = 512;
 
   /// A batch of `lanes` replicas (lanes >= 1) advanced in stripes of up
@@ -99,11 +116,25 @@ class BatchKernel {
 
   /// Advance every live lane until its `done(lane)` fires or `max_cycles`
   /// elapse; returns the per-lane fired flags. Per lane the predicate is
-  /// evaluated exactly once after every cycle that lane executed (the
-  /// Kernel::run_until contract); a fired lane retires immediately and is
-  /// neither ticked nor re-polled.
+  /// evaluated exactly once after every cycle that lane EXECUTED (the
+  /// Kernel::run_until contract); cycles skipped by the fast-forward are
+  /// not executed, only count, and so cannot change the predicate. A
+  /// fired lane retires immediately and is neither ticked nor re-polled.
   [[nodiscard]] std::vector<bool> run_until(
       const std::function<bool(std::size_t lane)>& done, Cycle max_cycles);
+
+  /// Cycles the lanes advanced through, summed over lanes (a fired lane
+  /// counts up to and including its firing cycle), across every
+  /// run_until call so far.
+  [[nodiscard]] std::uint64_t simulated_lane_cycles() const noexcept {
+    return simulated_lane_cycles_;
+  }
+
+  /// The share of simulated_lane_cycles() the lanes actually executed
+  /// (ticked); the rest were skipped in closed form.
+  [[nodiscard]] std::uint64_t executed_lane_cycles() const noexcept {
+    return executed_lane_cycles_;
+  }
 
  private:
   [[nodiscard]] std::vector<bool> run_until_staged(
@@ -114,6 +145,8 @@ class BatchKernel {
   BatchStage* stage_ = nullptr;
   Cycle stripe_;
   Clock clock_;
+  std::uint64_t simulated_lane_cycles_ = 0;
+  std::uint64_t executed_lane_cycles_ = 0;
 };
 
 }  // namespace cbus::sim

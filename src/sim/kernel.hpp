@@ -4,6 +4,10 @@
 // registration order under a single clock. Determinism is a hard
 // requirement (MBPTA needs exact reproducibility from a seed), so there is
 // no event heap and no unordered container anywhere on the tick path.
+//
+// This kernel ticks every component on every cycle and never consults the
+// event horizon (Component::next_event): it is the tick-by-tick reference
+// model the skipping campaign kernel (BatchKernel) is tested against.
 #pragma once
 
 #include <functional>

@@ -19,6 +19,7 @@
 #include "metrics/aggregator.hpp"
 #include "obs/demand_window.hpp"
 #include "obs/telemetry.hpp"
+#include "vec/vec.hpp"
 
 namespace cbus {
 namespace {
@@ -202,6 +203,77 @@ TEST(Telemetry, RunnerFillsProgressCounters) {
   EXPECT_EQ(t.slice_wall_ms.count(), t.slices_done);
 }
 
+TEST(Telemetry, IsolationSlicesSkipQuietCycles) {
+  // Batch-1 isolation slices take the classic path, which executes only
+  // the cycles that carry an event; a finished lane simulates its
+  // cycles 0..finish, i.e. tua.cycles + 1 of them.
+  const ExperimentSpec spec = parse(
+      "name = skip\n"
+      "scenario = iso\n"
+      "kernel = matrix\n"
+      "setup = cba\n"
+      "cores = 4\n"
+      "runs = 3\n"
+      "seed = 0x0B5\n"
+      "summary = off\n");
+  const ExperimentResult result = exp::run_experiment(spec, 1u);
+  ASSERT_EQ(result.failed_jobs(), 0u);
+  const obs::Telemetry& t = result.telemetry;
+  EXPECT_EQ(t.classic_slices, 3u);
+  EXPECT_EQ(t.engine_slices, 0u);
+  EXPECT_EQ(t.instrumented_slices, 0u);
+  const auto& aggregate = result.jobs.front().campaign.aggregate;
+  EXPECT_EQ(t.simulated_lane_cycles,
+            static_cast<std::uint64_t>(aggregate.element_sum("tua.cycles")) +
+                spec.runs);
+  EXPECT_GT(t.executed_lane_cycles, 0u);
+  EXPECT_LT(t.executed_lane_cycles * 4, t.simulated_lane_cycles);
+}
+
+TEST(Telemetry, TracedSlicesTickEveryCycle) {
+  // The tracer is a component without an event horizon: its lane ticks
+  // every cycle, so executed == simulated.
+  ExperimentSpec spec = hcba_spec();
+  spec.runs = 1;
+  spec.trace_path = temp_path("obs_telemetry_trace.json");
+  const ExperimentResult result = exp::run_experiment(spec, 1u);
+  ASSERT_EQ(result.failed_jobs(), 0u);
+  const obs::Telemetry& t = result.telemetry;
+  EXPECT_EQ(t.instrumented_slices, 1u);
+  EXPECT_EQ(t.classic_slices + t.engine_slices, 0u);
+  EXPECT_GT(t.simulated_lane_cycles, 0u);
+  EXPECT_EQ(t.executed_lane_cycles, t.simulated_lane_cycles);
+  std::remove(spec.trace_path.c_str());
+}
+
+TEST(Telemetry, BatchedCbaContentionCountsEngineSlices) {
+  // CBA under contention at batch 4: the batch credit engine takes every
+  // slice (when built in) and ticks every cycle; 6 runs leave a 2-lane
+  // tail, still an engine slice.
+  ExperimentSpec spec = parse(
+      "name = engine\n"
+      "scenario = con\n"
+      "kernel = matrix\n"
+      "setup = cba\n"
+      "cores = 4\n"
+      "runs = 6\n"
+      "batch = 4\n"
+      "seed = 0x0B5\n"
+      "summary = off\n");
+  const ExperimentResult result = exp::run_experiment(spec, 1u);
+  ASSERT_EQ(result.failed_jobs(), 0u);
+  const obs::Telemetry& t = result.telemetry;
+  if (vec::engine_enabled()) {
+    EXPECT_EQ(t.engine_slices, 2u);
+    EXPECT_EQ(t.classic_slices, 0u);
+    EXPECT_EQ(t.executed_lane_cycles, t.simulated_lane_cycles);
+  } else {
+    EXPECT_EQ(t.classic_slices, 2u);
+    EXPECT_LT(t.executed_lane_cycles, t.simulated_lane_cycles);
+  }
+  EXPECT_EQ(t.instrumented_slices, 0u);
+}
+
 TEST(Telemetry, JsonDocumentCarriesSchemaAndPhase) {
   obs::Telemetry t;
   t.total_runs = 10;
@@ -215,6 +287,10 @@ TEST(Telemetry, JsonDocumentCarriesSchemaAndPhase) {
   EXPECT_NE(doc.find("\"runs_per_sec\""), std::string::npos);
   EXPECT_NE(doc.find("\"thread_busy_fraction\""), std::string::npos);
   EXPECT_NE(doc.find("\"provenance\""), std::string::npos);
+  EXPECT_NE(doc.find("\"slice_paths\": {\"engine\": 0"), std::string::npos);
+  EXPECT_NE(doc.find("\"instrumented\": 0}"), std::string::npos);
+  EXPECT_NE(doc.find("\"lane_cycles\": {\"simulated\": 0"), std::string::npos);
+  EXPECT_NE(doc.find("\"executed_fraction\": 0}"), std::string::npos);
 }
 
 TEST(Telemetry, EtaCountsRemainingWork) {

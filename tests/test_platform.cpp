@@ -21,6 +21,7 @@
 #include "platform/scenarios.hpp"
 #include "platform/synthetic_master.hpp"
 #include "rng/splitmix64.hpp"
+#include "vec/vec.hpp"
 #include "workloads/eembc_like.hpp"
 #include "workloads/fixed_stream.hpp"
 #include "workloads/streaming.hpp"
@@ -289,6 +290,18 @@ void expect_same_aggregate(const metrics::Aggregator& a,
   }
 }
 
+/// Switches the batch credit engine off for its lifetime (on leaves the
+/// configured default).
+struct EngineSwitch {
+  explicit EngineSwitch(bool on) : saved(vec::engine_enabled()) {
+    vec::set_engine_enabled(on && saved);
+  }
+  EngineSwitch(const EngineSwitch&) = delete;
+  EngineSwitch& operator=(const EngineSwitch&) = delete;
+  ~EngineSwitch() { vec::set_engine_enabled(saved); }
+  bool saved;
+};
+
 /// The campaign protocol written out by hand, one run at a time over
 /// shared streams: run i resets the TuA and then each co-runner from
 /// seeds drawn off run_seed(base_seed, i), and runs one Multicore.
@@ -318,24 +331,80 @@ void expect_same_aggregate(const metrics::Aggregator& a,
 TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
   // The sliced, batched, threaded scheduler must reproduce the
   // one-run-at-a-time replay over a shared stream bit-identically, for
-  // every batch and thread count.
-  auto tua = workloads::make_eembc("cacheb");
-  const auto reference = make_spec(CampaignSpec::Protocol::kIsolation,
-                                   PlatformConfig::paper(BusSetup::kCba),
-                                   "cacheb", 5, 99);
-  const auto shared = serial_reference(reference, *tua);
-  for (const std::uint32_t batch : {1u, 3u, 8u}) {
-    for (const std::uint32_t threads : {1u, 4u}) {
-      auto spec = reference;
-      spec.batch = batch;
-      spec.threads = threads;
-      const auto batched = run_campaign(spec);
-      ASSERT_EQ(batched.samples().size(), shared.samples().size());
-      for (std::size_t i = 0; i < shared.samples().size(); ++i) {
-        EXPECT_EQ(batched.samples()[i], shared.samples()[i])
-            << "batch=" << batch << " threads=" << threads << " run " << i;
+  // every batch and thread count. The reference ticks every cycle
+  // (Multicore::run on the serial kernel); the campaign slices run the
+  // batch credit engine (CBA setups, >= 2 lanes) or the classic striped
+  // loop, which fast-forwards over quiet cycles -- both are pinned
+  // against it, the classic one with the engine switched on and off.
+  struct Input {
+    CampaignSpec::Protocol protocol;
+    BusSetup setup;
+    std::string kernel;
+    std::uint32_t runs;
+    std::vector<std::uint32_t> threads;
+  };
+  std::vector<Input> inputs{
+      {CampaignSpec::Protocol::kIsolation, BusSetup::kCba, "cacheb", 5, {1, 4}},
+  };
+  // The Figure-1 grid: ISO, CON and a streaming co-run, under RP, CBA
+  // and H-CBA, on the four paper kernels. Four runs leave batch 3 a
+  // one-lane tail slice.
+  const CampaignSpec::Protocol protocols[] = {
+      CampaignSpec::Protocol::kIsolation,
+      CampaignSpec::Protocol::kMaxContention,
+      CampaignSpec::Protocol::kCorun,
+  };
+  for (const CampaignSpec::Protocol protocol : protocols) {
+    for (const BusSetup setup :
+         {BusSetup::kRp, BusSetup::kCba, BusSetup::kHcba}) {
+      for (const char* kernel : {"cacheb", "canrdr", "matrix", "tblook"}) {
+        inputs.push_back({protocol, setup, kernel, 4, {2}});
       }
-      expect_same_aggregate(batched.aggregate, shared.aggregate);
+    }
+  }
+  for (const Input& in : inputs) {
+    const bool con = in.protocol == CampaignSpec::Protocol::kMaxContention;
+    const bool corun = in.protocol == CampaignSpec::Protocol::kCorun;
+    const PlatformConfig config = con ? PlatformConfig::paper_wcet(in.setup)
+                                      : PlatformConfig::paper(in.setup);
+    auto reference = make_spec(in.protocol, config, in.kernel, in.runs, 99);
+    auto tua = workloads::make_eembc(in.kernel);
+    // Co-runs: `stream:8` on every other core.
+    std::vector<std::unique_ptr<workloads::StreamingStream>> streams;
+    std::vector<cpu::OpStream*> corunners;
+    if (corun) {
+      for (std::uint32_t core = 1; core < config.n_cores; ++core) {
+        streams.push_back(std::make_unique<workloads::StreamingStream>(8));
+        corunners.push_back(streams.back().get());
+        reference.corunner_factories.emplace_back(
+            [] { return std::make_unique<workloads::StreamingStream>(8); });
+      }
+    }
+    const auto shared = serial_reference(reference, *tua, corunners);
+    for (const std::uint32_t batch : {1u, 3u, 8u}) {
+      for (const std::uint32_t threads : in.threads) {
+        for (const bool engine : {true, false}) {
+          if (!engine && (!config.cba.has_value() || batch == 1)) continue;
+          auto spec = reference;
+          spec.batch = batch;
+          spec.threads = threads;
+          const EngineSwitch engine_switch(engine);
+          const auto batched = run_campaign(spec);
+          std::string where = con ? "con " : corun ? "corun " : "iso ";
+          where += std::string(to_string(in.setup)) + " " + in.kernel +
+                   " batch=" + std::to_string(batch) +
+                   " threads=" + std::to_string(threads);
+          if (!engine) where += " engine off";
+          ASSERT_EQ(batched.samples().size(), shared.samples().size())
+              << where;
+          for (std::size_t i = 0; i < shared.samples().size(); ++i) {
+            EXPECT_EQ(batched.samples()[i], shared.samples()[i])
+                << where << " run " << i;
+          }
+          EXPECT_EQ(batched.unfinished_runs, shared.unfinished_runs) << where;
+          expect_same_aggregate(batched.aggregate, shared.aggregate);
+        }
+      }
     }
   }
 }

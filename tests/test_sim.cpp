@@ -2,6 +2,8 @@
 // semantics, clock progression, and the lockstep BatchKernel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "sim/batch_kernel.hpp"
@@ -279,6 +281,88 @@ TEST(BatchKernel, ClockStopsWhenEveryLaneHasFired) {
   EXPECT_EQ(a.ticks_, 5u);
   EXPECT_EQ(b.ticks_, 6u);
   EXPECT_EQ(batch.now(), 0u);  // all lanes fired inside the first stripe
+}
+
+/// A component with an event every `period` cycles (at multiples of the
+/// period): it logs the cycles it executes and the windows it skips.
+class Periodic final : public Component {
+ public:
+  explicit Periodic(Cycle period) : Component("periodic"), period_(period) {}
+
+  void tick(Cycle now) override { executed.push_back(now); }
+  [[nodiscard]] Cycle next_event(Cycle now) const override {
+    return (now / period_ + 1) * period_;
+  }
+  void skip(Cycle from, Cycle cycles) override {
+    skipped.emplace_back(from, cycles);
+  }
+
+  std::vector<Cycle> executed;
+  std::vector<std::pair<Cycle, Cycle>> skipped;
+
+ private:
+  Cycle period_;
+};
+
+TEST(BatchKernel, FastForwardExecutesOnlyEventCyclesAndStripeStarts) {
+  // Events every 100 cycles against 256-cycle stripes: a lane executes
+  // cycle 0, each event cycle and each stripe's first cycle, skips the
+  // rest in closed form, and polls done() once per executed cycle.
+  BatchKernel batch(1, /*stripe=*/256);
+  Periodic p(100);
+  batch.add(0, p);
+  std::vector<Cycle> polled;
+  const auto fired = batch.run_until(
+      [&](std::size_t) {
+        polled.push_back(p.executed.back());
+        return false;
+      },
+      600);
+  EXPECT_EQ(fired, (std::vector<bool>{false}));
+  const std::vector<Cycle> expected{0, 100, 200, 256, 300, 400, 500, 512};
+  EXPECT_EQ(p.executed, expected);
+  EXPECT_EQ(polled, expected);
+  // Every cycle in [0, 600) is executed or skipped exactly once.
+  std::vector<int> covered(600, 0);
+  for (const Cycle c : p.executed) ++covered[c];
+  for (const auto& [from, cycles] : p.skipped) {
+    for (Cycle c = from; c < from + cycles; ++c) ++covered[c];
+  }
+  EXPECT_EQ(std::count(covered.begin(), covered.end(), 1), 600);
+  EXPECT_EQ(batch.now(), 600u);
+  EXPECT_EQ(batch.simulated_lane_cycles(), 600u);
+  EXPECT_EQ(batch.executed_lane_cycles(), expected.size());
+}
+
+TEST(BatchKernel, DefaultHorizonInALaneTicksEveryCycle) {
+  // One component without an event horizon (the default, now + 1) keeps
+  // its whole lane on the tick-every-cycle path.
+  BatchKernel batch(2, /*stripe=*/64);
+  Periodic p0(100), p1(100);
+  Probe plain0("a", nullptr), plain1("b", nullptr);
+  batch.add(0, p0);
+  batch.add(0, plain0);
+  batch.add(1, plain1);
+  batch.add(1, p1);
+  const auto fired = batch.run_until([](std::size_t) { return false; }, 300);
+  EXPECT_EQ(fired, (std::vector<bool>{false, false}));
+  EXPECT_EQ(p0.executed.size(), 300u);
+  EXPECT_EQ(p1.executed.size(), 300u);
+  EXPECT_TRUE(p0.skipped.empty());
+  EXPECT_TRUE(p1.skipped.empty());
+  EXPECT_EQ(batch.executed_lane_cycles(), 600u);
+  EXPECT_EQ(batch.simulated_lane_cycles(), 600u);
+}
+
+TEST(BatchKernel, FiredLaneCountsCyclesUpToItsFiringCycle) {
+  BatchKernel batch(1, /*stripe=*/512);
+  Periodic p(50);
+  batch.add(0, p);
+  const auto fired = batch.run_until(
+      [&](std::size_t) { return p.executed.back() == 150; }, 1'000);
+  EXPECT_EQ(fired, (std::vector<bool>{true}));
+  EXPECT_EQ(batch.simulated_lane_cycles(), 151u);  // cycles 0..150
+  EXPECT_EQ(batch.executed_lane_cycles(), 4u);     // 0, 50, 100, 150
 }
 
 TEST(BatchKernel, RejectsBadShapes) {
