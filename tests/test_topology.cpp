@@ -1,5 +1,6 @@
 // Graph-routed interconnect tests: Topology edge/routing contracts
-// (chain, ring, mesh), the golden byte-pin for the legacy chain, bounded
+// (chain, ring, mesh), the golden byte-pins for the legacy chain, a
+// bounded mesh co-run and a bounded ring WCET campaign, bounded
 // bridge queues with credit-style backpressure, the platform parsing
 // surface (`topology = ring:<n> | mesh:<rows>x<cols>`, `bridge_depth`),
 // and campaign determinism (batch x threads, checkpoint, shards) for
@@ -681,6 +682,175 @@ TEST(TopologyGolden, ChainCampaignBytesAndSpecHashArePinned) {
       "max_cycles = 3000000\n"
       "summary = off\n"
       "metrics = all\n"));
+}
+
+// --- golden pins: bounded segmented bytes ------------------------------------
+
+TEST(TopologyGolden, MeshCorunBytesArePinned) {
+  // Captured from the interconnect that ticked every segment every
+  // cycle. The congested mesh:3x3 co-run, unbounded and depth-1
+  // bridges, under RP and H-CBA: backpressure masks, bridge queues, the
+  // hop histogram and per-segment credit budgets all reach the bytes.
+  const std::string spec_text = corun_spec(
+      "name = mesh-golden\n"
+      "topology = mesh:3x3\n"
+      "sweep bridge_depth = unbounded 1\n"
+      "sweep setup = rp hcba\n"
+      "arbiter = drr\n"
+      "cores = 9\n"
+      "runs = 1\n"
+      "max_cycles = 3000000\n"
+      "metrics = tua.cycles,seg.occupancy,seg.grants,"
+      "seg.backpressure_stalls,seg.queue_depth_max,seg.queue_depth_mean,"
+      "seg.hop_histogram,credit.budget\n");
+  const char* golden_csv =
+      "job,kernel,scenario,bridge_depth,setup,seed,run,cycles,tua.cycles,"
+      "seg.occupancy[0],seg.occupancy[1],seg.occupancy[2],seg.occupancy[3],"
+      "seg.occupancy[4],seg.occupancy[5],seg.occupancy[6],seg.occupancy[7],"
+      "seg.occupancy[8],seg.grants[0],seg.grants[1],seg.grants[2],"
+      "seg.grants[3],seg.grants[4],seg.grants[5],seg.grants[6],seg.grants[7],"
+      "seg.grants[8],seg.backpressure_stalls[0],seg.backpressure_stalls[1],"
+      "seg.backpressure_stalls[2],seg.backpressure_stalls[3],"
+      "seg.backpressure_stalls[4],seg.backpressure_stalls[5],"
+      "seg.backpressure_stalls[6],seg.backpressure_stalls[7],"
+      "seg.backpressure_stalls[8],seg.queue_depth_max[0],"
+      "seg.queue_depth_max[1],seg.queue_depth_max[2],seg.queue_depth_max[3],"
+      "seg.queue_depth_max[4],seg.queue_depth_max[5],seg.queue_depth_max[6],"
+      "seg.queue_depth_max[7],seg.queue_depth_max[8],seg.queue_depth_max[9],"
+      "seg.queue_depth_max[10],seg.queue_depth_max[11],"
+      "seg.queue_depth_max[12],seg.queue_depth_max[13],"
+      "seg.queue_depth_max[14],seg.queue_depth_max[15],"
+      "seg.queue_depth_max[16],seg.queue_depth_max[17],"
+      "seg.queue_depth_max[18],seg.queue_depth_max[19],"
+      "seg.queue_depth_max[20],seg.queue_depth_max[21],"
+      "seg.queue_depth_max[22],seg.queue_depth_max[23],"
+      "seg.queue_depth_mean[0],seg.queue_depth_mean[1],"
+      "seg.queue_depth_mean[2],seg.queue_depth_mean[3],"
+      "seg.queue_depth_mean[4],seg.queue_depth_mean[5],"
+      "seg.queue_depth_mean[6],seg.queue_depth_mean[7],"
+      "seg.queue_depth_mean[8],seg.queue_depth_mean[9],"
+      "seg.queue_depth_mean[10],seg.queue_depth_mean[11],"
+      "seg.queue_depth_mean[12],seg.queue_depth_mean[13],"
+      "seg.queue_depth_mean[14],seg.queue_depth_mean[15],"
+      "seg.queue_depth_mean[16],seg.queue_depth_mean[17],"
+      "seg.queue_depth_mean[18],seg.queue_depth_mean[19],"
+      "seg.queue_depth_mean[20],seg.queue_depth_mean[21],"
+      "seg.queue_depth_mean[22],seg.queue_depth_mean[23],"
+      "seg.hop_histogram[0],seg.hop_histogram[1],seg.hop_histogram[2],"
+      "seg.hop_histogram[3],seg.hop_histogram[4],credit.budget[0],"
+      "credit.budget[1],credit.budget[2],credit.budget[3],credit.budget[4],"
+      "credit.budget[5],credit.budget[6],credit.budget[7],credit.budget[8]\n"
+      "0,canrdr,corun,unbounded,rp,14592251008053203194,0,422037,422037,"
+      "0.373279183391069,0.4383870646719016,0.44527980892715824,"
+      "0.4902378458811766,0.5214791085162948,0.4764523573706633,"
+      "0.4196494154554803,0.4466090731166388,0.40618380335420035,9625,15653,"
+      "12561,16733,19876,16149,12049,14734,11576,0,0,0,0,0,0,0,0,0,1,1,1,2,1,"
+      "1,1,2,1,5,1,1,3,2,1,1,3,2,3,2,1,1,1,1,0.009297740961714348,"
+      "0.05143849605959653,0.04331837417483734,0.06552490534027741,"
+      "0.02181320165482729,0.01941057440325279,0.05809429482653221,"
+      "0.08370099374937802,0.04431117577090215,0.44835773082044744,"
+      "0.021230315753557737,0.0918685047318014,0.06614333306479511,"
+      "0.18407110260213536,0.039766561304906196,0.017766172714305348,"
+      "0.10222539202631042,0.17643908842331732,0.10762301025026183,"
+      "0.0916931650704439,0.017330193015794786,0.05394537932603225,"
+      "0.045431927930660275,0.015083949786512115,5120,15670,15970,8903,1792,,"
+      ",,,,,,,\n"
+      "1,canrdr,corun,unbounded,hcba,17069869281103512697,0,420277,420277,"
+      "0.028742879712951905,0.04318332151575862,0.08299030641622926,"
+      "0.08160550873469466,0.08574562551454037,0.08319969163268122,"
+      "0.07804833943247089,0.060122109651230854,0.014806865931597657,2416,"
+      "3041,1971,2149,2497,2283,1850,2059,1217,0,0,0,0,0,0,0,0,0,1,1,1,0,1,1,"
+      "1,0,1,5,1,1,2,2,1,1,3,2,1,2,1,1,1,1,0.009060669366466958,"
+      "0.0024507587834718923,0.00282432104464188,0,0.0030170506188760774,"
+      "0.0020415058604066833,0.002210441660044066,0,0.0016655642217770143,"
+      "0.028121862195975046,0.0023079961358910056,0.003221677080408682,"
+      "0.006488562332551311,0.003105087584884291,0.002900461123351686,"
+      "0.0023079961358910056,0.00827785418223176,0.009584132407596877,"
+      "2.8552529516177386e-05,0.004880103169806652,0.002103369674358401,"
+      "0.003047982525851936,0.002443620651092848,0.002108128429277764,731,"
+      "3551,2202,941,256,56,48.375,23.5625,30.6875,50.75,31.6875,48.5,46.875,"
+      "55.375\n"
+      "2,canrdr,corun,1,rp,9781417775987323851,0,423045,423045,"
+      "0.3539922372507954,0.42979723245226287,0.4398339660462456,"
+      "0.4765699238380696,0.5148021728133584,0.4690861041116096,"
+      "0.40211229984446134,0.4296057639121987,0.3945031982337618,9320,15306,"
+      "12190,15593,19407,16317,11648,14563,11607,24,1196,825,17672,23960,"
+      "79361,20968,33032,26030,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,"
+      "1,0.009545061293570911,0.06062461292625388,0.0407946180793578,"
+      "0.08191307801042913,0.0209268022862762,0.018792282635930843,"
+      "0.06082790051200106,0.09299697905192343,0.040988450428558594,"
+      "0.12468384052798041,0.017539463793535454,0.04947688903807151,"
+      "0.07554734000557858,0.10057062352557405,0.12697437158134103,"
+      "0.019846541510852248,0.07576244663700873,0.131212681363256,"
+      "0.07196853297277364,0.11741039981467737,0.016338648752145156,"
+      "0.06090117859523551,0.039002850753818735,0.015733513613176816,5019,"
+      "15393,15492,8674,1792,,,,,,,,,\n"
+      "3,canrdr,corun,1,hcba,6517201831895305540,0,422717,422717,"
+      "0.03108455282244901,0.04552443946082258,0.08287794700012774,"
+      "0.08116995254519561,0.08546359511541973,0.08281407463131449,"
+      "0.07765697226046679,0.06176221499912471,0.015045491320454771,2628,"
+      "3260,2002,2152,2515,2291,1855,2089,1226,0,2921,614,2744,6210,8887,"
+      "1434,5027,2647,1,1,1,0,1,1,1,0,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,"
+      "0.01001140240065481,0.0024224187283247932,0.0028695253100175532,0,"
+      "0.003068239346325446,0.0020439158020240443,0.002261554984646975,0,"
+      "0.0016843380220383328,0.017385112533651277,0.0023088678504345687,"
+      "0.003084798849351104,0.006032390387918187,0.0034751299920987512,"
+      "0.00311555221211304,0.002313599137013328,0.00770963148008838,"
+      "0.006467668753164048,4.731286578759362e-05,0.005422054419258229,"
+      "0.002114885100705435,0.0028671596667281733,0.0024224187283247932,"
+      "0.0021196163872841942,737,3745,2245,944,256,56,47.125,36.1875,48.125,"
+      "42.4375,26.0625,33.6875,46.5,39.375\n";
+
+  const exp::ExperimentSpec spec = parse_exp(spec_text);
+  const auto result = exp::run_experiment(spec, /*threads=*/2);
+  ASSERT_EQ(result.failed_jobs(), 0u);
+  EXPECT_EQ(csv_of(spec, result), golden_csv);
+}
+
+TEST(TopologyGolden, RingConBytesArePinned) {
+  // Captured from the interconnect that ticked every segment every
+  // cycle. WCET mode on ring:4 under H-CBA with depth-2 bridges: each
+  // Table-I contender reads its home segment's budget every cycle to
+  // latch COMP, while the TuA's routed transfers charge remote
+  // occupancy to segment 0's budget.
+  const std::string spec_text =
+      "name = ring-golden\n"
+      "kernel = canrdr\n"
+      "scenario = con\n"
+      "topology = ring:4\n"
+      "bridge_depth = 2\n"
+      "setup = hcba\n"
+      "cores = 4\n"
+      "runs = 2\n"
+      "metrics = tua.cycles,seg.occupancy,seg.grants,seg.bridge_hops,"
+      "seg.backpressure_stalls,seg.queue_depth_mean,seg.hop_histogram,"
+      "credit.budget\n";
+  const char* golden_csv =
+      "job,kernel,scenario,seed,run,cycles,tua.cycles,seg.occupancy[0],"
+      "seg.occupancy[1],seg.occupancy[2],seg.occupancy[3],seg.grants[0],"
+      "seg.grants[1],seg.grants[2],seg.grants[3],seg.bridge_hops,"
+      "seg.backpressure_stalls[0],seg.backpressure_stalls[1],"
+      "seg.backpressure_stalls[2],seg.backpressure_stalls[3],"
+      "seg.queue_depth_mean[0],seg.queue_depth_mean[1],"
+      "seg.queue_depth_mean[2],seg.queue_depth_mean[3],"
+      "seg.queue_depth_mean[4],seg.queue_depth_mean[5],"
+      "seg.queue_depth_mean[6],seg.queue_depth_mean[7],seg.hop_histogram[0],"
+      "seg.hop_histogram[1],seg.hop_histogram[2],credit.budget[0],"
+      "credit.budget[1],credit.budget[2],credit.budget[3]\n"
+      "0,canrdr,con,14592251008053203194,0,419268,419268,0.03010954780820905,"
+      "0.10866293477457194,0.10110931168295295,0.10110931168295295,1936,1096,"
+      "757,757,339,0,0,0,0,0.00161710023874887,0,0,0,0,0,0,0,3868,339,0,56,"
+      "56,56,56\n"
+      "0,canrdr,con,14592251008053203194,1,417670,417670,"
+      "0.029015660651565467,0.10893981147841243,0.10243469141980172,"
+      "0.10243469141980172,1835,1013,764,764,249,0,0,0,0,"
+      "0.0011923260173677369,0,0,0,0,0,0,0,3878,249,0,56,48.166666666666664,"
+      "48.166666666666664,48.166666666666664\n";
+
+  const exp::ExperimentSpec spec = parse_exp(spec_text);
+  const auto result = exp::run_experiment(spec, /*threads=*/2);
+  ASSERT_EQ(result.failed_jobs(), 0u);
+  EXPECT_EQ(csv_of(spec, result), golden_csv);
 }
 
 TEST(TopologyExperiment, BatchedIsByteIdenticalToSerialOnRingAndMesh) {
