@@ -7,12 +7,6 @@
 
 namespace cbus::bus {
 
-namespace {
-
-constexpr std::uint32_t kNoBridge = 0xFFFF'FFFFu;
-
-}  // namespace
-
 void SegmentedConfig::validate() const {
   CBUS_EXPECTS_MSG(n_masters >= 1 && n_masters <= kMaxMasters,
                    "segmented interconnect: bad master count");
@@ -52,7 +46,6 @@ SegmentedInterconnect::SegmentedInterconnect(
       slot_(config.n_masters),
       callbacks_(config.n_masters, nullptr),
       flight_(config.n_masters),
-      backpressure_stalls_(config.n_segments(), 0),
       hop_histogram_(config.topology.diameter() + 1, 0) {
   config_.validate();
   CBUS_EXPECTS_MSG(make_segment_arbiter != nullptr,
@@ -110,6 +103,7 @@ SegmentedInterconnect::SegmentedInterconnect(
       seg.relays.push_back(std::move(relay));
     }
     seg.port_owner.assign(n_local, kNoMaster);
+    seg.port_bridge.assign(n_local, kNoBridge);
   }
 
   // One bridge per directed edge, in Topology::edges() order: the
@@ -127,6 +121,7 @@ SegmentedInterconnect::SegmentedInterconnect(
         static_cast<std::uint32_t>(bridges_.size());
     bridges_.push_back(Bridge{e.from, e.to, port, {}, 0, 0, 0});
   }
+  queued_.assign((bridges_.size() + 63) / 64, 0);
 
   global_.master.resize(config_.n_masters);
 }
@@ -176,28 +171,89 @@ void SegmentedInterconnect::tick(Cycle now) {
   // its segment's arbiter at t, exactly like a core raising in its own
   // tick (cores tick before the interconnect).
   deliver_bridges(now);
-  for (Segment& seg : segments_) seg.bus->tick(now);
+  // A segment with an event at t ticks, after its quiet cycles since its
+  // last tick are settled; a quiet one only passes the cycle to its
+  // filter, at the same place in segment order.
+  for (std::uint32_t s = 0; s < n_segments(); ++s) {
+    Segment& seg = segments_[s];
+    if (seg.horizon <= now) {
+      settle(seg);
+      seg.bus->tick(now);
+      seg.synced = ticks_ + 1;
+      seg.horizon = seg.bus->next_event(now);
+      recount_ |= 1u << s;
+    } else if (seg.gate->user != nullptr) {
+      seg.gate->user->on_cycle(seg.bus->holder(), now);
+    }
+  }
 
   // End-of-cycle accounting: queue-depth accumulators per bridge, and --
   // with a bounded depth -- one stall master-cycle per pending request
-  // withheld from arbitration by a full next-hop bridge.
+  // withheld from arbitration by a full next-hop bridge. Only a segment
+  // that ticked or was woken this cycle can have changed its count; the
+  // others keep charging theirs per cycle, settled on the next recount.
   ++ticks_;
-  for (Bridge& bridge : bridges_) {
+  clock_ = now + 1;
+  for_each_queued([this](std::uint32_t b) {
+    Bridge& bridge = bridges_[b];
     bridge.depth_sum += bridge.queue.size();
     bridge.depth_max = std::max(bridge.depth_max, bridge.queue.size());
+  });
+  if (config_.bridge_depth == 0) {
+    recount_ = 0;
+    return;
   }
-  if (config_.bridge_depth > 0) {
-    for (std::uint32_t s = 0; s < n_segments(); ++s) {
-      std::uint32_t blocked = blocked_mask(s);
-      const Segment& seg = segments_[s];
-      while (blocked != 0) {
-        const std::uint32_t local =
-            static_cast<std::uint32_t>(std::countr_zero(blocked));
-        blocked &= blocked - 1;
-        if (seg.bus->has_pending(local)) ++backpressure_stalls_[s];
-      }
+  while (recount_ != 0) {
+    const std::uint32_t s =
+        static_cast<std::uint32_t>(std::countr_zero(recount_));
+    recount_ &= recount_ - 1;
+    Segment& seg = segments_[s];
+    seg.stalls += seg.stall_rate * (ticks_ - 1 - seg.stall_synced);
+    seg.stall_rate = static_cast<std::uint32_t>(
+        std::popcount(blocked_mask(s) & seg.bus->pending_mask()));
+    seg.stalls += seg.stall_rate;
+    seg.stall_synced = ticks_;
+  }
+}
+
+Cycle SegmentedInterconnect::next_event(Cycle now) const {
+  Cycle next = kNever;
+  for (const Segment& seg : segments_) next = std::min(next, seg.horizon);
+  // A head waiting on a busy ingress port has no horizon of its own: the
+  // port frees on a hop completion, an event of its segment.
+  for_each_queued([&](std::uint32_t b) {
+    const Bridge& bridge = bridges_[b];
+    if (segments_[bridge.to].port_owner[bridge.dest_port] == kNoMaster) {
+      next = std::min(next, std::max(bridge.queue.front().ready, now + 1));
+    }
+  });
+  return std::max(next, now + 1);
+}
+
+void SegmentedInterconnect::skip(Cycle from, Cycle cycles) {
+  ticks_ += cycles;
+  clock_ = from + cycles;
+  for_each_queued([&](std::uint32_t b) {
+    bridges_[b].depth_sum += cycles * bridges_[b].queue.size();
+  });
+  for (const Segment& seg : segments_) {
+    if (seg.gate->user != nullptr) {
+      seg.gate->user->skip(seg.bus->holder(), from, cycles);
     }
   }
+}
+
+void SegmentedInterconnect::wake(std::uint32_t segment, Cycle now) {
+  Segment& seg = segments_[segment];
+  seg.horizon = std::min(seg.horizon, now);
+  recount_ |= 1u << segment;
+}
+
+void SegmentedInterconnect::settle(const Segment& seg) const {
+  const std::uint64_t quiet = ticks_ - seg.synced;
+  if (quiet == 0) return;
+  seg.bus->skip(clock_ - quiet, quiet);
+  seg.synced = ticks_;
 }
 
 void SegmentedInterconnect::set_filter(std::uint32_t segment,
@@ -255,12 +311,14 @@ std::uint64_t SegmentedInterconnect::bridge_queue_depth_sum(
 std::uint64_t SegmentedInterconnect::backpressure_stalls(
     std::uint32_t segment) const {
   CBUS_EXPECTS(segment < config_.n_segments());
-  return backpressure_stalls_[segment];
+  const Segment& seg = segments_[segment];
+  return seg.stalls + seg.stall_rate * (ticks_ - seg.stall_synced);
 }
 
 BusStatistics SegmentedInterconnect::statistics() const {
   BusStatistics out = global_;
   for (const Segment& seg : segments_) {
+    settle(seg);
     const BusStatistics& s = seg.bus->statistics();
     out.busy_cycles += s.busy_cycles;
     out.idle_cycles += s.idle_cycles;
@@ -272,7 +330,9 @@ BusStatistics SegmentedInterconnect::statistics() const {
 const BusStatistics& SegmentedInterconnect::segment_statistics(
     std::uint32_t segment) const {
   CBUS_EXPECTS(segment < config_.n_segments());
-  return segments_[segment].bus->statistics();
+  const Segment& seg = segments_[segment];
+  settle(seg);
+  return seg.bus->statistics();
 }
 
 const Arbiter& SegmentedInterconnect::segment_arbiter(
@@ -287,6 +347,12 @@ void SegmentedInterconnect::raise_hop(std::uint32_t segment,
   Segment& seg = segments_[segment];
   CBUS_ASSERT(seg.port_owner[local] == kNoMaster);
   seg.port_owner[local] = master;
+  const std::uint32_t target = flight_[master].target;
+  seg.port_bridge[local] =
+      target == segment
+          ? kNoBridge
+          : bridge_index(segment, config_.topology.next_hop(segment, target));
+  wake(segment, now);
 
   BusRequest hop;
   hop.master = local;
@@ -298,10 +364,10 @@ void SegmentedInterconnect::raise_hop(std::uint32_t segment,
 }
 
 void SegmentedInterconnect::deliver_bridges(Cycle now) {
-  for (Bridge& bridge : bridges_) {
-    if (bridge.queue.empty()) continue;
+  for_each_queued([&](std::uint32_t b) {
+    Bridge& bridge = bridges_[b];
     const BridgeEntry& head = bridge.queue.front();
-    if (head.ready > now) continue;
+    if (head.ready > now) return;
     Segment& dest = segments_[bridge.to];
     const std::uint32_t port = bridge.dest_port;
     // The ingress port presents one request at a time; the rest of the
@@ -309,12 +375,17 @@ void SegmentedInterconnect::deliver_bridges(Cycle now) {
     // authoritative busy flag: the bus's can_request() is briefly true
     // in the latched-grant window (granted, transfer not yet begun),
     // but the port's hop only retires at transfer completion.
-    if (dest.port_owner[port] != kNoMaster) continue;
+    if (dest.port_owner[port] != kNoMaster) return;
     CBUS_ASSERT(dest.bus->can_request(port));
     bridge_stats_.queue_cycles += now - head.enqueued;
     raise_hop(bridge.to, port, head.master, /*forced_hold=*/0, now);
     bridge.queue.pop_front();
-  }
+    if (bridge.queue.empty()) {
+      queued_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+    }
+    // The freed slot may open the upstream segment's backpressure mask.
+    if (config_.bridge_depth > 0) wake(bridge.from, now);
+  });
 }
 
 std::uint32_t SegmentedInterconnect::blocked_mask(
@@ -323,15 +394,11 @@ std::uint32_t SegmentedInterconnect::blocked_mask(
   std::uint32_t mask = 0;
   const Segment& seg = segments_[segment];
   const std::uint32_t n_local =
-      static_cast<std::uint32_t>(seg.port_owner.size());
+      static_cast<std::uint32_t>(seg.port_bridge.size());
   for (std::uint32_t local = 0; local < n_local; ++local) {
-    const MasterId master = seg.port_owner[local];
-    if (master == kNoMaster) continue;
-    const InFlight& entry = flight_[master];
-    if (entry.target == segment) continue;  // delivered here, no next hop
-    const std::uint32_t next =
-        config_.topology.next_hop(segment, entry.target);
-    const Bridge& bridge = bridges_[bridge_index(segment, next)];
+    const std::uint32_t b = seg.port_bridge[local];
+    if (b == kNoBridge) continue;  // free, or delivered here
+    const Bridge& bridge = bridges_[b];
     // Count grant-time reservations too: overlapped arbitration admits
     // the next transfer while the previous one is still in service, so
     // the live queue alone under-reports committed occupancy.
@@ -389,10 +456,9 @@ void SegmentedInterconnect::hop_granted(std::uint32_t segment,
   // A granted hop that will forward into a bridge reserves its queue
   // slot NOW (the SegmentGate admitted it against queue + reserved);
   // the reservation becomes the real entry in hop_completed.
-  if (config_.bridge_depth > 0 && granted.target != segment) {
-    const std::uint32_t next =
-        config_.topology.next_hop(segment, granted.target);
-    Bridge& bridge = bridges_[bridge_index(segment, next)];
+  const std::uint32_t b = segments_[segment].port_bridge[local];
+  if (config_.bridge_depth > 0 && b != kNoBridge) {
+    Bridge& bridge = bridges_[b];
     ++bridge.reserved;
     CBUS_ASSERT(bridge.queue.size() + bridge.reserved <=
                 config_.bridge_depth);
@@ -422,7 +488,10 @@ void SegmentedInterconnect::hop_completed(std::uint32_t segment,
                                           const BusRequest& /*local_request*/,
                                           Cycle now) {
   const MasterId master = owner_of(segment, local);
-  segments_[segment].port_owner[local] = kNoMaster;
+  Segment& seg = segments_[segment];
+  const std::uint32_t b = seg.port_bridge[local];
+  seg.port_owner[local] = kNoMaster;
+  seg.port_bridge[local] = kNoBridge;
   InFlight& entry = flight_[master];
 
   // A hop served on a FOREIGN segment was charged to nobody there (the
@@ -451,13 +520,11 @@ void SegmentedInterconnect::hop_completed(std::uint32_t segment,
     return;
   }
 
-  // Transit hop done: store-and-forward towards the target along the
-  // topology's routed path.
-  const std::uint32_t next =
-      config_.topology.next_hop(segment, entry.target);
+  // Transit hop done: store-and-forward into the bridge routed when the
+  // hop was raised.
   ++entry.hops;
   ++bridge_stats_.hops;
-  Bridge& bridge = bridges_[bridge_index(segment, next)];
+  Bridge& bridge = bridges_[b];
   // The grant-time reservation converts into the real queue entry, so a
   // bounded queue never overflows.
   if (config_.bridge_depth > 0) {
@@ -467,6 +534,7 @@ void SegmentedInterconnect::hop_completed(std::uint32_t segment,
   }
   bridge.queue.push_back(
       BridgeEntry{master, now + config_.bridge_latency, now});
+  queued_[b / 64] |= std::uint64_t{1} << (b % 64);
 }
 
 }  // namespace cbus::bus

@@ -46,16 +46,34 @@
 // and the reservation converts into the real queue entry when the
 // forward beat completes. queued + reserved never exceeds the bound, so
 // no entry is ever dropped or reordered. Caveat: shortest-path routing on a
-// bounded ring admits cyclic waits in principle; with at most one
-// outstanding request per master (this model's protocol) a cycle cannot
-// close, but pathological configs should prefer `chain`/`mesh` (XY
-// routing is deadlock-free) or a deeper bound.
+// bounded ring admits cyclic waits. Sustained multi-hop traffic (e.g.
+// antipodal streams, two masters per segment, depth 1) fills every
+// forward bridge while each ingress occupant waits on the next full one,
+// and nothing drains again (docs/TOPOLOGIES.md). `chain`/`mesh` (XY
+// routing is deadlock-free) or a deeper bound avoid it.
 //
-// All state is per-instance and advanced only inside tick(), so a
-// replica is lane-safe under sim::BatchKernel and batched campaigns stay
-// bit-identical to serial -- for every topology.
+// Tick, skip and settle. tick(t) ticks only the segments with an event
+// at t. A segment's horizon is its NonSplitBus::next_event, cached when
+// it last ticked. Two things pull it in to t: a hop raised on it (a core
+// request, a bridge delivery) and, with a bounded bridge_depth, a pop
+// from one of its outgoing bridges, which may open its backpressure
+// mask. A cached horizon may be early (a remote-occupancy charge only
+// lowers a budget), never late. A quiet segment's installed filter still
+// gets on_cycle(holder, t) at its place in segment order, so credit
+// budgets and remote charges stay per-cycle exact for every reader. Its
+// bus counters and its backpressure stalls (k times the count of
+// blocked pending requests, which cannot change while it is quiet)
+// catch up in closed form the next time it ticks or when a statistic is
+// read. next_event() is the earliest segment horizon or ready bridge
+// head with a free ingress port; skip() counts the quiet cycles into the
+// tick count and queue-depth sums and advances every installed filter.
+// Random draws (arbitration, the slave) happen only inside executed
+// segment ticks, all state is per-instance, and every statistic equals
+// the tick-every-segment-every-cycle model's -- so a replica is
+// lane-safe under sim::BatchKernel, for every topology.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -143,7 +161,17 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   /// True iff the master has no transaction anywhere in the interconnect.
   [[nodiscard]] bool can_request(MasterId master) const override;
 
+  /// Ticks the segments with an event at `now` (see the header comment).
   void tick(Cycle now) override;
+
+  /// Earliest cached segment horizon or ready bridge head whose ingress
+  /// port is free; kNever when every transaction waits on a full bridge.
+  [[nodiscard]] Cycle next_event(Cycle now) const override;
+
+  /// Counts `cycles` quiet cycles into ticked_cycles() and the bridge
+  /// queue-depth sums and advances every installed filter with its
+  /// segment's holder fixed; segment bus counters settle lazily.
+  void skip(Cycle from, Cycle cycles) override;
 
   /// Install a passive observer of GLOBAL-level activity (nullptr
   /// detaches): on_request at the global raise, on_transfer_start when
@@ -267,6 +295,11 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   // is full -- the backpressure half of the grant-eligibility contract.
   // With bridge_depth unbounded the blocked mask is always 0, so the
   // composition is a byte-exact pass-through of the legacy behavior.
+  //
+  // The interconnect drives the user filter's per-cycle calls itself
+  // (tick() and skip() reach every installed filter, ticked segment or
+  // not), so skip() here is a no-op: settling a quiet segment's bus
+  // counters must not advance its credits a second time.
   struct SegmentGate final : EligibilityFilter {
     SegmentedInterconnect* owner = nullptr;
     std::uint32_t segment = 0;
@@ -279,6 +312,16 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
     void on_cycle(MasterId holder, Cycle now) override {
       if (user != nullptr) user->on_cycle(holder, now);
     }
+    /// kNever while every pending request is backpressure-blocked (only a
+    /// bridge pop, which wakes the segment, can change that); else the
+    /// user filter's crossing over the unblocked ones, or now + 1.
+    [[nodiscard]] Cycle next_eligible(std::uint32_t pending,
+                                      Cycle now) const override {
+      const std::uint32_t open = pending & ~owner->blocked_mask(segment);
+      if (open == 0) return kNever;
+      return user != nullptr ? user->next_eligible(open, now) : now + 1;
+    }
+    void skip(MasterId, Cycle, Cycle) override {}
     void on_grant(MasterId master, Cycle now) override {
       if (user != nullptr) user->on_grant(master, now);
     }
@@ -302,7 +345,23 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
     std::vector<std::unique_ptr<PortRelay>> relays;  ///< one per local slot
     /// Global master whose hop occupies each local slot (kNoMaster: free).
     std::vector<MasterId> port_owner;
+    /// Bridge each occupied slot's hop forwards into, routed once when
+    /// the hop is raised (kNoBridge: free, or delivered here).
+    std::vector<std::uint32_t> port_bridge;
+
+    /// First cycle the bus may do more than count: its next_event after
+    /// it last ticked, pulled in by wake().
+    Cycle horizon = kNever;
+    /// ticked_cycles() value its bus counters are current to.
+    mutable std::uint64_t synced = 0;
+    /// Backpressure stalls through ticked_cycles() == stall_synced, and
+    /// the count of blocked pending requests charged per cycle since.
+    std::uint64_t stalls = 0;
+    std::uint64_t stall_synced = 0;
+    std::uint32_t stall_rate = 0;
   };
+
+  static constexpr std::uint32_t kNoBridge = 0xFFFF'FFFFu;
 
   struct BridgeEntry {
     MasterId master = kNoMaster;
@@ -336,6 +395,12 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
                  Cycle forced_hold, Cycle now);
   /// Deliver ready bridge entries whose ingress port is free.
   void deliver_bridges(Cycle now);
+  /// Make `segment` tick at `now` (or next cycle, if this cycle's tick
+  /// has passed it) and recount its backpressure stalls at the end of
+  /// the cycle.
+  void wake(std::uint32_t segment, Cycle now);
+  /// Apply the quiet cycles since `seg` last ticked to its bus counters.
+  void settle(const Segment& seg) const;
   /// Local slots whose occupant's routed next-hop bridge is full (0 when
   /// bridge_depth is unbounded). Consulted by the SegmentGate at
   /// arbitration time and by the stall accounting in tick().
@@ -343,6 +408,15 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   /// Bridge index of directed edge (from -> to); asserts adjacency.
   [[nodiscard]] std::uint32_t bridge_index(std::uint32_t from,
                                            std::uint32_t to) const;
+  /// Calls f(b) for every bridge b holding entries, in index order.
+  template <typename F>
+  void for_each_queued(const F& f) const {
+    for (std::size_t w = 0; w < queued_.size(); ++w) {
+      for (std::uint64_t bits = queued_[w]; bits != 0; bits &= bits - 1) {
+        f(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
+      }
+    }
+  }
 
   // NonSplitBus callback targets (see PortRelay / SegmentSlave).
   Cycle hop_begin(std::uint32_t segment, const BusRequest& local_request,
@@ -362,6 +436,9 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
 
   std::vector<Segment> segments_;
   std::vector<Bridge> bridges_;  ///< Topology::edges() order
+  /// Bit b set iff bridge b's queue is non-empty: the per-cycle bridge
+  /// passes skip the (usually many) empty bridges.
+  std::vector<std::uint64_t> queued_;
   /// Directed-edge lookup: edge_index_[from * n + to] = bridge index.
   std::vector<std::uint32_t> edge_index_;
   /// Per-segment filters, mirrored from set_filter: foreign-hop
@@ -379,9 +456,12 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   /// Live global per-master counters; busy/idle/total assembled on demand.
   BusStatistics global_;
   BridgeStats bridge_stats_;
-  std::vector<std::uint64_t> backpressure_stalls_;  ///< per segment
   std::vector<std::uint64_t> hop_histogram_;  ///< per completed hop count
   std::uint64_t ticks_ = 0;
+  /// The cycle after the last one ticked or skipped.
+  Cycle clock_ = 0;
+  /// Segments whose stall count is recounted at the end of this cycle.
+  std::uint32_t recount_ = 0;
 };
 
 }  // namespace cbus::bus

@@ -67,9 +67,8 @@ std::vector<bool> BatchKernel::run_until(
           return true;
         }
         // Fast-forward to the lane's next event. Asked last-registered
-        // first: a lane holding a component with the default horizon
-        // (the segmented interconnect, a tracer) learns `now + 1` from
-        // its first question.
+        // first: a lane holding a component with the default horizon (a
+        // tracer) learns `now + 1` from its first question.
         Cycle next = end;
         for (auto it = components.rbegin();
              it != components.rend() && next > now + 1; ++it) {

@@ -24,10 +24,9 @@
 // executes only the cycles some component has an event in -- an op
 // issue, a bus request, latch, transfer start or completion, a credit
 // eligibility crossing, a COMP latch. Components that keep the default
-// horizon (t + 1) make their lane tick every cycle, as traced and
-// segmented lanes do. Random numbers are drawn only inside executed
-// cycles, so skipping never changes a draw. The staged (engine) loop
-// ticks every cycle.
+// horizon (t + 1) make their lane tick every cycle, as traced lanes do.
+// Random numbers are drawn only inside executed cycles, so skipping
+// never changes a draw. The staged (engine) loop ticks every cycle.
 //
 // Determinism: lanes share no state, so a lane's components observe
 // exactly the state sequence a serial Kernel would deliver -- any stripe,

@@ -16,7 +16,14 @@
 // two of them in closed form. A run's stop predicate is polled once after
 // every EXECUTED cycle; skipped cycles are not executed, only count, and
 // so cannot change it. The serial Kernel keeps ticking every cycle and is
-// the tick-by-tick reference the skipping kernel is tested against.
+// the lane-level reference the skipping kernel is tested against.
+//
+// A component may defer its own internal work (the segmented
+// interconnect ticks only its busy segments and settles the others'
+// counters when they are read). Two kinds of state must be current
+// whenever tick() or skip() returns: state readable through its API
+// (settling on read counts), and state it does not own (the credit
+// budgets of a filter that other components read).
 #pragma once
 
 #include <string>

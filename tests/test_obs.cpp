@@ -228,6 +228,28 @@ TEST(Telemetry, IsolationSlicesSkipQuietCycles) {
                 spec.runs);
   EXPECT_GT(t.executed_lane_cycles, 0u);
   EXPECT_LT(t.executed_lane_cycles * 4, t.simulated_lane_cycles);
+
+  // Segmented lanes skip too: on the congested bounded mesh the
+  // interconnect's horizon is its earliest segment or bridge event.
+  std::string mesh_text =
+      "name = skip-mesh\n"
+      "scenario = corun\n"
+      "kernel = canrdr\n"
+      "topology = mesh:3x3\n"
+      "bridge_depth = 1\n"
+      "setup = hcba\n"
+      "cores = 9\n"
+      "runs = 1\n"
+      "summary = off\n";
+  for (int core = 1; core < 9; ++core) {
+    mesh_text += "core" + std::to_string(core) + " = stream:2\n";
+  }
+  const ExperimentResult mesh = exp::run_experiment(parse(mesh_text), 1u);
+  ASSERT_EQ(mesh.failed_jobs(), 0u);
+  EXPECT_EQ(mesh.telemetry.classic_slices, 1u);
+  EXPECT_GT(mesh.telemetry.executed_lane_cycles, 0u);
+  EXPECT_LT(mesh.telemetry.executed_lane_cycles,
+            mesh.telemetry.simulated_lane_cycles);
 }
 
 TEST(Telemetry, TracedSlicesTickEveryCycle) {

@@ -342,10 +342,25 @@ TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
     std::string kernel;
     std::uint32_t runs;
     std::vector<std::uint32_t> threads;
+    std::vector<std::uint32_t> batches = {1, 3, 8};
+    /// Replaces the paper platform of `setup` when set.
+    std::optional<PlatformConfig> platform;
   };
   std::vector<Input> inputs{
       {CampaignSpec::Protocol::kIsolation, BusSetup::kCba, "cacheb", 5, {1, 4}},
   };
+  // The congested bounded mesh: nine cores on mesh:3x3 with depth-1
+  // bridges under H-CBA, every co-runner streaming. Segmented lanes skip
+  // at the lane level and tick only their busy segments inside.
+  {
+    std::istringstream mesh(
+        "cores = 9\n"
+        "topology = mesh:3x3\n"
+        "bridge_depth = 1\n"
+        "setup = hcba\n");
+    inputs.push_back({CampaignSpec::Protocol::kCorun, BusSetup::kHcba,
+                      "canrdr", 3, {1}, {1, 3}, platform::parse_config(mesh)});
+  }
   // The Figure-1 grid: ISO, CON and a streaming co-run, under RP, CBA
   // and H-CBA, on the four paper kernels. Four runs leave batch 3 a
   // one-lane tail slice.
@@ -365,8 +380,10 @@ TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
   for (const Input& in : inputs) {
     const bool con = in.protocol == CampaignSpec::Protocol::kMaxContention;
     const bool corun = in.protocol == CampaignSpec::Protocol::kCorun;
-    const PlatformConfig config = con ? PlatformConfig::paper_wcet(in.setup)
-                                      : PlatformConfig::paper(in.setup);
+    const PlatformConfig config =
+        in.platform.has_value() ? *in.platform
+        : con                   ? PlatformConfig::paper_wcet(in.setup)
+                                : PlatformConfig::paper(in.setup);
     auto reference = make_spec(in.protocol, config, in.kernel, in.runs, 99);
     auto tua = workloads::make_eembc(in.kernel);
     // Co-runs: `stream:8` on every other core.
@@ -381,7 +398,7 @@ TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
       }
     }
     const auto shared = serial_reference(reference, *tua, corunners);
-    for (const std::uint32_t batch : {1u, 3u, 8u}) {
+    for (const std::uint32_t batch : in.batches) {
       for (const std::uint32_t threads : in.threads) {
         for (const bool engine : {true, false}) {
           if (!engine && (!config.cba.has_value() || batch == 1)) continue;
@@ -391,6 +408,9 @@ TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
           const EngineSwitch engine_switch(engine);
           const auto batched = run_campaign(spec);
           std::string where = con ? "con " : corun ? "corun " : "iso ";
+          if (in.platform.has_value()) {
+            where += in.platform->topology.config_string() + " ";
+          }
           where += std::string(to_string(in.setup)) + " " + in.kernel +
                    " batch=" + std::to_string(batch) +
                    " threads=" + std::to_string(threads);

@@ -12,7 +12,15 @@
 //  * the edge cases: a run cut by max_cycles inside a compute burst and
 //    inside a 56-cycle contender transfer, stripe ends inside quiet
 //    windows, a saturation crossing in the cycle the TuA raises its
-//    request.
+//    request;
+//  * the segmented interconnect, whose quiet segments stop ticking: chain,
+//    ring and mesh topologies, unbounded and depth-1 bridges, without a
+//    filter, with per-segment credit filters and with Table-I contenders,
+//    every public statistic and every credit budget against the serial
+//    kernel -- plus its own edge cases (a ready bridge head behind a busy
+//    ingress port, a pop opening the upstream mask, remote charges to a
+//    quiet home segment, a cut inside a quiet transfer, mid-run reads)
+//    and the deadlocked bounded ring, which skips whole stripes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -26,6 +34,8 @@
 
 #include "bus/arbiter_factory.hpp"
 #include "bus/bus.hpp"
+#include "bus/segmented.hpp"
+#include "bus/topology.hpp"
 #include "core/cba_config.hpp"
 #include "core/credit_filter.hpp"
 #include "core/credit_state.hpp"
@@ -611,6 +621,484 @@ TEST(FastForward, StripeEndsInsideQuietWindows) {
     expect_same_machine_runs(iso, ops, 50'000'000, stripe, where);
     expect_same_machine_runs(wcet, ops, 50'000'000, stripe, "wcet " + where);
   }
+}
+
+
+// --- segmented interconnect: quiet segments skipped vs ticked ----------------
+
+/// Per-segment Table-I accounting as the platform sets it up: the home
+/// cores under homogeneous CBA among themselves, every bridge-ingress
+/// slot credit-exempt (full-rate recovery, zero threshold).
+[[nodiscard]] CbaConfig segment_credits(std::uint32_t cores,
+                                        std::uint32_t n_local) {
+  CbaConfig cfg = CbaConfig::homogeneous(cores, 56);
+  const std::uint64_t cap = cfg.scale * cfg.max_latency;
+  cfg.n_masters = n_local;
+  cfg.increment.resize(n_local, cfg.scale);
+  cfg.saturation.resize(n_local, cap);
+  cfg.threshold.resize(n_local, 0);
+  cfg.initial.resize(n_local, cap);
+  cfg.validate();
+  return cfg;
+}
+
+enum class SegFilters : std::uint8_t {
+  kNone,        ///< no eligibility filter on any segment
+  kCredits,     ///< a CreditFilter per segment
+  kContenders,  ///< credits, and a Table-I contender on every segment
+};
+
+struct SegRigConfig {
+  bus::Topology topology = bus::Topology::chain(2);
+  std::uint32_t depth = 0;  ///< bridge_depth (0 = unbounded)
+  SegFilters filters = SegFilters::kNone;
+  std::uint32_t per_segment = 2;  ///< masters homed on each segment
+  bus::ArbiterKind arbiter = bus::ArbiterKind::kRandomPermutation;
+  std::uint64_t seed = 1;
+  std::size_t ops = 120;
+  /// Per-master ops when set (random_ops otherwise).
+  std::vector<std::vector<cpu::MemOp>> scripts;
+  /// Register a reader of every credit budget, ticked every cycle.
+  bool budget_reader = false;
+  /// Period of a reader of every statistic (0: none).
+  Cycle stats_period = 0;
+};
+
+/// Every public statistic of the interconnect, named, in a fixed order.
+[[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
+interconnect_stats(const bus::SegmentedInterconnect& seg) {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  const auto add_bus = [&](const std::string& name,
+                           const bus::BusStatistics& st) {
+    out.emplace_back(name + ".busy", st.busy_cycles);
+    out.emplace_back(name + ".idle", st.idle_cycles);
+    out.emplace_back(name + ".total", st.total_cycles);
+    for (std::size_t m = 0; m < st.master.size(); ++m) {
+      const auto& pm = st.master[m];
+      const std::string who = name + ".m" + std::to_string(m);
+      out.emplace_back(who + ".requests", pm.requests);
+      out.emplace_back(who + ".grants", pm.grants);
+      out.emplace_back(who + ".completions", pm.completions);
+      out.emplace_back(who + ".wait", pm.wait_cycles);
+      out.emplace_back(who + ".hold", pm.hold_cycles);
+      out.emplace_back(who + ".max_wait", pm.max_wait);
+    }
+  };
+  // Per-segment reads first: each must settle its own segment.
+  for (std::uint32_t s = 0; s < seg.n_segments(); ++s) {
+    add_bus("seg" + std::to_string(s), seg.segment_statistics(s));
+    out.emplace_back("stalls" + std::to_string(s), seg.backpressure_stalls(s));
+  }
+  add_bus("global", seg.statistics());
+  const bus::BridgeStats& bridges = seg.bridge_stats();
+  out.emplace_back("bridge.hops", bridges.hops);
+  out.emplace_back("bridge.queue_cycles", bridges.queue_cycles);
+  out.emplace_back("bridge.remote", bridges.remote_transactions);
+  out.emplace_back("bridge.local", bridges.local_transactions);
+  for (std::uint32_t b = 0; b < seg.n_bridges(); ++b) {
+    const std::string name = "bridge" + std::to_string(b);
+    out.emplace_back(name + ".depth", seg.bridge_queue_depth(b));
+    out.emplace_back(name + ".depth_sum", seg.bridge_queue_depth_sum(b));
+    out.emplace_back(name + ".depth_max", seg.bridge_queue_depth_max(b));
+  }
+  const std::span<const std::uint64_t> hops = seg.hop_histogram();
+  for (std::size_t h = 0; h < hops.size(); ++h) {
+    out.emplace_back("hops" + std::to_string(h), hops[h]);
+  }
+  out.emplace_back("ticked", seg.ticked_cycles());
+  return out;
+}
+
+/// Order-sensitive running digest of what a reader saw, and when.
+struct Digest {
+  std::uint64_t value = 0;
+  std::uint64_t reads = 0;
+  void add(std::uint64_t word) { value = value * 1'000'003 + word + 1; }
+  bool operator==(const Digest&) const = default;
+};
+
+/// Folds every filter's budgets and clamp counts into a digest each
+/// cycle, after the interconnect ticked -- the view the tracer's credit
+/// tracks and a Table-I contender have of a quiet segment. Keeps the
+/// default horizon, so its lane executes every cycle.
+class BudgetReader final : public sim::Component {
+ public:
+  explicit BudgetReader(
+      const std::vector<std::unique_ptr<core::CreditFilter>>& filters)
+      : sim::Component("budget-reader"), filters_(filters) {}
+
+  void tick(Cycle now) override {
+    seen.add(now);
+    for (const auto& filter : filters_) {
+      const CreditState& state = filter->state();
+      for (MasterId m = 0; m < state.config().n_masters; ++m) {
+        seen.add(state.budget(m));
+        seen.add(state.underflow_clamps(m));
+      }
+    }
+    ++seen.reads;
+  }
+
+  Digest seen;
+
+ private:
+  const std::vector<std::unique_ptr<core::CreditFilter>>& filters_;
+};
+
+/// Reads every statistic every `period` cycles, mid-run; its horizon is
+/// the next read, so the lane still skips between reads.
+class StatsReader final : public sim::Component {
+ public:
+  StatsReader(const bus::SegmentedInterconnect& seg, Cycle period)
+      : sim::Component("stats-reader"), seg_(seg), period_(period) {}
+
+  void tick(Cycle now) override {
+    if (now % period_ != 0) return;
+    seen.add(now);
+    for (const auto& [name, value] : interconnect_stats(seg_)) {
+      seen.add(value);
+    }
+    ++seen.reads;
+  }
+
+  [[nodiscard]] Cycle next_event(Cycle now) const override {
+    return (now / period_ + 1) * period_;
+  }
+
+  Digest seen;
+
+ private:
+  const bus::SegmentedInterconnect& seg_;
+  Cycle period_;
+};
+
+/// Cores (and, with kContenders, one Table-I contender per segment at its
+/// last home slot), then the interconnect, then the readers -- built
+/// identically from the same seed.
+struct SegRig {
+  explicit SegRig(const SegRigConfig& cfg) : bank(cfg.seed) {
+    bus::SegmentedConfig sc;
+    sc.topology = cfg.topology;
+    sc.n_masters = cfg.topology.n_segments() * cfg.per_segment;
+    sc.bridge_depth = cfg.depth;
+    seg = std::make_unique<bus::SegmentedInterconnect>(
+        sc, slave, [this, &cfg](std::uint32_t n_local, std::uint32_t) {
+          return bus::make_arbiter(cfg.arbiter, n_local, bank);
+        });
+    if (cfg.filters != SegFilters::kNone) {
+      for (std::uint32_t s = 0; s < seg->n_segments(); ++s) {
+        filters.push_back(std::make_unique<core::CreditFilter>(
+            segment_credits(cfg.per_segment, seg->n_local_masters(s))));
+        seg->set_filter(s, filters.back().get());
+      }
+    }
+    for (MasterId m = 0; m < sc.n_masters; ++m) {
+      const std::uint32_t home = seg->home_segment(m);
+      if (cfg.filters == SegFilters::kContenders && m != 0 &&
+          seg->local_slot(m) + 1 == cfg.per_segment) {
+        core::VirtualContenderConfig vc;
+        vc.self = m;
+        vc.tua = 0;
+        vc.credit_slot = seg->local_slot(m);
+        contenders.push_back(std::make_unique<core::VirtualContender>(
+            vc, *seg, &filters[home]->state()));
+        order.push_back(contenders.back().get());
+        continue;
+      }
+      std::vector<cpu::MemOp> ops = m < cfg.scripts.size()
+                                        ? cfg.scripts[m]
+                                        : random_ops(cfg.seed * 31 + m,
+                                                     cfg.ops);
+      streams.push_back(
+          std::make_unique<workloads::FixedOpsStream>(std::move(ops)));
+      cores.push_back(std::make_unique<cpu::InOrderCore>(
+          m, cpu::CoreConfig{}, *streams.back(), *seg, bank));
+      order.push_back(cores.back().get());
+    }
+    order.push_back(seg.get());
+    if (cfg.budget_reader) {
+      budgets = std::make_unique<BudgetReader>(filters);
+      order.push_back(budgets.get());
+    }
+    if (cfg.stats_period > 0) {
+      reads = std::make_unique<StatsReader>(*seg, cfg.stats_period);
+      order.push_back(reads.get());
+    }
+  }
+
+  [[nodiscard]] bool cores_done() const {
+    for (const auto& core : cores) {
+      if (!core->done()) return false;
+    }
+    return true;
+  }
+
+  /// The serial reference: every component, every segment, every cycle.
+  bool run_ticked(Cycle max_cycles) {
+    sim::Kernel kernel;
+    for (sim::Component* c : order) kernel.add(*c);
+    return kernel.run_until([this] { return cores_done(); }, max_cycles);
+  }
+
+  /// One skipping lane; returns the fired flag, reports the lane-cycles.
+  bool run_skipped(Cycle max_cycles, Cycle stripe, std::uint64_t& simulated,
+                   std::uint64_t& executed) {
+    sim::BatchKernel batch(1, stripe);
+    for (sim::Component* c : order) batch.add(0, *c);
+    const std::vector<bool> fired = batch.run_until(
+        [this](std::size_t) { return cores_done(); }, max_cycles);
+    simulated = batch.simulated_lane_cycles();
+    executed = batch.executed_lane_cycles();
+    return fired[0];
+  }
+
+  PatternSlave slave;
+  rng::RandBank bank;
+  std::unique_ptr<bus::SegmentedInterconnect> seg;
+  std::vector<std::unique_ptr<core::CreditFilter>> filters;
+  std::vector<std::unique_ptr<workloads::FixedOpsStream>> streams;
+  std::vector<std::unique_ptr<cpu::InOrderCore>> cores;
+  std::vector<std::unique_ptr<core::VirtualContender>> contenders;
+  std::unique_ptr<BudgetReader> budgets;
+  std::unique_ptr<StatsReader> reads;
+  std::vector<sim::Component*> order;
+};
+
+void expect_same_seg_rig(const SegRig& a, const SegRig& b,
+                         const std::string& where) {
+  const auto x = interconnect_stats(*a.seg);
+  const auto y = interconnect_stats(*b.seg);
+  ASSERT_EQ(x.size(), y.size()) << where;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i].second, y[i].second) << where << ' ' << x[i].first;
+  }
+  for (std::size_t i = 0; i < a.cores.size(); ++i) {
+    expect_same_core(*a.cores[i], *b.cores[i],
+                     where + " core " + std::to_string(i));
+  }
+  for (std::size_t s = 0; s < a.filters.size(); ++s) {
+    expect_same_credits(a.filters[s]->state(), b.filters[s]->state(),
+                        where + " segment " + std::to_string(s));
+  }
+  for (std::size_t i = 0; i < a.contenders.size(); ++i) {
+    EXPECT_EQ(a.contenders[i]->comp(), b.contenders[i]->comp()) << where;
+    EXPECT_EQ(a.contenders[i]->grants(), b.contenders[i]->grants()) << where;
+  }
+  if (a.budgets) {
+    EXPECT_EQ(a.budgets->seen.reads, b.budgets->seen.reads) << where;
+    EXPECT_TRUE(a.budgets->seen == b.budgets->seen) << where << " budgets";
+  }
+  if (a.reads) {
+    EXPECT_EQ(a.reads->seen.reads, b.reads->seen.reads) << where;
+    EXPECT_TRUE(a.reads->seen == b.reads->seen) << where << " mid-run reads";
+  }
+}
+
+/// Runs `cfg` ticked and skipped at every cut and stripe; returns the
+/// lane-cycles the skipping runs executed and simulated in total.
+std::pair<std::uint64_t, std::uint64_t> check_seg_rig(
+    const SegRigConfig& cfg, const std::string& name,
+    std::initializer_list<Cycle> cuts = {2'000'000, 3'001, 20'011},
+    std::initializer_list<Cycle> stripes = {sim::BatchKernel::kCampaignStripe,
+                                            7}) {
+  std::uint64_t executed_total = 0;
+  std::uint64_t simulated_total = 0;
+  for (const Cycle max_cycles : cuts) {
+    for (const Cycle stripe : stripes) {
+      const std::string where = name + " max " + std::to_string(max_cycles) +
+                                " stripe " + std::to_string(stripe);
+      SegRig ticked(cfg);
+      SegRig skipped(cfg);
+      const bool fired_ticked = ticked.run_ticked(max_cycles);
+      std::uint64_t simulated = 0;
+      std::uint64_t executed = 0;
+      const bool fired_skipped =
+          skipped.run_skipped(max_cycles, stripe, simulated, executed);
+      EXPECT_EQ(fired_ticked, fired_skipped) << where;
+      if (max_cycles >= 1'000'000) {
+        EXPECT_TRUE(fired_ticked) << where << ": the long cut never binds";
+      }
+      expect_same_seg_rig(ticked, skipped, where);
+      EXPECT_LE(executed, simulated) << where;
+      // Every simulated cycle is an interconnect cycle of the lane.
+      EXPECT_EQ(simulated, skipped.seg->ticked_cycles()) << where;
+      executed_total += executed;
+      simulated_total += simulated;
+    }
+  }
+  return {executed_total, simulated_total};
+}
+
+[[nodiscard]] std::vector<bus::Topology> rig_topologies() {
+  return {bus::Topology::chain(2), bus::Topology::ring(4),
+          bus::Topology::mesh(2, 2), bus::Topology::mesh(3, 3)};
+}
+
+/// Every rig topology at depth 0 and 1 under `filters`; mid-run reads on
+/// every rig, and a per-cycle budget reader on the 2x2 mesh.
+void check_seg_topologies(SegFilters filters, const std::string& label) {
+  for (const bus::Topology& topology : rig_topologies()) {
+    for (const std::uint32_t depth : {0u, 1u}) {
+      SegRigConfig cfg;
+      cfg.topology = topology;
+      cfg.depth = depth;
+      cfg.filters = filters;
+      cfg.seed = 3 + depth;
+      cfg.stats_period = 97;
+      cfg.budget_reader = filters != SegFilters::kNone &&
+                          topology.label() == "mesh:2x2";
+      const std::string name = label + " " + topology.label() + " depth " +
+                               std::to_string(depth);
+      const auto [executed, simulated] = check_seg_rig(cfg, name);
+      if (!cfg.budget_reader) {
+        EXPECT_LT(executed, simulated) << name << ": quiet cycles skipped";
+      }
+    }
+  }
+}
+
+TEST(FastForward, SegmentedWithoutFilterSkippedMatchesTicked) {
+  check_seg_topologies(SegFilters::kNone, "no filter");
+}
+
+TEST(FastForward, SegmentedWithCreditFiltersSkippedMatchesTicked) {
+  check_seg_topologies(SegFilters::kCredits, "credits");
+}
+
+TEST(FastForward, SegmentedContendersSkippedMatchesTicked) {
+  check_seg_topologies(SegFilters::kContenders, "contenders");
+}
+
+/// One 0-compute load of `addr` (PatternSlave: 56-cycle hold when
+/// addr / 32 is a multiple of 8, else 5 or 28).
+[[nodiscard]] std::vector<cpu::MemOp> one_load(Addr addr) {
+  return {{MemOpKind::kLoad, addr, 0}};
+}
+
+/// chain:2, two masters per segment: masters 0 and 1 live on segment 0,
+/// 2 and 3 on segment 1; address 0x1000 routes to segment 1.
+[[nodiscard]] SegRigConfig scripted_chain(
+    std::vector<std::vector<cpu::MemOp>> scripts, std::uint32_t depth) {
+  SegRigConfig cfg;
+  cfg.depth = depth;
+  cfg.scripts = std::move(scripts);
+  for (std::size_t m = cfg.scripts.size(); m < 4; ++m) {
+    cfg.scripts.emplace_back();  // idle: done at its first tick
+  }
+  return cfg;
+}
+
+TEST(FastForward, SegmentedReadyHeadBehindABusyIngressPort) {
+  // Masters 0 and 1 both load a 56-cycle line on segment 1. The first
+  // forward beat ends at cycle 5 and is delivered at 7; the second ends
+  // at 10 and is ready at 12, but segment 1's ingress port is busy with
+  // the first transfer until cycle 63. The ready head has no horizon of
+  // its own: the lane sleeps until the port's completion, then delivers.
+  const SegRigConfig cfg =
+      scripted_chain({one_load(0x1000), one_load(0x1100)}, 0);
+  SegRig ticked(cfg);
+  SegRig skipped(cfg);
+  ASSERT_TRUE(ticked.run_ticked(10'000));
+  std::uint64_t simulated = 0;
+  std::uint64_t executed = 0;
+  ASSERT_TRUE(skipped.run_skipped(10'000, 512, simulated, executed));
+  expect_same_seg_rig(ticked, skipped, "busy ingress port");
+  // The second entry waited in the queue from cycle 10 to 63.
+  EXPECT_GT(ticked.seg->bridge_queue_depth_sum(0), 50u);
+  EXPECT_LT(executed * 4, simulated);
+}
+
+TEST(FastForward, SegmentedPopOpensTheUpstreamMaskInTheSameCycle) {
+  // Depth 1: master 0's forward beat reserves the only slot of bridge
+  // 0 -> 1 when it starts (cycle 1), so master 1 stalls behind it. The
+  // entry pops into segment 1 at the start of cycle 7, which opens
+  // segment 0's mask, and segment 0 grants master 1 in that same cycle.
+  // Its stalls are counted with the closed mask for cycles 1..6 and the
+  // open one from cycle 7 on.
+  const SegRigConfig cfg =
+      scripted_chain({one_load(0x1000), one_load(0x1100)}, 1);
+  for (const Cycle stripe : {Cycle{512}, Cycle{7}, Cycle{8}}) {
+    SegRig ticked(cfg);
+    SegRig skipped(cfg);
+    ASSERT_TRUE(ticked.run_ticked(10'000));
+    std::uint64_t simulated = 0;
+    std::uint64_t executed = 0;
+    ASSERT_TRUE(skipped.run_skipped(10'000, stripe, simulated, executed));
+    const std::string where = "pop stripe " + std::to_string(stripe);
+    expect_same_seg_rig(ticked, skipped, where);
+    EXPECT_EQ(ticked.seg->backpressure_stalls(0), 6u) << where;
+  }
+}
+
+TEST(FastForward, SegmentedRemoteChargeToAQuietHomeSegment) {
+  // Master 0 (home segment 0) loads from segment 1 and master 2 (home
+  // segment 1) from segment 0, so one remote-occupancy charge lands on a
+  // home segment BEFORE the completing one in tick order and one AFTER
+  // it, each while the home segment is quiet. The home filter must see
+  // its own cycle update and the charge in the serial order: a budget at
+  // its cap ends a different amount lower otherwise. The budget reader
+  // checks every cycle.
+  for (const std::uint32_t depth : {0u, 1u}) {
+    SegRigConfig cfg = scripted_chain(
+        {one_load(0x1000), {}, one_load(0x0100), {}}, depth);
+    cfg.filters = SegFilters::kCredits;
+    cfg.budget_reader = true;
+    cfg.stats_period = 5;
+    const std::string where = "remote charge depth " + std::to_string(depth);
+    (void)check_seg_rig(cfg, where, {10'000, 66, 130}, {512, 3});
+  }
+}
+
+TEST(FastForward, SegmentedRunCutInsideATransferOnAQuietSegment) {
+  // Master 0's load holds segment 1 from cycle 8 to 63 while segment 0
+  // idles: cuts inside that window end the run with both segments quiet,
+  // and harvesting settles the transfer's partial countdown.
+  const SegRigConfig cfg = scripted_chain({one_load(0x1000)}, 0);
+  (void)check_seg_rig(cfg, "quiet transfer",
+                      {9, 20, 40, 62, 63, 64, 10'000}, {512, 16});
+}
+
+TEST(FastForward, DeadlockedBoundedRingSkipsWholeStripes) {
+  // docs/TOPOLOGIES.md's bounded-ring deadlock: two masters per ring:4
+  // segment load antipodal lines (two forward hops) at depth 1, all from
+  // cycle 0. Round-robin grants each segment's second home master the
+  // forward bridge the first one's delivery frees, ahead of that
+  // delivery's own transit hop (cycle 7); so every forward bridge fills
+  // while each ingress occupant waits on the next full one. From then on
+  // every horizon is kNever and the lane executes only the first cycle
+  // of each stripe.
+  SegRigConfig cfg;
+  cfg.topology = bus::Topology::ring(4);
+  cfg.depth = 1;
+  cfg.arbiter = bus::ArbiterKind::kRoundRobin;
+  for (MasterId m = 0; m < 8; ++m) {
+    const Addr stripe = static_cast<Addr>((m / 2 + 2) % 4) << 12;
+    std::vector<cpu::MemOp> ops;
+    for (Addr i = 0; i < 8; ++i) {
+      ops.push_back({MemOpKind::kLoad, stripe + (m % 2) * 0x800 + i * 32, 0});
+    }
+    cfg.scripts.push_back(std::move(ops));
+  }
+  const Cycle max_cycles = 200'000;
+  SegRig ticked(cfg);
+  SegRig skipped(cfg);
+  EXPECT_FALSE(ticked.run_ticked(max_cycles));
+  std::uint64_t simulated = 0;
+  std::uint64_t executed = 0;
+  EXPECT_FALSE(skipped.run_skipped(max_cycles,
+                                   sim::BatchKernel::kCampaignStripe,
+                                   simulated, executed));
+  expect_same_seg_rig(ticked, skipped, "deadlocked ring");
+  EXPECT_EQ(simulated, max_cycles);
+  const std::uint64_t stripes = max_cycles / sim::BatchKernel::kCampaignStripe;
+  EXPECT_GE(executed, stripes);
+  EXPECT_LE(executed, stripes + 32) << "only the run-up before the deadlock "
+                                        "executes more than a stripe start";
+  std::uint64_t stalls = 0;
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    stalls += skipped.seg->backpressure_stalls(s);
+  }
+  EXPECT_GT(stalls, max_cycles) << "every segment stalls to the end";
 }
 
 }  // namespace
