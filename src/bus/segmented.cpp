@@ -41,7 +41,6 @@ SegmentedInterconnect::SegmentedInterconnect(
     : sim::Component("segmented-interconnect"),
       config_(config),
       slave_(slave),
-      filters_(config.n_segments(), nullptr),
       home_(config.n_masters),
       slot_(config.n_masters),
       callbacks_(config.n_masters, nullptr),
@@ -260,7 +259,6 @@ void SegmentedInterconnect::set_filter(std::uint32_t segment,
                                        EligibilityFilter* filter) {
   CBUS_EXPECTS(segment < config_.n_segments());
   segments_[segment].gate->user = filter;
-  filters_[segment] = filter;
 }
 
 std::uint32_t SegmentedInterconnect::n_local_masters(
@@ -499,8 +497,9 @@ void SegmentedInterconnect::hop_completed(std::uint32_t segment,
   // for it now, so a budget bounds its master's occupancy of the whole
   // interconnect, not just the home segment.
   const std::uint32_t home = home_[master];
-  if (segment != home && filters_[home] != nullptr) {
-    filters_[home]->on_remote_occupancy(slot_[master], entry.hop_hold);
+  EligibilityFilter* const home_filter = segments_[home].gate->user;
+  if (segment != home && home_filter != nullptr) {
+    home_filter->on_remote_occupancy(slot_[master], entry.hop_hold);
   }
 
   if (segment == entry.target) {

@@ -441,11 +441,6 @@ class SegmentedInterconnect final : public sim::Component, public BusPort {
   std::vector<std::uint64_t> queued_;
   /// Directed-edge lookup: edge_index_[from * n + to] = bridge index.
   std::vector<std::uint32_t> edge_index_;
-  /// Per-segment filters, mirrored from set_filter: foreign-hop
-  /// occupancy is charged back to the origin's HOME filter
-  /// (EligibilityFilter::on_remote_occupancy), so a credit budget pays
-  /// for its transaction's whole path, not just the home forward beat.
-  std::vector<EligibilityFilter*> filters_;
 
   std::vector<std::uint32_t> home_;  ///< per master
   std::vector<std::uint32_t> slot_;  ///< per master: home-segment slot

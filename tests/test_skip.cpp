@@ -648,11 +648,13 @@ enum class SegFilters : std::uint8_t {
   kContenders,  ///< credits, and a Table-I contender on every segment
 };
 
+/// Masters homed on each segment of a rig.
+constexpr std::uint32_t kPerSegment = 2;
+
 struct SegRigConfig {
   bus::Topology topology = bus::Topology::chain(2);
   std::uint32_t depth = 0;  ///< bridge_depth (0 = unbounded)
   SegFilters filters = SegFilters::kNone;
-  std::uint32_t per_segment = 2;  ///< masters homed on each segment
   bus::ArbiterKind arbiter = bus::ArbiterKind::kRandomPermutation;
   std::uint64_t seed = 1;
   std::size_t ops = 120;
@@ -779,7 +781,7 @@ struct SegRig {
   explicit SegRig(const SegRigConfig& cfg) : bank(cfg.seed) {
     bus::SegmentedConfig sc;
     sc.topology = cfg.topology;
-    sc.n_masters = cfg.topology.n_segments() * cfg.per_segment;
+    sc.n_masters = cfg.topology.n_segments() * kPerSegment;
     sc.bridge_depth = cfg.depth;
     seg = std::make_unique<bus::SegmentedInterconnect>(
         sc, slave, [this, &cfg](std::uint32_t n_local, std::uint32_t) {
@@ -788,14 +790,14 @@ struct SegRig {
     if (cfg.filters != SegFilters::kNone) {
       for (std::uint32_t s = 0; s < seg->n_segments(); ++s) {
         filters.push_back(std::make_unique<core::CreditFilter>(
-            segment_credits(cfg.per_segment, seg->n_local_masters(s))));
+            segment_credits(kPerSegment, seg->n_local_masters(s))));
         seg->set_filter(s, filters.back().get());
       }
     }
     for (MasterId m = 0; m < sc.n_masters; ++m) {
       const std::uint32_t home = seg->home_segment(m);
       if (cfg.filters == SegFilters::kContenders && m != 0 &&
-          seg->local_slot(m) + 1 == cfg.per_segment) {
+          seg->local_slot(m) + 1 == kPerSegment) {
         core::VirtualContenderConfig vc;
         vc.self = m;
         vc.tua = 0;
