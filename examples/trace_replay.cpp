@@ -5,17 +5,21 @@
 //    collected on real hardware) and save it as CSV.
 // 2. Reload it and replay it through the platform: identical op streams
 //    produce identical execution times under the same seed.
-// 3. Attach a transaction-level bus tracer and dump what actually
-//    happened on the bus, transaction by transaction.
+// 3. Replay it once more under the timeline tracer and dump what actually
+//    happened on the bus, transaction by transaction, as a Chrome
+//    trace-event JSON (open it in Perfetto or chrome://tracing).
+//
+// Exits non-zero if a replay does not reproduce the first one.
 //
 //   ./trace_replay [kernel] [ops]
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <iostream>
 
+#include "obs/timeline.hpp"
 #include "platform/multicore.hpp"
 #include "platform/platform_config.hpp"
-#include "trace/bus_trace.hpp"
 #include "trace/op_trace.hpp"
 #include "workloads/eembc_like.hpp"
 
@@ -27,7 +31,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(argc > 2 ? std::atoi(argv[2]) : 2000);
   const auto dir = std::filesystem::temp_directory_path();
   const std::string op_path = (dir / "cbus_ops.csv").string();
-  const std::string bus_path = (dir / "cbus_bus.csv").string();
+  const std::string timeline_path = (dir / "cbus_timeline.json").string();
 
   // 1. Capture.
   auto generator = workloads::make_eembc(kernel);
@@ -41,28 +45,35 @@ int main(int argc, char** argv) {
   const auto loaded = trace::load_ops(op_path);
   const auto cfg = platform::PlatformConfig::paper(platform::BusSetup::kCba);
 
-  auto replay_once = [&](trace::BusTraceRecorder* recorder) {
+  auto replay_once = [&](obs::Timeline* timeline) {
     auto stream = trace::replay(loaded);
     platform::Multicore machine(cfg, 7, *stream);
-    if (recorder != nullptr) machine.bus().set_observer(recorder);
-    return machine.run().tua_cycles;
+    if (timeline != nullptr) timeline->attach(machine);
+    return machine.run();
   };
 
-  const Cycle t1 = replay_once(nullptr);
-  const Cycle t2 = replay_once(nullptr);
+  const Cycle t1 = replay_once(nullptr).tua_cycles;
+  const Cycle t2 = replay_once(nullptr).tua_cycles;
   std::cout << "replay #1: " << t1 << " cycles, replay #2: " << t2
             << " cycles -> " << (t1 == t2 ? "deterministic" : "MISMATCH!")
             << "\n";
+  if (t1 != t2) return EXIT_FAILURE;
 
-  // 3. Replay with the bus analyzer attached.
-  trace::BusTraceRecorder recorder;
-  (void)replay_once(&recorder);
-  trace::save_bus_trace(bus_path, recorder.transactions());
-  std::cout << "bus analyzer: " << recorder.transactions().size()
-            << " transactions -> " << bus_path << "\n";
-  const auto waits = recorder.wait_stats(0);
-  std::cout << "master 0 wait cycles: mean=" << waits.mean()
-            << " max=" << waits.max() << " over " << waits.count()
+  // 3. Replay under the timeline tracer.
+  obs::Timeline timeline;
+  const platform::RunResult traced = replay_once(&timeline);
+  std::ofstream out(timeline_path);
+  timeline.write_json(out);
+  std::cout << "timeline: " << timeline.event_count() << " events -> "
+            << timeline_path << "\n";
+  const bus::BusStatistics::PerMaster& tua = traced.bus_stats.master[0];
+  double mean_wait = 0.0;
+  if (tua.grants > 0) {
+    mean_wait = static_cast<double>(tua.wait_cycles) /
+                static_cast<double>(tua.grants);
+  }
+  std::cout << "master 0 wait cycles: mean=" << mean_wait
+            << " max=" << tua.max_wait << " over " << tua.grants
             << " transactions\n";
 
   std::cout << "\nAny trace in the same CSV format (kind,addr_hex,gap) can "

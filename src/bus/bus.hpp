@@ -46,11 +46,14 @@ struct BusStatistics {
     Cycle wait_cycles = 0;           ///< sum of (grant - issue) over grants
     Cycle hold_cycles = 0;           ///< bus cycles occupied
     Cycle max_wait = 0;              ///< worst single-request wait
+    friend bool operator==(const PerMaster&, const PerMaster&) = default;
   };
   std::vector<PerMaster> master;
   Cycle busy_cycles = 0;   ///< cycles some transfer was in flight
   Cycle idle_cycles = 0;   ///< cycles the bus was idle (incl. arbitration)
   Cycle total_cycles = 0;  ///< cycles ticked
+
+  friend bool operator==(const BusStatistics&, const BusStatistics&) = default;
 
   /// Sums of the per-master counters, computed in one pass. Callers that
   /// derive several shares (the metrics probes) take totals() once
@@ -100,15 +103,56 @@ struct BusStatistics {
   }
 };
 
-class NonSplitBus final : public sim::Component, public BusPort {
+/// The interconnect a platform drives, whatever its protocol or topology:
+/// a clocked component, the master-side port, and the calls the platform
+/// makes to wire credit filters and observers and to read statistics.
+/// Every interconnect is a set of arbitrated segments; the single bus
+/// (NonSplitBus, SplitBus) is segment 0 with the global master ids as its
+/// local slots, the segmented interconnect one segment per topology node.
+class Interconnect : public sim::Component, public BusPort {
+ public:
+  using sim::Component::Component;
+
+  /// Global per-master view of the run so far. A reference to counters
+  /// the interconnect keeps live (the adaptive controller binds to it).
+  [[nodiscard]] virtual const BusStatistics& statistics() const = 0;
+
+  /// Install segment `segment`'s eligibility filter (nullptr detaches);
+  /// its master ids are the segment's local slots.
+  virtual void set_filter(std::uint32_t segment, EligibilityFilter* filter) = 0;
+
+  /// Install a passive activity observer (nullptr detaches). Observers
+  /// must not mutate state: a traced run is bit-identical to a bare one.
+  /// The default is a no-op, for an interconnect without hook points.
+  virtual void set_observer(BusObserver* /*observer*/) noexcept {}
+
+  [[nodiscard]] virtual std::uint32_t n_segments() const noexcept { return 1; }
+  /// Arbitrated masters of a segment (its filter's slot count).
+  [[nodiscard]] virtual std::uint32_t n_local_masters(
+      std::uint32_t segment) const = 0;
+  /// Segment whose arbiter and filter serve master `m`'s requests.
+  [[nodiscard]] virtual std::uint32_t home_segment(MasterId /*m*/) const {
+    return 0;
+  }
+  /// Master `m`'s slot on its home segment.
+  [[nodiscard]] virtual std::uint32_t local_slot(MasterId m) const { return m; }
+};
+
+class NonSplitBus final : public Interconnect {
  public:
   NonSplitBus(const BusConfig& config, Arbiter& arbiter, BusSlave& slave);
 
   /// Install the CBA filter (nullptr restores pass-through arbitration).
   void set_filter(EligibilityFilter* filter) noexcept { filter_ = filter; }
+  void set_filter(std::uint32_t segment, EligibilityFilter* filter) override {
+    CBUS_EXPECTS(segment == 0);
+    filter_ = filter;
+  }
 
   /// Install a passive activity observer (nullptr detaches).
-  void set_observer(BusObserver* observer) noexcept { observer_ = observer; }
+  void set_observer(BusObserver* observer) noexcept override {
+    observer_ = observer;
+  }
 
   /// Register the completion-callback target for a master id.
   void connect_master(MasterId master, BusMaster& callbacks) override;
@@ -197,12 +241,17 @@ class NonSplitBus final : public sim::Component, public BusPort {
     }
   }
 
-  [[nodiscard]] const BusStatistics& statistics() const noexcept {
+  [[nodiscard]] const BusStatistics& statistics() const noexcept override {
     return stats_;
   }
   void reset_statistics();
 
   [[nodiscard]] std::uint32_t n_masters() const noexcept {
+    return config_.n_masters;
+  }
+  [[nodiscard]] std::uint32_t n_local_masters(
+      std::uint32_t segment) const override {
+    CBUS_EXPECTS(segment == 0);
     return config_.n_masters;
   }
   [[nodiscard]] const Arbiter& arbiter() const noexcept { return arbiter_; }

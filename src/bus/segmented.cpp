@@ -38,7 +38,7 @@ void SegmentedConfig::validate() const {
 SegmentedInterconnect::SegmentedInterconnect(
     const SegmentedConfig& config, BusSlave& slave,
     const ArbiterFactory& make_segment_arbiter)
-    : sim::Component("segmented-interconnect"),
+    : Interconnect("segmented-interconnect"),
       config_(config),
       slave_(slave),
       home_(config.n_masters),
@@ -267,12 +267,6 @@ std::uint32_t SegmentedInterconnect::n_local_masters(
   return segments_[segment].bus->n_masters();
 }
 
-std::span<const MasterId> SegmentedInterconnect::segment_cores(
-    std::uint32_t segment) const {
-  CBUS_EXPECTS(segment < config_.n_segments());
-  return segments_[segment].cores;
-}
-
 std::uint32_t SegmentedInterconnect::home_segment(MasterId master) const {
   CBUS_EXPECTS(master < config_.n_masters);
   return home_[master];
@@ -313,16 +307,18 @@ std::uint64_t SegmentedInterconnect::backpressure_stalls(
   return seg.stalls + seg.stall_rate * (ticks_ - seg.stall_synced);
 }
 
-BusStatistics SegmentedInterconnect::statistics() const {
-  BusStatistics out = global_;
+const BusStatistics& SegmentedInterconnect::statistics() const {
+  global_.busy_cycles = 0;
+  global_.idle_cycles = 0;
+  global_.total_cycles = 0;
   for (const Segment& seg : segments_) {
     settle(seg);
     const BusStatistics& s = seg.bus->statistics();
-    out.busy_cycles += s.busy_cycles;
-    out.idle_cycles += s.idle_cycles;
-    out.total_cycles += s.total_cycles;
+    global_.busy_cycles += s.busy_cycles;
+    global_.idle_cycles += s.idle_cycles;
+    global_.total_cycles += s.total_cycles;
   }
-  return out;
+  return global_;
 }
 
 const BusStatistics& SegmentedInterconnect::segment_statistics(

@@ -53,24 +53,19 @@ void Timeline::attach(platform::Multicore& machine) {
   masters_.resize(n_masters_);
   demand_.emplace(n_masters_, config_.demand_window);
 
-  machine.set_bus_observer(this);
+  bus::Interconnect& interconnect = machine.interconnect();
+  interconnect.set_observer(this);
   seg_ = machine.segmented();
 
-  // Per-master credit readers: the single CBA filter covers every master
-  // directly; under the segmented topology a master's budget lives in its
-  // home segment's filter at its local slot. Non-CBA setups have no
-  // credit state and simply get no credit tracks.
+  // Per-master credit readers: a master's budget lives in its home
+  // segment's filter at its local slot (on the single bus, filter 0 at
+  // the master id). Non-CBA setups have no credit state and simply get
+  // no credit tracks.
   if (machine.credit_filter() != nullptr) {
     for (MasterId m = 0; m < n_masters_; ++m) {
-      credit_.push_back({&machine.credit_filter()->state(), m});
-    }
-  } else if (seg_ != nullptr &&
-             machine.segment_filter(seg_->home_segment(0)) != nullptr) {
-    for (MasterId m = 0; m < n_masters_; ++m) {
-      core::CreditFilter* filter =
-          machine.segment_filter(seg_->home_segment(m));
-      CBUS_EXPECTS(filter != nullptr);
-      credit_.push_back({&filter->state(), seg_->local_slot(m)});
+      const core::CreditFilter* filter =
+          machine.credit_filter(interconnect.home_segment(m));
+      credit_.push_back({&filter->state(), interconnect.local_slot(m)});
     }
   }
 

@@ -4,9 +4,10 @@
 //
 // The tracer plugs into hooks that already exist and stay zero-cost when
 // unused:
-//  * it is a bus::BusObserver on the run's bus (NonSplitBus) or
-//    interconnect (SegmentedInterconnect, global-level events), giving
-//    per-master request -> grant -> transfer spans;
+//  * it is the bus::BusObserver of the run's bus::Interconnect
+//    (Interconnect::set_observer; the segmented interconnect reports
+//    global-level events), giving per-master request -> grant ->
+//    transfer spans -- the only bus recorder;
 //  * it is a sim::Component registered LAST in the machine's kernel, so
 //    once per cycle -- after every other component has ticked -- it
 //    passively polls Table-I credit budgets (core::CreditState),

@@ -22,7 +22,6 @@
 #include "bus/arbiter.hpp"
 #include "bus/bus.hpp"
 #include "bus/segmented.hpp"
-#include "bus/split_bus.hpp"
 #include "core/batch_engine.hpp"
 #include "core/credit_filter.hpp"
 #include "core/virtual_contender.hpp"
@@ -110,47 +109,35 @@ class Multicore {
   }
 
   // --- introspection (tests, benches) -----------------------------------
-  /// The non-split bus (null when the split protocol is configured).
-  [[nodiscard]] bus::NonSplitBus& bus() noexcept {
-    CBUS_EXPECTS(bus_ != nullptr);
-    return *bus_;
+  /// The interconnect, whatever its protocol and topology.
+  [[nodiscard]] bus::Interconnect& interconnect() noexcept { return *bus_; }
+  /// The non-split single bus. Precondition: bus = non-split on the
+  /// single-bus topology.
+  [[nodiscard]] bus::NonSplitBus& bus() {
+    auto* flat = dynamic_cast<bus::NonSplitBus*>(bus_.get());
+    CBUS_EXPECTS_MSG(flat != nullptr, "not a non-split single-bus machine");
+    return *flat;
   }
-  /// The active bus port, protocol- and topology-independent.
-  [[nodiscard]] bus::BusPort& bus_port() noexcept {
-    if (bus_) return *bus_;
-    if (seg_bus_) return *seg_bus_;
-    return *split_bus_;
+  /// The segmented interconnect (null off the segmented topology).
+  [[nodiscard]] bus::SegmentedInterconnect* segmented() const {
+    return dynamic_cast<bus::SegmentedInterconnect*>(bus_.get());
   }
-  /// The segmented interconnect (null unless topology = segmented:<n>).
-  [[nodiscard]] bus::SegmentedInterconnect* segmented() noexcept {
-    return seg_bus_.get();
-  }
-  /// Segment `s`'s credit filter (CBA + segmented topology only).
-  [[nodiscard]] core::CreditFilter* segment_filter(std::uint32_t s) {
-    return s < seg_filters_.size() ? seg_filters_[s].get() : nullptr;
+  /// Segment `segment`'s credit filter; its master ids are the segment's
+  /// local slots (interconnect().local_slot). Null without a CBA config.
+  [[nodiscard]] core::CreditFilter* credit_filter(
+      std::uint32_t segment = 0) noexcept {
+    return segment < filters_.size() ? filters_[segment].get() : nullptr;
   }
   [[nodiscard]] mem::PartitionedL2& l2() noexcept { return *l2_; }
   [[nodiscard]] cpu::InOrderCore& core(std::size_t i) { return *cores_.at(i); }
   [[nodiscard]] std::size_t real_cores() const noexcept {
     return cores_.size();
   }
-  [[nodiscard]] core::CreditFilter* credit_filter() noexcept {
-    return filter_.get();
-  }
   /// The credit controller over the Table-I increments (null without a
   /// CBA config or on the segmented topology). Static for
   /// `controller = static` -- present but never ticked.
   [[nodiscard]] ctrl::CreditController* controller() noexcept {
     return controller_.get();
-  }
-  /// Install a passive BusObserver on the active interconnect (the
-  /// non-split bus or the segmented interconnect; the split protocol has
-  /// no observer hooks, so this is a documented no-op there). Observers
-  /// must not mutate state; the tracer relies on an instrumented run
-  /// being bit-identical to a bare one.
-  void set_bus_observer(bus::BusObserver* observer) noexcept {
-    if (bus_) bus_->set_observer(observer);
-    if (seg_bus_) seg_bus_->set_observer(observer);
   }
   [[nodiscard]] sim::Kernel& kernel() noexcept { return kernel_; }
   [[nodiscard]] const PlatformConfig& config() const noexcept {
@@ -164,15 +151,14 @@ class Multicore {
   rng::RandBank bank_;
   sim::Kernel kernel_;
 
+  /// The single-bus arbiter (null on the segmented topology, whose
+  /// segments own theirs).
   std::unique_ptr<bus::Arbiter> arbiter_;
-  std::unique_ptr<core::CreditFilter> filter_;
+  /// One CBA filter per interconnect segment (empty without CBA).
+  std::vector<std::unique_ptr<core::CreditFilter>> filters_;
   std::unique_ptr<ctrl::CreditController> controller_;
   std::unique_ptr<mem::PartitionedL2> l2_;
-  std::unique_ptr<bus::NonSplitBus> bus_;
-  std::unique_ptr<bus::SplitBus> split_bus_;
-  std::unique_ptr<bus::SegmentedInterconnect> seg_bus_;
-  /// Per-segment CBA filters (segmented topology; empty otherwise).
-  std::vector<std::unique_ptr<core::CreditFilter>> seg_filters_;
+  std::unique_ptr<bus::Interconnect> bus_;
   std::vector<std::unique_ptr<cpu::InOrderCore>> cores_;
   std::vector<std::unique_ptr<core::VirtualContender>> virtual_contenders_;
   /// Non-null when this machine is a lane of a batch credit engine.

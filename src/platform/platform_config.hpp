@@ -76,15 +76,9 @@ struct TopologyConfig {
   /// Bridge-ingress ports over the whole interconnect (= directed
   /// edges = sum of per-segment in-degrees); each consumes one
   /// credit-counter slot per lane.
-  [[nodiscard]] std::uint32_t bridge_ports() const noexcept {
+  [[nodiscard]] std::uint32_t bridge_ports() const {
     if (!segmented()) return 0;
-    switch (kind) {
-      case bus::TopologyKind::kChain: return 2 * (segments - 1);
-      case bus::TopologyKind::kRing: return 2 * segments;
-      case bus::TopologyKind::kMesh:
-        return 2 * (rows * (cols - 1) + cols * (rows - 1));
-    }
-    return 0;
+    return static_cast<std::uint32_t>(graph().edges().size());
   }
 
   /// Config-file value this topology parses back from.
@@ -154,7 +148,7 @@ struct PlatformConfig {
   /// core counters, plus one per bridge-ingress port when the topology
   /// is segmented (degree-dependent: chain 2(n-1), ring 2n, mesh
   /// 2(rows(cols-1) + cols(rows-1))).
-  [[nodiscard]] std::uint32_t credit_slots() const noexcept {
+  [[nodiscard]] std::uint32_t credit_slots() const {
     return n_cores + topology.bridge_ports();
   }
 

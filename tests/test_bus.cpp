@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <sstream>
 #include <vector>
 
 #include "bus/bus.hpp"
@@ -359,6 +360,40 @@ TEST(BusProtocol, HolderTracksTransfer) {
   EXPECT_FALSE(h.bus.has_pending(3));
   h.kernel.run(10);
   EXPECT_EQ(h.bus.holder(), kNoMaster);
+}
+
+// --- observer hook points ---------------------------------------------------
+
+/// Records every BusObserver milestone with its cycle stamps.
+class RecordingObserver final : public BusObserver {
+ public:
+  void on_request(const BusRequest& request, Cycle now) override {
+    log << "request m" << request.master << " @" << now << ", ";
+  }
+  void on_transfer_start(const BusRequest& request, Cycle start,
+                         Cycle hold) override {
+    log << "start m" << request.master << " @" << start << " hold " << hold
+        << ", ";
+  }
+  void on_transfer_complete(const BusRequest& request, Cycle end) override {
+    log << "complete m" << request.master << " @" << end << ", ";
+  }
+  std::ostringstream log;
+};
+
+TEST(BusProtocol, ObserverStampsRequestStartAndCompletion) {
+  // The SingleRequestTiming lifecycle as an observer sees it: raised at
+  // 0, transfer occupies cycles 1..5, released at the end of cycle 5.
+  BusHarness h(5);
+  RecordingObserver observer;
+  h.bus.set_observer(&observer);
+  BusRequest req;
+  req.master = 0;
+  req.addr = 0xAB0;
+  h.bus.request(req, 0);
+  h.kernel.run(10);
+  EXPECT_EQ(observer.log.str(),
+            "request m0 @0, start m0 @1 hold 5, complete m0 @5, ");
 }
 
 }  // namespace

@@ -359,13 +359,13 @@ TEST(Probes, FairnessProbeMatchesFairnessFunctions) {
 
 TEST(Probes, CreditProbeWithAndWithoutFilter) {
   Record none;
-  probe_credit(nullptr, none);
+  probe_credit(0, {}, none);
   EXPECT_DOUBLE_EQ(none.at("credit.underflows").scalar(), 0.0);
   EXPECT_FALSE(none.has("credit.budget"));
 
-  core::CreditFilter filter(core::CbaConfig::homogeneous(4, 56));
+  const std::vector<double> budgets(4, 56.0);
   Record with;
-  probe_credit(&filter, with);
+  probe_credit(0, budgets, with);
   EXPECT_DOUBLE_EQ(with.at("credit.underflows").scalar(), 0.0);
   EXPECT_EQ(with.at("credit.budget").size(), 4u);
 }
@@ -397,7 +397,7 @@ TEST(Probes, CatalogCoversProbeKeysWithPerMasterFlags) {
   probe_tua(1234, cpu::CoreStats{}, r);
   probe_bus(stats, r);
   probe_fairness(stats, r);
-  probe_credit(&filter, r);
+  probe_credit(0, std::vector<double>(2, 56.0), r);
   probe_segments(nullptr, stats, r);
   probe_ctrl(controller.get(), r);
   // Every emitted key is in the catalog with the right shape...

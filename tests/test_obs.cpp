@@ -19,7 +19,11 @@
 #include "metrics/aggregator.hpp"
 #include "obs/demand_window.hpp"
 #include "obs/telemetry.hpp"
+#include "obs/timeline.hpp"
+#include "platform/config_file.hpp"
+#include "platform/multicore.hpp"
 #include "vec/vec.hpp"
+#include "workloads/eembc_like.hpp"
 
 namespace cbus {
 namespace {
@@ -176,6 +180,42 @@ TEST(Timeline, TracingABatchedCampaignDoesNotPerturbResults) {
   EXPECT_EQ(json_of(bare, reference), json_of(bare, instrumented));
   EXPECT_FALSE(file_bytes(traced.trace_path).empty());
   std::remove(traced.trace_path.c_str());
+}
+
+/// The split protocol has no observer hook points: a traced split-bus
+/// machine gets its credit tracks from the one credit-reader loop but no
+/// wait/xfer spans, and the run is bit-identical to the bare one.
+TEST(Timeline, SplitBusTraceHasCreditTracksAndNoSpans) {
+  std::istringstream in("cores = 4\nsetup = cba\nmode = wcet\nbus = split\n");
+  const platform::PlatformConfig cfg = platform::parse_config(in);
+  const auto run = [&](obs::Timeline* timeline) {
+    auto tua = workloads::make_eembc("canrdr");
+    tua->reset(7);
+    platform::Multicore machine(cfg, 7, *tua);
+    if (timeline != nullptr) timeline->attach(machine);
+    return machine.run();
+  };
+  const platform::RunResult bare = run(nullptr);
+  obs::Timeline timeline;
+  const platform::RunResult traced = run(&timeline);
+
+  std::ostringstream json;
+  timeline.write_json(json);
+  const std::string trace = json.str();
+  for (MasterId m = 0; m < cfg.n_cores; ++m) {
+    const std::string track = "\"credit m" + std::to_string(m) + "\"";
+    EXPECT_NE(trace.find(track), std::string::npos) << track;
+  }
+  EXPECT_EQ(trace.find("\"name\": \"wait\""), std::string::npos);
+  EXPECT_EQ(trace.find("\"name\": \"xfer\""), std::string::npos);
+
+  EXPECT_TRUE(bare.tua_finished);
+  EXPECT_EQ(traced.tua_finished, bare.tua_finished);
+  EXPECT_EQ(traced.tua_cycles, bare.tua_cycles);
+  EXPECT_EQ(traced.bus_stats, bare.bus_stats);
+  EXPECT_EQ(traced.credit_underflows, bare.credit_underflows);
+  EXPECT_EQ(traced.core_finish, bare.core_finish);
+  EXPECT_EQ(traced.record, bare.record);
 }
 
 TEST(Timeline, TraceRunOutOfRangeIsRejected) {

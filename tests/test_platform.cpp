@@ -167,6 +167,61 @@ TEST(Multicore, RunHonoursCycleBudget) {
   EXPECT_EQ(r.tua_cycles, 100u);
 }
 
+TEST(Multicore, CreditWiringIsOneCodePathOnEveryInterconnect) {
+  // Every interconnect is a set of segments with one credit filter each
+  // (the single bus: segment 0, local slot = master id), so the filter,
+  // controller and probe wiring must read the same on all of them.
+  const std::vector<std::string> interconnects{
+      "bus = non-split\ntopology = single\n",
+      "bus = split\ntopology = single\n",
+      "bus = non-split\ntopology = chain:2\n",
+      "bus = non-split\ntopology = ring:4\n",
+      "bus = non-split\ntopology = mesh:2x2\n"};
+  for (const std::string& interconnect : interconnects) {
+    for (const char* setup : {"rp", "cba", "hcba"}) {
+      SCOPED_TRACE(interconnect + "setup = " + setup);
+      std::istringstream in("cores = 4\nmode = wcet\nsetup = " +
+                            std::string(setup) + "\n" + interconnect);
+      const PlatformConfig cfg = parse_config(in);
+      const bool cba = cfg.cba.has_value();
+      auto tua = workloads::make_eembc("canrdr");
+      tua->reset(7);
+      Multicore machine(cfg, 7, *tua);
+      const bus::Interconnect& ic = machine.interconnect();
+
+      ASSERT_EQ(machine.credit_filter() != nullptr, cba);
+      EXPECT_EQ(machine.controller() != nullptr,
+                cba && !cfg.topology.segmented());
+      if (cba) {
+        const core::CreditState& tua_home =
+            machine.credit_filter(ic.home_segment(0))->state();
+        EXPECT_EQ(tua_home.budget(ic.local_slot(0)), 0u);
+      }
+
+      const RunResult r = machine.run();
+      ASSERT_TRUE(r.tua_finished);
+      EXPECT_EQ(ic.statistics(), r.bus_stats);
+      if (!cba) {
+        EXPECT_FALSE(r.record.has("credit.budget"));
+        EXPECT_EQ(r.credit_underflows, 0u);
+        continue;
+      }
+      std::uint64_t underflows = 0;
+      for (std::uint32_t s = 0; s < ic.n_segments(); ++s) {
+        underflows += machine.credit_filter(s)->state().underflow_clamps();
+      }
+      EXPECT_EQ(r.credit_underflows, underflows);
+      const metrics::Value& budgets = r.record.at("credit.budget");
+      ASSERT_EQ(budgets.size(), cfg.n_cores);
+      for (MasterId m = 0; m < cfg.n_cores; ++m) {
+        const core::CreditState& home =
+            machine.credit_filter(ic.home_segment(m))->state();
+        EXPECT_EQ(budgets[m], home.budget_cycles(ic.local_slot(m))) << m;
+      }
+    }
+  }
+}
+
 // --- SyntheticMaster ---------------------------------------------------------------
 
 TEST(SyntheticMaster, IsolatedPeriodIsGapPlusArbPlusHold) {

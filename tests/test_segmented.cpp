@@ -494,6 +494,53 @@ TEST(Segmented, RemoteOccupancyIsChargedToTheHomeBudget) {
   EXPECT_EQ(filter1.state().budget(0), 100 + 1 * kCycles);
 }
 
+/// Records every BusObserver milestone with its cycle stamps.
+class RecordingObserver final : public bus::BusObserver {
+ public:
+  void on_request(const BusRequest& request, Cycle now) override {
+    log << "request m" << request.master << " @" << now << ", ";
+  }
+  void on_transfer_start(const BusRequest& request, Cycle start,
+                         Cycle hold) override {
+    log << "start m" << request.master << " @" << start << " hold " << hold
+        << ", ";
+  }
+  void on_transfer_complete(const BusRequest& request, Cycle end) override {
+    log << "complete m" << request.master << " @" << end << ", ";
+  }
+  std::ostringstream log;
+};
+
+TEST(Segmented, ObserverSeesGlobalMilestones) {
+  // The observer sees a transaction's global request, its home-segment
+  // grant (hold = the home hop) and its retirement on the target
+  // segment. Default bridge timings (B = 5, L = 2), 5-cycle slave:
+  //   local load raised at 0: transfer 1..5, retires at 5;
+  //   remote load raised at 6: forward beat 7..11 (hold B), buffered
+  //   12..13, re-raised and arbitrated on segment 1 at 13, target
+  //   transfer 14..18, retires at 18.
+  SegmentedConfig cfg;
+  cfg.n_masters = 2;  // master 1 parks on segment 1 (never requests)
+  cfg.topology = bus::Topology::chain(2);
+  FixedSlave slave(5);
+  SegmentedInterconnect seg(cfg, slave, rr_factory());
+  RecordingObserver observer;
+  seg.set_observer(&observer);
+
+  ScriptedMaster master(0, seg, {{0, 0x100}, {6, 0x1000}});
+  ScriptedMaster parked(1, seg, {});
+  sim::Kernel kernel;
+  kernel.add(master);
+  kernel.add(parked);
+  kernel.add(seg);
+  kernel.run_until([&]() { return false; }, 40);
+
+  EXPECT_EQ(observer.log.str(),
+            "request m0 @0, start m0 @1 hold 5, complete m0 @5, "
+            "request m0 @6, start m0 @7 hold 5, complete m0 @18, ");
+  EXPECT_EQ(master.completions, (std::vector<Cycle>{5, 18}));
+}
+
 // --- platform wiring ---------------------------------------------------------
 
 TEST(SegmentedPlatform, MulticoreRunsConProtocolPerSegmentHcba) {
@@ -512,8 +559,8 @@ TEST(SegmentedPlatform, MulticoreRunsConProtocolPerSegmentHcba) {
 
   // Per-segment filters exist and the record carries the seg.* keys at
   // segment width and credit.budget at core width.
-  ASSERT_NE(machine.segment_filter(0), nullptr);
-  ASSERT_NE(machine.segment_filter(1), nullptr);
+  ASSERT_NE(machine.credit_filter(0), nullptr);
+  ASSERT_NE(machine.credit_filter(1), nullptr);
   EXPECT_EQ(r.record.at("seg.occupancy").size(), 2u);
   EXPECT_EQ(r.record.at("seg.grants").size(), 2u);
   EXPECT_EQ(r.record.at("credit.budget").size(), 4u);
@@ -522,7 +569,7 @@ TEST(SegmentedPlatform, MulticoreRunsConProtocolPerSegmentHcba) {
 
   // H-CBA carried over: the TuA's home-segment filter gives slot 0 the
   // 1/2 recovery rate from the global config.
-  const core::CbaConfig& seg0 = machine.segment_filter(0)->state().config();
+  const core::CbaConfig& seg0 = machine.credit_filter(0)->state().config();
   EXPECT_DOUBLE_EQ(static_cast<double>(seg0.increment[0]) /
                        static_cast<double>(seg0.scale),
                    0.5);

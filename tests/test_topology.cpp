@@ -542,9 +542,12 @@ TEST(TopologyPlatform, CreditSlotsCountDegreeDependentBridgePorts) {
     return platform::parse_config(in).credit_slots();
   };
   EXPECT_EQ(slots("cores = 4\ntopology = single\n"), 4u);
+  EXPECT_EQ(slots("cores = 4\ntopology = chain:2\n"), 4u + 2u);
   EXPECT_EQ(slots("cores = 4\ntopology = segmented:4\n"), 4u + 6u);
   EXPECT_EQ(slots("cores = 4\ntopology = ring:4\n"), 4u + 8u);
   EXPECT_EQ(slots("cores = 9\ntopology = mesh:3x3\n"), 9u + 24u);
+  // Non-square mesh: 2 x (2 rows x 2 + 3 cols x 1) directed edges.
+  EXPECT_EQ(slots("cores = 6\ntopology = mesh:2x3\n"), 6u + 14u);
 }
 
 TEST(TopologyPlatform, MulticoreRunsOnBoundedMesh) {

@@ -6,10 +6,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "bus/bus.hpp"
-#include "bus/round_robin.hpp"
-#include "sim/kernel.hpp"
-#include "trace/bus_trace.hpp"
 #include "trace/op_trace.hpp"
 #include "workloads/eembc_like.hpp"
 
@@ -101,115 +97,6 @@ TEST(Trace, ReplayWithRepeat) {
   int count = 0;
   while (replayed->next().has_value()) ++count;
   EXPECT_EQ(count, 3);
-}
-
-// --- bus transaction tracing ------------------------------------------------------------
-
-class FixedHoldSlave final : public bus::BusSlave {
- public:
-  Cycle begin_transaction(const bus::BusRequest&, Cycle) override {
-    return 5;
-  }
-};
-
-struct TraceRig {
-  TraceRig() : arbiter(2), b(bus::BusConfig{2, true}, arbiter, slave) {
-    b.set_observer(&recorder);
-    kernel.add(b);
-  }
-  FixedHoldSlave slave;
-  bus::RoundRobinArbiter arbiter;
-  bus::NonSplitBus b;
-  BusTraceRecorder recorder;
-  cbus::sim::Kernel kernel;
-};
-
-TEST(BusTrace, RecordsLifecycle) {
-  TraceRig rig;
-  bus::BusRequest req;
-  req.master = 0;
-  req.addr = 0xAB0;
-  rig.b.request(req, 0);
-  rig.kernel.run(10);
-  ASSERT_EQ(rig.recorder.transactions().size(), 1u);
-  const BusTransaction& txn = rig.recorder.transactions()[0];
-  EXPECT_EQ(txn.master, 0u);
-  EXPECT_EQ(txn.addr, 0xAB0u);
-  EXPECT_EQ(txn.issued_at, 0u);
-  EXPECT_EQ(txn.started_at, 1u);
-  EXPECT_EQ(txn.hold, 5u);
-  EXPECT_EQ(txn.completed_at, 5u);
-  EXPECT_EQ(txn.wait(), 1u);
-  EXPECT_EQ(txn.turnaround(), 6u);
-}
-
-TEST(BusTrace, WaitStatsPerMaster) {
-  TraceRig rig;
-  bus::BusRequest a;
-  a.master = 0;
-  bus::BusRequest b2;
-  b2.master = 1;
-  rig.b.request(a, 0);
-  rig.b.request(b2, 0);
-  rig.kernel.run(20);
-  EXPECT_EQ(rig.recorder.wait_stats(0).count(), 1u);
-  EXPECT_EQ(rig.recorder.wait_stats(1).count(), 1u);
-  // The loser waited for the winner's full transfer.
-  EXPECT_GT(rig.recorder.wait_stats(1).mean(),
-            rig.recorder.wait_stats(0).mean());
-}
-
-TEST(BusTrace, OccupancySumsHolds) {
-  TraceRig rig;
-  for (int i = 0; i < 3; ++i) {
-    bus::BusRequest req;
-    req.master = 0;
-    rig.b.request(req, rig.kernel.now());
-    rig.kernel.run(10);
-  }
-  const auto occ = rig.recorder.occupancy_by_master(2);
-  EXPECT_EQ(occ[0], 15u);
-  EXPECT_EQ(occ[1], 0u);
-}
-
-TEST(BusTrace, CapacityDropsExcess) {
-  TraceRig rig;
-  rig.b.set_observer(nullptr);
-  BusTraceRecorder small(2);
-  rig.b.set_observer(&small);
-  for (int i = 0; i < 4; ++i) {
-    bus::BusRequest req;
-    req.master = 0;
-    rig.b.request(req, rig.kernel.now());
-    rig.kernel.run(10);
-  }
-  EXPECT_EQ(small.transactions().size(), 2u);
-  EXPECT_EQ(small.dropped(), 2u);
-}
-
-TEST(BusTrace, CsvRoundTripShape) {
-  TraceRig rig;
-  bus::BusRequest req;
-  req.master = 1;
-  req.kind = MemOpKind::kStore;
-  rig.b.request(req, 0);
-  rig.kernel.run(10);
-  std::stringstream out;
-  write_bus_trace(out, rig.recorder.transactions());
-  const std::string text = out.str();
-  EXPECT_NE(text.find("store"), std::string::npos);
-  EXPECT_NE(text.find("# cbus bus trace"), std::string::npos);
-}
-
-TEST(BusTrace, ClearResets) {
-  TraceRig rig;
-  bus::BusRequest req;
-  req.master = 0;
-  rig.b.request(req, 0);
-  rig.kernel.run(10);
-  rig.recorder.clear();
-  EXPECT_TRUE(rig.recorder.transactions().empty());
-  EXPECT_EQ(rig.recorder.dropped(), 0u);
 }
 
 }  // namespace
