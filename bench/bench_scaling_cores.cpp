@@ -119,13 +119,16 @@ void BM_ScalingRun(benchmark::State& state) {
 }
 BENCHMARK(BM_ScalingRun)->Arg(2)->Arg(4)->Arg(8);
 
-// --- campaign throughput: lockstep batching vs one machine at a time ----
+// --- campaign throughput: slice size and threads --------------------------
 //
 // The multi-seed campaign is THE hot loop of the paper's evaluation
-// (1,000 runs per configuration); this measures what the batched
-// sim::BatchKernel path buys over one machine at a time, and what
-// threading across batches adds on top. Args are {batch, threads}; {1, 1}
-// (one run per slice on one thread) is the unbatched reference point.
+// (1,000 runs per configuration); this measures the slice scheduler. A
+// slice runs its runs one machine at a time on the skipping loop, so
+// `batch` should cost nothing over {1, 1} at one thread, and threading
+// across slices should divide the time. Args are {batch, threads}; {1, 1}
+// (one run per slice on one thread) is the reference point. A batched
+// row drifting from it means slices picked up per-run overhead or
+// stopped skipping.
 
 constexpr std::uint32_t kCampaignRuns = 24;
 
@@ -172,8 +175,8 @@ BENCHMARK(BM_CampaignBatch)
 // The same campaign at E7's widest point (8 cores: the TuA against 7
 // greedy MaxL contenders). The per-cycle Table-I work grows with the
 // master count while the TuA's own compute does not, so this is the
-// credit-bound end of the campaign spectrum -- the case the vectorized
-// engine targets. Args are {batch, threads}.
+// credit-bound end of the campaign spectrum, where events are densest.
+// Args are {batch, threads}.
 void BM_CampaignBatchWide(benchmark::State& state) {
   const auto batch = static_cast<std::uint32_t>(state.range(0));
   const auto threads = static_cast<std::uint32_t>(state.range(1));

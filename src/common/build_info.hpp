@@ -20,8 +20,9 @@ namespace cbus::common {
 /// Version of the Chrome-trace JSON layout obs::Timeline emits.
 inline constexpr std::uint32_t kTraceSchemaVersion = 1;
 /// Version of the telemetry JSON document obs::write_telemetry_json emits
-/// (2 added `slice_paths` and `lane_cycles`).
-inline constexpr std::uint32_t kTelemetrySchemaVersion = 2;
+/// (2 added `slice_paths` and `lane_cycles`; 3 dropped
+/// `slice_paths.engine`).
+inline constexpr std::uint32_t kTelemetrySchemaVersion = 3;
 /// Version of the CBUSCKPT checkpoint container (exp/checkpoint.cpp
 /// reads and writes exactly this version).
 inline constexpr std::uint32_t kCheckpointFormatVersion = 1;

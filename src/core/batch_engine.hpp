@@ -28,10 +28,12 @@
 // clamp events are routed back to each lane's CreditState so the
 // underflow accounting matches the scalar path to the count.
 //
-// Scope: the single NonSplitBus topology only (segmented and split
-// protocols keep the classic lane-major path this PR), <= 64 lanes
-// (masks are single words), CBA configured. run_campaign_slice gates on
-// exactly these conditions plus vec::engine_enabled().
+// Scope: the single NonSplitBus topology only, <= 64 lanes (masks are
+// single words), CBA configured. Campaigns do not run the engine: every
+// run skips quiet cycles on its own lane (platform::run_campaign_slice),
+// which beats ticking every cycle across lanes. perfbench's traced
+// replay is the last user, gated on these conditions plus
+// vec::engine_enabled().
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,7 @@
 //   sweep setup  = rp cba hcba
 //   cores    = 4                    # any platform config key works here
 //   runs     = 50                   # campaign size per sweep point
-//   batch    = 8                    # lockstep replicas per work slice
+//   batch    = 8                    # runs per work slice
 //   seed     = 0xC0FFEE             # experiment master seed
 //   csv      = results.csv          # per-run rows ("-" = stdout)
 //   json     = results.json         # structured summary ("-" = stdout)
@@ -130,9 +130,9 @@ struct ExperimentSpec {
   std::uint64_t seed = 0xC0FFEE;    ///< master seed (per-job seeds derive)
   Cycle max_cycles = 50'000'000;    ///< per-run cycle budget
   bool pwcet = false;               ///< per-job MBPTA analysis
-  /// Replicas advanced in lockstep per work slice (`batch = <n>`). Output
-  /// is byte-identical for every value; larger batches trade memory for
-  /// throughput and let worker threads run slices of one big job in
+  /// Runs per work slice (`batch = <n>`): the checkpoint and shard unit.
+  /// Output is byte-identical for every value; a slice runs one machine
+  /// at a time, and slices of one big job run on worker threads in
   /// parallel (slices from all sweep jobs share one pool).
   std::uint32_t batch = 1;
 

@@ -102,7 +102,7 @@ namespace {
 }
 
 /// The job's campaign: every run builds its own streams, so any worker
-/// thread can execute any contiguous slice of it as one lockstep batch.
+/// thread can execute any contiguous slice of it.
 [[nodiscard]] platform::CampaignSpec make_campaign(const ExperimentSpec& spec,
                                                    const Job& job) {
   platform::CampaignSpec campaign;
@@ -377,9 +377,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     telemetry.slice_wall_ms.add(report.wall_ms);
     telemetry.thread_busy_seconds[report.worker] += report.wall_ms / 1e3;
     switch (report.execution.path) {
-      case platform::SliceExecution::Path::kEngine:
-        ++telemetry.engine_slices;
-        break;
       case platform::SliceExecution::Path::kClassic:
         ++telemetry.classic_slices;
         break;

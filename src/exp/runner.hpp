@@ -1,7 +1,7 @@
 // Experiment execution: sweep expansion into a job list, one campaign
 // per job, all run on platform::run_campaigns -- the one slice scheduler,
-// whose job-major plan of lockstep slices (`batch` runs each) spans every
-// sweep job, so threads stay busy even for a single huge job. This layer
+// whose job-major plan of slices (`batch` runs each) spans every sweep
+// job, so threads stay busy even for a single huge job. This layer
 // adds only what experiments need on top: checkpoint resume and append,
 // shard ownership, telemetry and progress, the timeline tracer and MBPTA.
 //

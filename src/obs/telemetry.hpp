@@ -32,9 +32,7 @@ struct Telemetry {
   /// Peak resident set size of the process, in KiB (getrusage).
   long peak_rss_kb = 0;
   /// Completed slices per execution path (platform::SliceExecution):
-  /// the batch credit engine, the classic striped loop, or instrumented
-  /// single-lane batches.
-  std::uint64_t engine_slices = 0;
+  /// bare runs or runs under the instrument hook.
   std::uint64_t classic_slices = 0;
   std::uint64_t instrumented_slices = 0;
   /// Lane-cycles the completed slices simulated, and the share of them

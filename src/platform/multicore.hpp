@@ -74,7 +74,8 @@ class Multicore {
   /// per-lane VirtualContender components are built (the engine's
   /// contender bank replaces them) and the bus is ticked by the engine,
   /// not the kernel. Such a machine runs ONLY via attach() on a staged
-  /// BatchKernel -- run()/run_all() assert.
+  /// BatchKernel -- run()/run_all() assert. Campaigns pass neither
+  /// `credit_lane` nor `engine`; perfbench's traced replay still does.
   Multicore(const PlatformConfig& config, std::uint64_t seed,
             cpu::OpStream& tua,
             const std::vector<cpu::OpStream*>& contenders = {},

@@ -9,11 +9,8 @@
 #include <utility>
 
 #include "common/contracts.hpp"
-#include "core/batch_engine.hpp"
-#include "core/credit_state.hpp"
 #include "rng/splitmix64.hpp"
 #include "sim/batch_kernel.hpp"
-#include "vec/vec.hpp"
 
 namespace cbus::platform {
 
@@ -101,112 +98,51 @@ SliceExecution run_campaign_slice(const CampaignSpec& spec,
   const PlatformConfig config = resolve_campaign_config(spec);
   CBUS_EXPECTS(first_run + outcomes.size() <= spec.runs);
   SliceExecution execution;
-  if (outcomes.empty()) return execution;
-  const std::size_t lanes = outcomes.size();
+  execution.path = spec.instrument ? SliceExecution::Path::kInstrumented
+                                   : SliceExecution::Path::kClassic;
 
   // Per-run seeds: the run_seed(base_seed, i) sequence, i.e. exactly the
   // draws the serial loop takes -- skip to this slice's window.
   rng::SplitMix64 mix(spec.base_seed);
   for (std::uint32_t i = 0; i < first_run; ++i) (void)mix.next();
 
-  // One contiguous credit arena for the whole batch (SoA across lanes).
-  // Segmented topologies widen each lane by the bridge-port slots.
-  std::unique_ptr<core::CreditSoA> credit;
-  if (config.cba.has_value()) {
-    credit = std::make_unique<core::CreditSoA>(lanes, *config.cba,
-                                               config.credit_slots());
-  }
-
-  // Vectorized fast path (see core::BatchCreditEngine): CBA on the
-  // single non-split bus, uninstrumented, masks fit one word. Everything
-  // else keeps the classic lane-major stripes -- as does CBUS_SIMD=off,
-  // which is how the dispatch-parity matrix pins the two paths
-  // byte-for-byte against each other.
-  std::unique_ptr<core::BatchCreditEngine> engine;
-  // lanes >= 2: a single-lane stripe is the serial reference point -- the
-  // vertical engine would only add per-cycle dispatch overhead there, so
-  // batch 1 (and a trailing 1-lane tail stripe) keeps the classic path.
-  if (!spec.instrument && credit != nullptr && !config.topology.segmented() &&
-      config.bus_protocol == BusProtocol::kNonSplit && lanes >= 2 &&
-      lanes <= 64 && vec::engine_enabled()) {
-    engine = std::make_unique<core::BatchCreditEngine>(*credit, *config.cba,
-                                                       lanes);
-  }
-
-  struct Lane {
-    std::unique_ptr<cpu::OpStream> tua;
-    std::vector<std::unique_ptr<cpu::OpStream>> corunners;
-    std::unique_ptr<Multicore> machine;
-  };
-  std::vector<Lane> replicas(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    Lane& r = replicas[lane];
+  // One run at a time: each builds its streams and machine, runs on its
+  // own single-lane kernel and is dropped before the next one starts, so
+  // a worker holds one live machine whatever the slice size.
+  for (std::size_t i = 0; i < outcomes.size(); ++i) {
     // Per-run derivation: machine seed, then one stream seed for the TuA
     // and one per co-runner.
     const std::uint64_t seed = mix.next();
     rng::SplitMix64 stream_seeds(seed);
-    r.tua = spec.tua_factory();
-    CBUS_EXPECTS_MSG(r.tua != nullptr, "tua_factory returned null");
-    r.tua->reset(stream_seeds.next());
+    const std::unique_ptr<cpu::OpStream> tua = spec.tua_factory();
+    CBUS_EXPECTS_MSG(tua != nullptr, "tua_factory returned null");
+    tua->reset(stream_seeds.next());
+    std::vector<std::unique_ptr<cpu::OpStream>> corunners;
     std::vector<cpu::OpStream*> corunner_ptrs;
+    corunners.reserve(spec.corunner_factories.size());
     corunner_ptrs.reserve(spec.corunner_factories.size());
     for (const CampaignSpec::StreamFactory& make : spec.corunner_factories) {
-      r.corunners.push_back(make());
-      CBUS_EXPECTS_MSG(r.corunners.back() != nullptr,
+      corunners.push_back(make());
+      CBUS_EXPECTS_MSG(corunners.back() != nullptr,
                        "corunner factory returned null");
-      r.corunners.back()->reset(stream_seeds.next());
-      corunner_ptrs.push_back(r.corunners.back().get());
+      corunners.back()->reset(stream_seeds.next());
+      corunner_ptrs.push_back(corunners.back().get());
     }
-    r.machine = std::make_unique<Multicore>(
-        config, seed, *r.tua, corunner_ptrs,
-        credit ? credit->lane(lane) : core::CreditLaneView{}, engine.get(),
-        lane);
-  }
-
-  if (spec.instrument) {
-    // Instrumented campaigns run each lane in its own single-lane batch:
-    // the hook may register extra kernel components (e.g. a tracer) on
-    // SOME machines, and lockstep lanes must be exact replicas (equal
-    // component counts). The lockstep-equivalence contract makes the
-    // outcome bit-identical either way; instrumentation only costs the
-    // batching speedup, never determinism.
-    execution.path = SliceExecution::Path::kInstrumented;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      Lane& r = replicas[lane];
-      spec.instrument(first_run + static_cast<std::uint32_t>(lane),
-                      *r.machine);
-      sim::BatchKernel single(1, sim::BatchKernel::kCampaignStripe);
-      r.machine->attach(single, 0);
-      const std::vector<bool> fired = single.run_until(
-          [&](std::size_t) { return r.machine->tua_done(); },
-          spec.max_cycles);
-      RunResult run = r.machine->harvest(fired[0], single.now());
-      outcomes[lane].finished = run.tua_finished;
-      outcomes[lane].record = std::move(run.record);
-      execution.simulated_lane_cycles += single.simulated_lane_cycles();
-      execution.executed_lane_cycles += single.executed_lane_cycles();
+    Multicore machine(config, seed, *tua, corunner_ptrs);
+    if (spec.instrument) {
+      spec.instrument(first_run + static_cast<std::uint32_t>(i), machine);
     }
-    return execution;
-  }
 
-  sim::BatchKernel batch(lanes, sim::BatchKernel::kCampaignStripe);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    replicas[lane].machine->attach(batch, lane);
+    sim::BatchKernel kernel(1, sim::BatchKernel::kCampaignStripe);
+    machine.attach(kernel, 0);
+    const std::vector<bool> fired = kernel.run_until(
+        [&](std::size_t) { return machine.tua_done(); }, spec.max_cycles);
+    RunResult run = machine.harvest(fired[0], kernel.now());
+    outcomes[i].finished = run.tua_finished;
+    outcomes[i].record = std::move(run.record);
+    execution.simulated_lane_cycles += kernel.simulated_lane_cycles();
+    execution.executed_lane_cycles += kernel.executed_lane_cycles();
   }
-  if (engine != nullptr) batch.set_stage(*engine);
-
-  const std::vector<bool> fired = batch.run_until(
-      [&](std::size_t lane) { return replicas[lane].machine->tua_done(); },
-      spec.max_cycles);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    RunResult r = replicas[lane].machine->harvest(fired[lane], batch.now());
-    outcomes[lane].finished = r.tua_finished;
-    outcomes[lane].record = std::move(r.record);
-  }
-  execution.path = engine != nullptr ? SliceExecution::Path::kEngine
-                                     : SliceExecution::Path::kClassic;
-  execution.simulated_lane_cycles = batch.simulated_lane_cycles();
-  execution.executed_lane_cycles = batch.executed_lane_cycles();
   return execution;
 }
 

@@ -18,9 +18,10 @@
 //
 // Every campaign -- one through run_campaign, a whole sweep through
 // run_campaigns (exp::run_experiment) -- executes on the same slice
-// scheduler: contiguous lockstep slices of `batch` runs, spread over a
-// worker pool, folded in run order (raw series) or as exactly mergeable
-// digests (streaming).
+// scheduler: contiguous slices of `batch` runs, each run one machine at
+// a time on the skipping sim::BatchKernel, spread over a worker pool,
+// folded in run order (raw series) or as exactly mergeable digests
+// (streaming).
 #pragma once
 
 #include <cstddef>
@@ -44,11 +45,11 @@ namespace cbus::platform {
 ///
 /// Workloads are stream factories: every run builds its own stream
 /// instances and resets them with seeds derived from base_seed by run
-/// index, so any slice of runs can execute anywhere -- `batch` replicas
-/// advance together under one sim::BatchKernel, and slices spread over
-/// `threads` workers. OpStream::reset must fully restart a stream; under
-/// that contract every (batch, threads) combination produces
-/// bit-identical per-run records from the same base_seed.
+/// index, so any slice of runs can execute anywhere -- slices of `batch`
+/// runs spread over `threads` workers. OpStream::reset must fully
+/// restart a stream; under that contract every (batch, threads)
+/// combination produces bit-identical per-run records from the same
+/// base_seed.
 struct CampaignSpec {
   /// The paper's measurement protocols.
   enum class Protocol : std::uint8_t {
@@ -70,7 +71,9 @@ struct CampaignSpec {
   std::uint32_t runs = 100;
   Cycle max_cycles = 50'000'000;
 
-  /// Replicas advanced in lockstep per slice (1 = one machine at a time).
+  /// Runs per slice: the checkpoint and shard unit. A slice runs its
+  /// runs one machine at a time, so `batch` changes neither the bytes
+  /// nor the number of live machines.
   std::uint32_t batch = 1;
   /// Worker threads across slices (0 = hardware concurrency); never more
   /// than there are slices to run.
@@ -86,12 +89,8 @@ struct CampaignSpec {
   /// and its fully-built (but not yet started) machine, before the run
   /// executes -- obs::Timeline::attach plugs in here. The hook must not
   /// mutate simulation state (observers only); instrumented runs are
-  /// bit-identical to bare ones. Because the hook may register extra
-  /// kernel components on some machines, instrumented slices run their
-  /// lanes in single-lane batches (lockstep lanes must be exact
-  /// replicas) -- same bytes, minus the batching speedup. Null = not
-  /// instrumented (the default, and the only mode campaign goldens are
-  /// recorded in).
+  /// bit-identical to bare ones. Null = not instrumented (the default,
+  /// and the only mode campaign goldens are recorded in).
   std::function<void(std::uint32_t run, Multicore& machine)> instrument;
 };
 
@@ -140,30 +139,29 @@ struct CampaignResult {
 /// it).
 struct SliceExecution {
   enum class Path : std::uint8_t {
-    kEngine,        ///< staged lockstep loop under the batch credit engine
-    kClassic,       ///< striped lane-major loop with quiescence fast-forward
-    kInstrumented,  ///< single-lane batches around the instrument hook
+    kClassic,       ///< bare runs, fast-forwarding over quiet cycles
+    kInstrumented,  ///< runs with the instrument hook applied
   };
   Path path = Path::kClassic;
-  /// Cycles the slice's lanes simulated, summed over lanes.
+  /// Cycles the slice's runs simulated, summed over runs.
   std::uint64_t simulated_lane_cycles = 0;
-  /// The share of those the lanes executed; the rest were skipped in
-  /// closed form (always equal on the engine path, and on lanes holding
-  /// a component without an event horizon such as a tracer).
+  /// The share of those the runs executed; the rest were skipped in
+  /// closed form. A run holding a component without an event horizon,
+  /// such as a tracer, executes every cycle.
   std::uint64_t executed_lane_cycles = 0;
 };
 
 /// Run the contiguous slice of runs [first_run, first_run +
-/// outcomes.size()) as ONE lockstep batch, writing each run's outcome in
-/// order, and report how it executed. This is the scheduler's unit of
-/// work; folding outcomes in run order yields the one-run-at-a-time
-/// aggregate bit-identically.
+/// outcomes.size()), one machine at a time on a single-lane
+/// sim::BatchKernel, writing each run's outcome in order, and report how
+/// it executed. This is the scheduler's unit of work; folding outcomes
+/// in run order yields the one-run-at-a-time aggregate bit-identically.
 SliceExecution run_campaign_slice(const CampaignSpec& spec,
                                   std::uint32_t first_run,
                                   std::span<RunOutcome> outcomes);
 
 /// One entry of a SlicePlan: runs [first_run, first_run + run_count) of
-/// campaign `campaign`, executed as one lockstep batch.
+/// campaign `campaign`, executed as one slice.
 struct Slice {
   std::size_t campaign = 0;
   std::uint32_t first_run = 0;

@@ -28,6 +28,10 @@
 // Random numbers are drawn only inside executed cycles, so skipping
 // never changes a draw. The staged (engine) loop ticks every cycle.
 //
+// Campaign slices run one run at a time on a single-lane kernel
+// (platform::run_campaign_slice); several lanes and the staged loop
+// serve perfbench's traced replay and the tests.
+//
 // Determinism: lanes share no state, so a lane's components observe
 // exactly the state sequence a serial Kernel would deliver -- any stripe,
 // any lane count, skipped or ticked. A lane retires the moment its

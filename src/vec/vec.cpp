@@ -96,15 +96,6 @@ const Kernels& configured_kernels() noexcept {
 
 std::atomic<bool> g_force_scalar{false};
 
-constexpr bool kEngineDefault =
-#if defined(CBUS_SIMD_OFF)
-    false;
-#else
-    true;
-#endif
-
-std::atomic<bool> g_engine_enabled{kEngineDefault};
-
 const Kernels& active_kernels() noexcept {
   return g_force_scalar.load(std::memory_order_relaxed)
              ? kScalarKernels
@@ -130,11 +121,11 @@ const char* active_isa() noexcept {
 }
 
 bool engine_enabled() noexcept {
-  return detail::g_engine_enabled.load(std::memory_order_relaxed);
-}
-
-void set_engine_enabled(bool on) noexcept {
-  detail::g_engine_enabled.store(on, std::memory_order_relaxed);
+#if defined(CBUS_SIMD_OFF)
+  return false;
+#else
+  return true;
+#endif
 }
 
 void force_scalar(bool on) noexcept {

@@ -1,28 +1,28 @@
-// cbus::vec -- vertical (across-lane) kernels for the batched campaign
-// hot path, behind a configure-time ISA dispatch.
+// cbus::vec -- vertical (across-lane) kernels behind a configure-time
+// ISA dispatch.
 //
-// The batch credit engine lays slot m's Table-I counters contiguously
-// across lanes (counter-major CreditSoA rows, padded to kLaneAlign), so
-// the per-cycle credit update, the saturation test feeding the COMP
-// latch and the deficit-age argmax become one vertical operation per
-// slot across 4-16 lanes. Every kernel has a portable scalar
-// implementation (always compiled, the reference semantics) plus at
-// most one guarded ISA implementation selected at configure time via
+// The batch credit engine (core::BatchCreditEngine) lays slot m's
+// Table-I counters contiguously across lanes (counter-major CreditSoA
+// rows, padded to kLaneAlign), so the per-cycle credit update and the
+// saturation test feeding the COMP latch become one vertical operation
+// per slot across 4-16 lanes. Campaigns no longer run the engine (each
+// run skips quiet cycles on its own lane; docs/VECTORIZATION.md); it is
+// kept for perfbench's traced replay. The shipped caller of this layer
+// is the deficit-age arbiter's argmax_i64. Every kernel has a portable
+// scalar implementation (always compiled, the reference semantics) plus
+// at most one guarded ISA implementation selected at configure time via
 // the CBUS_SIMD=auto|off|avx2|avx512|neon CMake option:
 //
-//   off    -- no vec kernels are used at all: the campaign driver keeps
-//             the classic lane-major BatchKernel path (the build
-//             `cbus_sim --version` reports and the CI dispatch-parity
-//             leg compares against).
-//   scalar -- the engine path with the portable kernels (auto resolves
-//             here when the build host has no supported ISA).
-//   avx2 / avx512 / neon -- the engine path with vertical kernels.
+//   off    -- the portable kernels, and engine_enabled() is false.
+//   scalar -- the portable kernels (auto resolves here when the build
+//             host has no supported ISA).
+//   avx2 / avx512 / neon -- vertical kernels.
 //
 // Bit-identity contract: for every input, every ISA implementation
-// returns exactly the scalar result -- the campaign byte-equality
-// batteries (tests/test_vec.cpp, tests/test_exp.cpp) and the CI
-// dispatch-parity leg pin this. force_scalar() routes all calls through
-// the scalar kernels at runtime so one binary can check itself.
+// returns exactly the scalar result -- the kernel units
+// (tests/test_vec.cpp) and the CI dispatch-parity leg pin this.
+// force_scalar() routes all calls through the scalar kernels at runtime
+// so one binary can check itself.
 #pragma once
 
 #include <cstddef>
@@ -95,16 +95,10 @@ struct SatQuery {
 /// or "scalar" while force_scalar(true) is in effect.
 [[nodiscard]] const char* active_isa() noexcept;
 
-/// True iff the batched credit engine is enabled (configured to
-/// anything but "off", unless overridden by set_engine_enabled). The
-/// campaign driver consults this to pick engine vs classic path.
+/// True iff the build configures the batched credit engine (anything
+/// but "off"). Campaigns no longer run the engine; perfbench's traced
+/// replay is the last reader, which keeps it engaged on con_wcet.
 [[nodiscard]] bool engine_enabled() noexcept;
-
-/// Test hook: override the engine on/off decision at runtime, so one
-/// binary can run the same campaign through both the engine and the
-/// classic path and compare bytes. Pass the value of engine_enabled()
-/// captured at startup to restore the default.
-void set_engine_enabled(bool on) noexcept;
 
 /// Test hook: route every kernel through the portable scalar
 /// implementation (true) or the configured ISA (false, default).

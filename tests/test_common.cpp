@@ -1,12 +1,11 @@
-// Unit tests for cbus_common: vocabulary types, contracts, rational rates,
-// saturating counters (the primitive under the paper's BUDGi registers).
+// Unit tests for cbus_common: vocabulary types, contracts, rational
+// rates.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "common/contracts.hpp"
 #include "common/rational_rate.hpp"
-#include "common/saturating_counter.hpp"
 #include "common/types.hpp"
 
 namespace cbus {
@@ -109,98 +108,6 @@ TEST(RationalRate, ScaledIncrementsMixedDenominators) {
   EXPECT_EQ(inc[0], 4u);
   EXPECT_EQ(inc[1], 3u);
 }
-
-// --- SaturatingCounter -------------------------------------------------------
-
-TEST(SaturatingCounter, StartsAtInitial) {
-  const SaturatingCounter c(228, 100);
-  EXPECT_EQ(c.value(), 100u);
-  EXPECT_EQ(c.cap(), 228u);
-  EXPECT_FALSE(c.saturated());
-}
-
-TEST(SaturatingCounter, RejectsInitialAboveCap) {
-  EXPECT_THROW(SaturatingCounter(10, 11), std::invalid_argument);
-}
-
-TEST(SaturatingCounter, AddSaturatesAtCap) {
-  SaturatingCounter c(228, 220);
-  EXPECT_EQ(c.add(100), 228u);
-  EXPECT_TRUE(c.saturated());
-}
-
-TEST(SaturatingCounter, AddExactToCap) {
-  SaturatingCounter c(228, 227);
-  EXPECT_EQ(c.add(1), 228u);
-  EXPECT_TRUE(c.saturated());
-}
-
-TEST(SaturatingCounter, SpendDecrements) {
-  SaturatingCounter c(228, 228);
-  EXPECT_EQ(c.spend(4), 224u);
-}
-
-TEST(SaturatingCounter, SpendBelowZeroIsInvariantViolation) {
-  SaturatingCounter c(228, 3);
-  EXPECT_THROW(c.spend(4), std::logic_error);
-}
-
-TEST(SaturatingCounter, TickCombinesRecoverAndCharge) {
-  // Table I: every cycle +1, while using the bus -4 => net -3.
-  SaturatingCounter c(228, 228);
-  EXPECT_EQ(c.tick(1, 4), 225u);
-  EXPECT_EQ(c.tick(1, 4), 222u);
-}
-
-TEST(SaturatingCounter, TickAtCapWithoutChargeStaysAtCap) {
-  SaturatingCounter c(228, 228);
-  EXPECT_EQ(c.tick(1, 0), 228u);
-}
-
-TEST(SaturatingCounter, ResetWithinCap) {
-  SaturatingCounter c(228, 228);
-  c.reset(0);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_THROW(c.reset(229), std::invalid_argument);
-}
-
-// Property: a 56-cycle transaction paid at net -3/cycle from saturation
-// recovers to saturation after exactly 3*56 idle cycles (the 1/N
-// bandwidth guarantee of Eq. 1, scaled).
-TEST(SaturatingCounter, PaperRecoveryArithmetic) {
-  SaturatingCounter c(224, 224);
-  for (int i = 0; i < 56; ++i) c.tick(1, 4);
-  EXPECT_EQ(c.value(), 224u - 3u * 56u);
-  int idle = 0;
-  while (!c.saturated()) {
-    c.tick(1, 0);
-    ++idle;
-  }
-  EXPECT_EQ(idle, 3 * 56);
-}
-
-// Parameterized sweep: recovery time after a hold of H cycles at scale N
-// equals (N-1)*H for any H, N -- the core fairness identity.
-class RecoveryIdentity
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(RecoveryIdentity, HoldThenRecover) {
-  const auto [n, hold] = GetParam();
-  const auto cap = static_cast<std::uint64_t>(n) * 64;  // MaxL=64
-  SaturatingCounter c(cap, cap);
-  for (int i = 0; i < hold; ++i) c.tick(1, static_cast<std::uint64_t>(n));
-  int idle = 0;
-  while (!c.saturated()) {
-    c.tick(1, 0);
-    ++idle;
-  }
-  EXPECT_EQ(idle, (n - 1) * hold);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    ScalesAndHolds, RecoveryIdentity,
-    ::testing::Combine(::testing::Values(2, 3, 4, 8),
-                       ::testing::Values(1, 5, 28, 56, 64)));
 
 }  // namespace
 }  // namespace cbus

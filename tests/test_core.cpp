@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <tuple>
 
 #include "bus/bus.hpp"
 #include "bus/round_robin.hpp"
@@ -166,6 +167,32 @@ TEST(CreditState, BudgetCyclesConversion) {
   CreditState credits(CbaConfig::homogeneous(4, 56));
   EXPECT_DOUBLE_EQ(credits.budget_cycles(0), 56.0);
 }
+
+// Parameterized sweep: recovery time after a hold of H cycles at scale N
+// equals (N-1)*H for any H, N -- the core fairness identity, on the
+// Table-I counter itself.
+class RecoveryIdentity
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(RecoveryIdentity, HoldThenRecover) {
+  const auto [n, hold] = GetParam();
+  CreditState credits(
+      CbaConfig::homogeneous(static_cast<std::uint32_t>(n), 64));
+  ASSERT_TRUE(credits.saturated(0));
+  for (int i = 0; i < hold; ++i) credits.tick(0);
+  int idle = 0;
+  while (!credits.saturated(0)) {
+    credits.tick(kNoMaster);
+    ++idle;
+  }
+  EXPECT_EQ(idle, (n - 1) * hold);
+  EXPECT_EQ(credits.underflow_clamps(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ScalesAndHolds, RecoveryIdentity,
+    ::testing::Combine(::testing::Values(2, 3, 4, 8),
+                       ::testing::Values(1, 5, 28, 56, 64)));
 
 // --- CreditFilter on a live bus -------------------------------------------------------
 

@@ -22,7 +22,6 @@
 #include "obs/timeline.hpp"
 #include "platform/config_file.hpp"
 #include "platform/multicore.hpp"
-#include "vec/vec.hpp"
 #include "workloads/eembc_like.hpp"
 
 namespace cbus {
@@ -164,9 +163,8 @@ TEST(Timeline, TracingDoesNotPerturbResults) {
   std::remove(traced.trace_path.c_str());
 }
 
-/// Batched campaigns: the instrument hook forces single-lane batches
-/// (lockstep lanes must be exact replicas), which must still be
-/// byte-identical to the bare lockstep run.
+/// Batched campaigns: the instrumented slices must stay byte-identical
+/// to the bare ones.
 TEST(Timeline, TracingABatchedCampaignDoesNotPerturbResults) {
   ExperimentSpec bare = hcba_spec();
   bare.batch = 4;
@@ -260,7 +258,6 @@ TEST(Telemetry, IsolationSlicesSkipQuietCycles) {
   ASSERT_EQ(result.failed_jobs(), 0u);
   const obs::Telemetry& t = result.telemetry;
   EXPECT_EQ(t.classic_slices, 3u);
-  EXPECT_EQ(t.engine_slices, 0u);
   EXPECT_EQ(t.instrumented_slices, 0u);
   const auto& aggregate = result.jobs.front().campaign.aggregate;
   EXPECT_EQ(t.simulated_lane_cycles,
@@ -302,18 +299,18 @@ TEST(Telemetry, TracedSlicesTickEveryCycle) {
   ASSERT_EQ(result.failed_jobs(), 0u);
   const obs::Telemetry& t = result.telemetry;
   EXPECT_EQ(t.instrumented_slices, 1u);
-  EXPECT_EQ(t.classic_slices + t.engine_slices, 0u);
+  EXPECT_EQ(t.classic_slices, 0u);
   EXPECT_GT(t.simulated_lane_cycles, 0u);
   EXPECT_EQ(t.executed_lane_cycles, t.simulated_lane_cycles);
   std::remove(spec.trace_path.c_str());
 }
 
-TEST(Telemetry, BatchedCbaContentionCountsEngineSlices) {
-  // CBA under contention at batch 4: the batch credit engine takes every
-  // slice (when built in) and ticks every cycle; 6 runs leave a 2-lane
-  // tail, still an engine slice.
+TEST(Telemetry, BatchedCbaContentionTakesTheSkippingPath) {
+  // CBA under Table-I contention at batch 4: every slice runs its runs
+  // one at a time on the skipping loop, so it executes fewer cycles than
+  // it simulates; 6 runs leave a 2-run tail slice.
   ExperimentSpec spec = parse(
-      "name = engine\n"
+      "name = skip-con\n"
       "scenario = con\n"
       "kernel = matrix\n"
       "setup = cba\n"
@@ -325,15 +322,10 @@ TEST(Telemetry, BatchedCbaContentionCountsEngineSlices) {
   const ExperimentResult result = exp::run_experiment(spec, 1u);
   ASSERT_EQ(result.failed_jobs(), 0u);
   const obs::Telemetry& t = result.telemetry;
-  if (vec::engine_enabled()) {
-    EXPECT_EQ(t.engine_slices, 2u);
-    EXPECT_EQ(t.classic_slices, 0u);
-    EXPECT_EQ(t.executed_lane_cycles, t.simulated_lane_cycles);
-  } else {
-    EXPECT_EQ(t.classic_slices, 2u);
-    EXPECT_LT(t.executed_lane_cycles, t.simulated_lane_cycles);
-  }
+  EXPECT_EQ(t.classic_slices, 2u);
   EXPECT_EQ(t.instrumented_slices, 0u);
+  EXPECT_GT(t.executed_lane_cycles, 0u);
+  EXPECT_LT(t.executed_lane_cycles, t.simulated_lane_cycles);
 }
 
 TEST(Telemetry, JsonDocumentCarriesSchemaAndPhase) {
@@ -349,7 +341,7 @@ TEST(Telemetry, JsonDocumentCarriesSchemaAndPhase) {
   EXPECT_NE(doc.find("\"runs_per_sec\""), std::string::npos);
   EXPECT_NE(doc.find("\"thread_busy_fraction\""), std::string::npos);
   EXPECT_NE(doc.find("\"provenance\""), std::string::npos);
-  EXPECT_NE(doc.find("\"slice_paths\": {\"engine\": 0"), std::string::npos);
+  EXPECT_NE(doc.find("\"slice_paths\": {\"classic\": 0"), std::string::npos);
   EXPECT_NE(doc.find("\"instrumented\": 0}"), std::string::npos);
   EXPECT_NE(doc.find("\"lane_cycles\": {\"simulated\": 0"), std::string::npos);
   EXPECT_NE(doc.find("\"executed_fraction\": 0}"), std::string::npos);

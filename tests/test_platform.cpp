@@ -2,6 +2,7 @@
 // SyntheticMaster timing, campaign determinism and the scenario runners.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -21,7 +22,6 @@
 #include "platform/scenarios.hpp"
 #include "platform/synthetic_master.hpp"
 #include "rng/splitmix64.hpp"
-#include "vec/vec.hpp"
 #include "workloads/eembc_like.hpp"
 #include "workloads/fixed_stream.hpp"
 #include "workloads/streaming.hpp"
@@ -345,18 +345,6 @@ void expect_same_aggregate(const metrics::Aggregator& a,
   }
 }
 
-/// Switches the batch credit engine off for its lifetime (on leaves the
-/// configured default).
-struct EngineSwitch {
-  explicit EngineSwitch(bool on) : saved(vec::engine_enabled()) {
-    vec::set_engine_enabled(on && saved);
-  }
-  EngineSwitch(const EngineSwitch&) = delete;
-  EngineSwitch& operator=(const EngineSwitch&) = delete;
-  ~EngineSwitch() { vec::set_engine_enabled(saved); }
-  bool saved;
-};
-
 /// The campaign protocol written out by hand, one run at a time over
 /// shared streams: run i resets the TuA and then each co-runner from
 /// seeds drawn off run_seed(base_seed, i), and runs one Multicore.
@@ -387,10 +375,8 @@ TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
   // The sliced, batched, threaded scheduler must reproduce the
   // one-run-at-a-time replay over a shared stream bit-identically, for
   // every batch and thread count. The reference ticks every cycle
-  // (Multicore::run on the serial kernel); the campaign slices run the
-  // batch credit engine (CBA setups, >= 2 lanes) or the classic striped
-  // loop, which fast-forwards over quiet cycles -- both are pinned
-  // against it, the classic one with the engine switched on and off.
+  // (Multicore::run on the serial kernel); the campaign slices run each
+  // run on the skipping loop, which fast-forwards over quiet cycles.
   struct Input {
     CampaignSpec::Protocol protocol;
     BusSetup setup;
@@ -455,30 +441,24 @@ TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
     const auto shared = serial_reference(reference, *tua, corunners);
     for (const std::uint32_t batch : in.batches) {
       for (const std::uint32_t threads : in.threads) {
-        for (const bool engine : {true, false}) {
-          if (!engine && (!config.cba.has_value() || batch == 1)) continue;
-          auto spec = reference;
-          spec.batch = batch;
-          spec.threads = threads;
-          const EngineSwitch engine_switch(engine);
-          const auto batched = run_campaign(spec);
-          std::string where = con ? "con " : corun ? "corun " : "iso ";
-          if (in.platform.has_value()) {
-            where += in.platform->topology.config_string() + " ";
-          }
-          where += std::string(to_string(in.setup)) + " " + in.kernel +
-                   " batch=" + std::to_string(batch) +
-                   " threads=" + std::to_string(threads);
-          if (!engine) where += " engine off";
-          ASSERT_EQ(batched.samples().size(), shared.samples().size())
-              << where;
-          for (std::size_t i = 0; i < shared.samples().size(); ++i) {
-            EXPECT_EQ(batched.samples()[i], shared.samples()[i])
-                << where << " run " << i;
-          }
-          EXPECT_EQ(batched.unfinished_runs, shared.unfinished_runs) << where;
-          expect_same_aggregate(batched.aggregate, shared.aggregate);
+        auto spec = reference;
+        spec.batch = batch;
+        spec.threads = threads;
+        const auto batched = run_campaign(spec);
+        std::string where = con ? "con " : corun ? "corun " : "iso ";
+        if (in.platform.has_value()) {
+          where += in.platform->topology.config_string() + " ";
         }
+        where += std::string(to_string(in.setup)) + " " + in.kernel +
+                 " batch=" + std::to_string(batch) +
+                 " threads=" + std::to_string(threads);
+        ASSERT_EQ(batched.samples().size(), shared.samples().size()) << where;
+        for (std::size_t i = 0; i < shared.samples().size(); ++i) {
+          EXPECT_EQ(batched.samples()[i], shared.samples()[i])
+              << where << " run " << i;
+        }
+        EXPECT_EQ(batched.unfinished_runs, shared.unfinished_runs) << where;
+        expect_same_aggregate(batched.aggregate, shared.aggregate);
       }
     }
   }
@@ -520,6 +500,44 @@ TEST(ScenarioRunners, RunCampaignSliceWindowsAgree) {
     EXPECT_EQ(window[i].record.at("tua.cycles").scalar(),
               full.samples()[2 + i]);
   }
+}
+
+/// A canrdr stream that counts its live instances and the most that
+/// were ever alive at once.
+class CountedStream final : public cpu::OpStream {
+ public:
+  CountedStream() { peak = std::max(peak, ++live); }
+  CountedStream(const CountedStream&) = delete;
+  CountedStream& operator=(const CountedStream&) = delete;
+  ~CountedStream() override { --live; }
+
+  std::optional<cpu::MemOp> next() override { return inner_->next(); }
+  void reset(std::uint64_t seed) override { inner_->reset(seed); }
+  std::string_view name() const noexcept override { return "counted"; }
+
+  static inline int live = 0;
+  static inline int peak = 0;
+
+ private:
+  std::unique_ptr<cpu::OpStream> inner_ = workloads::make_eembc("canrdr");
+};
+
+TEST(ScenarioRunners, SliceHoldsOneLiveMachineAtATime) {
+  // A slice builds, runs and drops one machine per run, so a worker
+  // holds one TuA stream (and one machine) at a time whatever the slice
+  // size: peak memory does not grow with `batch`.
+  auto spec = make_spec(CampaignSpec::Protocol::kMaxContention,
+                        PlatformConfig::paper_wcet(BusSetup::kCba), "canrdr", 8,
+                        31);
+  spec.tua_factory = []() { return std::make_unique<CountedStream>(); };
+  spec.batch = 8;
+  spec.threads = 1;
+  CountedStream::live = 0;
+  CountedStream::peak = 0;
+  const CampaignResult result = run_campaign(spec);
+  EXPECT_EQ(result.samples().size(), 8u);
+  EXPECT_EQ(CountedStream::peak, 1);
+  EXPECT_EQ(CountedStream::live, 0);
 }
 
 TEST(ScenarioRunners, FactoryFormContractErrors) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "rng/distributions.hpp"
-#include "rng/lfsr.hpp"
 #include "rng/mwc.hpp"
 #include "rng/permutation.hpp"
 #include "rng/rand_bank.hpp"
@@ -47,45 +46,6 @@ TEST(XorShift64Star, Deterministic) {
   XorShift64Star a(7);
   XorShift64Star b(7);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(a.next(), b.next());
-}
-
-// --- LFSR -------------------------------------------------------------------
-
-TEST(Lfsr32, BitBalanceRoughlyHalf) {
-  Lfsr32 lfsr(0xACE1u);
-  int ones = 0;
-  constexpr int kBits = 100'000;
-  for (int i = 0; i < kBits; ++i) ones += lfsr.step() ? 1 : 0;
-  // Expected 50% +- 5 sigma (sigma = sqrt(n)/2 ~ 158).
-  EXPECT_NEAR(ones, kBits / 2, 800);
-}
-
-TEST(Lfsr32, StateNeverZero) {
-  Lfsr32 lfsr(0);  // remapped to 1
-  for (int i = 0; i < 1000; ++i) {
-    (void)lfsr.step();
-    EXPECT_NE(lfsr.state(), 0u);
-  }
-}
-
-TEST(Lfsr32, BitsCollectsLsbFirst) {
-  Lfsr32 a(0x1234);
-  Lfsr32 b(0x1234);
-  std::uint32_t expected = 0;
-  for (unsigned i = 0; i < 8; ++i) {
-    expected |= static_cast<std::uint32_t>(a.step()) << i;
-  }
-  EXPECT_EQ(b.bits(8), expected);
-}
-
-TEST(Lfsr32, LongPeriodNoShortCycle) {
-  // A maximal 32-bit LFSR must not revisit its seed state quickly.
-  Lfsr32 lfsr(0xBEEF);
-  const std::uint32_t start = lfsr.state();
-  for (int i = 0; i < 100'000; ++i) {
-    (void)lfsr.step();
-    ASSERT_NE(lfsr.state(), start) << "short cycle after " << i;
-  }
 }
 
 // --- MWC ---------------------------------------------------------------------

@@ -1,29 +1,18 @@
-// cbus::vec kernel semantics and the scalar-vs-SIMD identity contract.
-//
-// Two layers:
-//  * kernel units -- every vec entry point checked against an
-//    independent re-implementation of the Table-I formula, on random
-//    inputs, under both the configured ISA and force_scalar(true); the
-//    two dispatches must agree to the bit, including the padding lanes
-//    (which must come back untouched) and the tail mask of eq_mask_row.
-//  * campaign batteries -- the batch credit engine against the classic
-//    lane-major path on full max-contention campaigns, byte-identical
-//    per-run records across batch {1,3,8} x threads {1,4}, tail
-//    stripes (runs % batch != 0), lane counts below/above the vector
-//    width, and a wide (8-core) machine.
+// cbus::vec kernel semantics and the scalar-vs-SIMD identity contract:
+// every vec entry point checked against an independent re-implementation
+// of the Table-I formula, on random inputs, under both the configured
+// ISA and force_scalar(true); the two dispatches must agree to the bit,
+// including the padding lanes (which must come back untouched) and the
+// tail mask of eq_mask_row.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "core/cba_config.hpp"
-#include "core/credit_state.hpp"
-#include "platform/platform_config.hpp"
-#include "platform/scenarios.hpp"
 #include "vec/vec.hpp"
-#include "workloads/eembc_like.hpp"
 
 namespace {
 
@@ -65,15 +54,6 @@ std::uint64_t reference_tick(std::uint64_t value, std::uint64_t inc,
 struct ScalarGuard {
   ScalarGuard() { vec::force_scalar(true); }
   ~ScalarGuard() { vec::force_scalar(false); }
-};
-
-/// RAII guard: pin the engine on/off decision for one scope.
-struct EngineGuard {
-  bool saved;
-  explicit EngineGuard(bool on) : saved(vec::engine_enabled()) {
-    vec::set_engine_enabled(on);
-  }
-  ~EngineGuard() { vec::set_engine_enabled(saved); }
 };
 
 constexpr std::size_t kPad = vec::kLaneAlign;
@@ -282,122 +262,6 @@ TEST(VecKernels, DispatchReportsAreConsistent) {
     EXPECT_EQ(std::string(vec::active_isa()), "scalar");
   }
   EXPECT_EQ(std::string(vec::active_isa()), configured);
-}
-
-// --- campaign batteries: engine vs classic, byte for byte -------------
-
-/// The max-contention campaign the ISSUE's speedup target measures: a
-/// real EEMBC-like TuA against greedy MaxL virtual contenders under CBA.
-[[nodiscard]] platform::CampaignSpec engine_spec(std::uint32_t runs,
-                                                 std::uint32_t batch,
-                                                 std::uint32_t threads,
-                                                 std::uint32_t cores = 0) {
-  platform::CampaignSpec spec;
-  spec.protocol = platform::CampaignSpec::Protocol::kMaxContention;
-  spec.config = platform::PlatformConfig::paper_wcet(platform::BusSetup::kCba);
-  if (cores != 0) {
-    spec.config.n_cores = cores;
-    spec.config.cba = core::CbaConfig::homogeneous(
-        cores, spec.config.timings.max_latency());
-    spec.config.validate();
-  }
-  spec.tua_factory = []() { return workloads::make_eembc("canrdr"); };
-  spec.runs = runs;
-  spec.base_seed = 0xBADC0DE;
-  spec.batch = batch;
-  spec.threads = threads;
-  spec.retain_raw = true;  // the batteries compare per-run bytes
-  return spec;
-}
-
-void expect_identical_campaigns(const platform::CampaignResult& a,
-                                const platform::CampaignResult& b,
-                                const std::string& label) {
-  ASSERT_EQ(a.samples().size(), b.samples().size()) << label;
-  for (std::size_t i = 0; i < a.samples().size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.samples()[i]),
-              std::bit_cast<std::uint64_t>(b.samples()[i]))
-        << label << " run " << i;
-  }
-  ASSERT_EQ(a.aggregate.keys(), b.aggregate.keys()) << label;
-  for (const std::string& key : a.aggregate.keys()) {
-    ASSERT_EQ(a.aggregate.width(key), b.aggregate.width(key)) << label;
-    for (std::size_t e = 0; e < a.aggregate.width(key); ++e) {
-      const auto& sa = a.aggregate.element_samples(key, e);
-      const auto& sb = b.aggregate.element_samples(key, e);
-      ASSERT_EQ(sa.size(), sb.size()) << label << ' ' << key;
-      for (std::size_t i = 0; i < sa.size(); ++i) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(sa[i]),
-                  std::bit_cast<std::uint64_t>(sb[i]))
-            << label << ' ' << key << '[' << e << "] run " << i;
-      }
-    }
-  }
-}
-
-TEST(EngineParity, BatchThreadMatrixMatchesClassicPath) {
-  // runs = 7 leaves a tail stripe for batch 3 (7 % 3 == 1) and 8
-  // (7 % 8 == 7: one under-full stripe, below the vector width).
-  for (const std::uint32_t batch : {1u, 3u, 8u}) {
-    for (const std::uint32_t threads : {1u, 4u}) {
-      platform::CampaignResult engine, classic;
-      {
-        EngineGuard on(true);
-        engine = platform::run_campaign(engine_spec(7, batch, threads));
-      }
-      {
-        EngineGuard off(false);
-        classic = platform::run_campaign(engine_spec(7, batch, threads));
-      }
-      expect_identical_campaigns(
-          engine, classic,
-          "batch=" + std::to_string(batch) +
-              " threads=" + std::to_string(threads));
-    }
-  }
-}
-
-TEST(EngineParity, WideStripeAboveVectorWidthMatches) {
-  // One 12-lane stripe: above the widest 8-lane block, with a 4-lane
-  // vector tail inside the row.
-  platform::CampaignResult engine, classic;
-  {
-    EngineGuard on(true);
-    engine = platform::run_campaign(engine_spec(12, 12, 1));
-  }
-  {
-    EngineGuard off(false);
-    classic = platform::run_campaign(engine_spec(12, 12, 1));
-  }
-  expect_identical_campaigns(engine, classic, "12-lane stripe");
-}
-
-TEST(EngineParity, EightCoreMachineMatches) {
-  // The credit-bound end of the spectrum (BM_CampaignBatchWide's shape):
-  // 7 greedy contender banks, 8 Table-I slots per lane.
-  platform::CampaignResult engine, classic;
-  {
-    EngineGuard on(true);
-    engine = platform::run_campaign(engine_spec(6, 6, 1, 8));
-  }
-  {
-    EngineGuard off(false);
-    classic = platform::run_campaign(engine_spec(6, 6, 1, 8));
-  }
-  expect_identical_campaigns(engine, classic, "8-core machine");
-}
-
-TEST(EngineParity, ScalarKernelsMatchIsaKernelsOnCampaigns) {
-  // Same engine path, both dispatches: pins the kernels (not the
-  // engine's phase ordering, covered above) on a real workload.
-  platform::CampaignResult isa, scalar;
-  {
-    EngineGuard on(true);
-    isa = platform::run_campaign(engine_spec(5, 5, 1));
-    ScalarGuard guard;
-    scalar = platform::run_campaign(engine_spec(5, 5, 1));
-  }
-  expect_identical_campaigns(isa, scalar, "isa-vs-scalar");
 }
 
 }  // namespace

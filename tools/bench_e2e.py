@@ -8,17 +8,12 @@ runs/s and simulated cycles/s. Simulated cycles are the sum of the
 TuA's execution times (the per-run ``cycles`` column of the experiment's
 CSV), the quantity perfbench reports as sim_mcycles_per_s.
 
-With --lockstep it also times paper_con at batch 8 on one thread, per
-bus setup, under --simd native (CBA/H-CBA slices run the every-cycle
-batch credit engine) and --simd off (the classic path, which
-fast-forwards over quiet cycles).
-
 The result is one JSON row; --append adds it to a trajectory file
 (BENCH_e2e.json at the repo root, recipe in docs/BASELINES.md).
 
 Usage:
   bench_e2e.py --sim build/tools/cbus_sim --label NAME [--commit HASH]
-               [--repeats 3] [--threads 1 4] [--batch 1 8] [--lockstep]
+               [--repeats 3] [--threads 1 4] [--batch 1 8]
                [--append BENCH_e2e.json]
 """
 
@@ -36,7 +31,6 @@ import tempfile
 import time
 
 EXPERIMENTS = ("paper_iso", "paper_con", "mesh_congestion")
-SETUPS = ("rp", "cba", "hcba")
 
 
 def host():
@@ -102,21 +96,6 @@ def measure(sim, exp_path, args, repeats):
             "sim_mcycles_per_s": round(cycles / wall / 1e6, 2)}
 
 
-def single_setup(exp_path, setup, work):
-    """paper_con with its setup sweep narrowed to one setup."""
-    with open(exp_path) as f:
-        lines = f.read().splitlines()
-    out = []
-    for line in lines:
-        if line.split("=", 1)[0].strip() == "sweep setup":
-            line = f"setup = {setup}"
-        out.append(line)
-    path = os.path.join(work, f"paper_con_{setup}.exp")
-    with open(path, "w") as f:
-        f.write("\n".join(out) + "\n")
-    return path
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sim", required=True, help="cbus_sim binary")
@@ -128,9 +107,6 @@ def main():
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--threads", type=int, nargs="+", default=[1, 4])
     ap.add_argument("--batch", type=int, nargs="+", default=[1, 8])
-    ap.add_argument("--lockstep", action="store_true",
-                    help="also time paper_con batch 8 / 1 thread per setup "
-                         "under --simd native and off")
     ap.add_argument("--append", help="trajectory file to append the row to")
     opt = ap.parse_args()
 
@@ -150,26 +126,6 @@ def main():
                          "batch": batch, **point}
                 row["results"].append(point)
                 print(json.dumps(point), file=sys.stderr)
-
-    if opt.lockstep:
-        row["lockstep"] = []
-        work = tempfile.mkdtemp(prefix="cbus-e2e-spec-")
-        try:
-            con = os.path.abspath(
-                os.path.join(opt.experiments_dir, "paper_con.exp"))
-            for setup in SETUPS:
-                spec = single_setup(con, setup, work)
-                for simd in ("native", "off"):
-                    point = measure(sim, spec,
-                                    ["--threads", "1", "--batch", "8",
-                                     "--simd", simd], opt.repeats)
-                    point = {"experiment": "paper_con", "setup": setup,
-                             "simd": simd, "threads": 1, "batch": 8,
-                             **point}
-                    row["lockstep"].append(point)
-                    print(json.dumps(point), file=sys.stderr)
-        finally:
-            shutil.rmtree(work, ignore_errors=True)
 
     if opt.append:
         trajectory = {

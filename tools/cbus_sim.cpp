@@ -38,7 +38,6 @@
 #include "metrics/probes.hpp"
 #include "obs/telemetry.hpp"
 #include "platform/config_file.hpp"
-#include "vec/vec.hpp"
 #include "exp/runner.hpp"
 #include "exp/sinks.hpp"
 #include "workloads/eembc_like.hpp"
@@ -69,7 +68,6 @@ struct Options {
   std::optional<std::uint32_t> trace_run;
   std::string trace_window;             // --trace-window A:B
   std::string telemetry_path;           // --telemetry PATH
-  std::string simd;                     // --simd native|scalar|off
   bool progress = false;
   bool pwcet = false;
   bool csv = false;
@@ -82,8 +80,8 @@ struct Options {
       "                    CSV/JSON outputs (see docs/EXPERIMENTS.md);\n"
       "                    other flags act as overrides\n"
       "  --threads N       worker threads for experiment work slices [hardware]\n"
-      "  --batch N         lockstep replicas per work slice; output is\n"
-      "                    byte-identical for any value            [1]\n"
+      "  --batch N         runs per work slice (the checkpoint and shard\n"
+      "                    unit); output is byte-identical for any value [1]\n"
       "  --config FILE     platform config file layered under the other\n"
       "                    flags (see src/platform/config_file.hpp)\n"
       "  --kernel NAME     EEMBC-like kernel (cacheb canrdr matrix tblook\n"
@@ -122,11 +120,6 @@ struct Options {
       "                    all output files stay byte-identical)\n"
       "  --telemetry FILE  machine-readable run telemetry (runs/sec, ETA,\n"
       "                    per-thread busy fraction, slice times, peak RSS)\n"
-      "  --simd MODE       native (as built; default) | scalar (engine\n"
-      "                    path, portable kernels) | off (classic\n"
-      "                    lane-major path, as a CBUS_SIMD=off build);\n"
-      "                    output is byte-identical by contract -- the\n"
-      "                    dispatch-parity check runs all three\n"
       "  --version         print build provenance and exit\n"
       "  --list WHAT       print known values and exit:\n"
       "                    kernels | setups | arbiters | controllers |\n"
@@ -254,12 +247,6 @@ Options parse(int argc, char** argv) {
         opt.trace_window = value();
       } else if (arg == "--telemetry") {
         opt.telemetry_path = value();
-      } else if (arg == "--simd") {
-        opt.simd = value();
-        if (opt.simd != "native" && opt.simd != "scalar" &&
-            opt.simd != "off") {
-          die("--simd wants native, scalar or off, got '" + opt.simd + "'");
-        }
       } else if (arg == "--progress") {
         opt.progress = true;
       } else if (arg == "--version") {
@@ -415,16 +402,6 @@ exp::ExperimentSpec build_spec(const Options& opt) {
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  // --simd routes the whole process before any campaign starts: "off"
-  // keeps the classic lane-major path (what a CBUS_SIMD=off build runs),
-  // "scalar" keeps the engine but answers every kernel with the portable
-  // implementation. Byte-identity across all three modes is the
-  // dispatch contract (tests/dispatch_parity_test.sh pins it).
-  if (opt.simd == "off") {
-    vec::set_engine_enabled(false);
-  } else if (opt.simd == "scalar") {
-    vec::force_scalar(true);
-  }
   try {
     const exp::ExperimentSpec spec = build_spec(opt);
     exp::RunOptions run_options;
