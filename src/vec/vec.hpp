@@ -19,8 +19,9 @@
 //   avx2 / avx512 / neon -- vertical kernels.
 //
 // Bit-identity contract: for every input, every ISA implementation
-// returns exactly the scalar result -- the kernel units
-// (tests/test_vec.cpp) and the CI dispatch-parity leg pin this.
+// returns exactly the scalar result -- the kernel units and engine
+// batteries (tests/test_vec.cpp) and the CI dispatch-parity leg pin
+// this.
 // force_scalar() routes all calls through the scalar kernels at runtime
 // so one binary can check itself.
 #pragma once

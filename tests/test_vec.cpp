@@ -1,18 +1,38 @@
-// cbus::vec kernel semantics and the scalar-vs-SIMD identity contract:
-// every vec entry point checked against an independent re-implementation
-// of the Table-I formula, on random inputs, under both the configured
-// ISA and force_scalar(true); the two dispatches must agree to the bit,
-// including the padding lanes (which must come back untouched) and the
-// tail mask of eq_mask_row.
+// cbus::vec kernel semantics and the scalar-vs-SIMD identity contract.
+//
+// Two layers:
+//  * kernel units -- every vec entry point checked against an
+//    independent re-implementation of the Table-I formula, on random
+//    inputs, under both the configured ISA and force_scalar(true); the
+//    two dispatches must agree to the bit, including the padding lanes
+//    (which must come back untouched) and the tail mask of eq_mask_row.
+//  * engine batteries -- the lockstep batch credit engine, which
+//    campaigns no longer run but perfbench's traced replay still builds,
+//    driven directly on stripes of lanes and compared byte for byte with
+//    the production campaign path: batch {1,3,8} x threads {1,4}, tail
+//    stripes (runs % batch != 0), lane counts below/above the vector
+//    width, a wide (8-core) machine, and both kernel dispatches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/batch_engine.hpp"
+#include "core/cba_config.hpp"
+#include "core/credit_state.hpp"
+#include "metrics/aggregator.hpp"
+#include "platform/multicore.hpp"
+#include "platform/platform_config.hpp"
+#include "platform/scenarios.hpp"
+#include "rng/splitmix64.hpp"
+#include "sim/batch_kernel.hpp"
 #include "vec/vec.hpp"
+#include "workloads/eembc_like.hpp"
 
 namespace {
 
@@ -262,6 +282,154 @@ TEST(VecKernels, DispatchReportsAreConsistent) {
     EXPECT_EQ(std::string(vec::active_isa()), "scalar");
   }
   EXPECT_EQ(std::string(vec::active_isa()), configured);
+}
+
+// --- engine batteries: lockstep engine vs production, byte for byte ---
+
+/// The max-contention campaign perfbench's con_wcet measures: a real
+/// EEMBC-like TuA against greedy MaxL virtual contenders under CBA.
+[[nodiscard]] platform::CampaignSpec engine_spec(std::uint32_t runs,
+                                                 std::uint32_t batch,
+                                                 std::uint32_t threads,
+                                                 std::uint32_t cores = 0) {
+  platform::CampaignSpec spec;
+  spec.protocol = platform::CampaignSpec::Protocol::kMaxContention;
+  spec.config = platform::PlatformConfig::paper_wcet(platform::BusSetup::kCba);
+  if (cores != 0) {
+    spec.config.n_cores = cores;
+    spec.config.cba = core::CbaConfig::homogeneous(
+        cores, spec.config.timings.max_latency());
+    spec.config.validate();
+  }
+  spec.tua_factory = []() { return workloads::make_eembc("canrdr"); };
+  spec.runs = runs;
+  spec.base_seed = 0xBADC0DE;
+  spec.batch = batch;
+  spec.threads = threads;
+  spec.retain_raw = true;  // the batteries compare per-run bytes
+  return spec;
+}
+
+/// `spec`'s runs in lockstep stripes of `spec.batch` lanes under
+/// core::BatchCreditEngine -- one CreditSoA arena per stripe, machines
+/// built with their credit lane and the engine, ticked every cycle by
+/// the staged BatchKernel loop -- folded in run order. This is the
+/// shape perfbench's traced replay builds; production campaigns run
+/// each run on its own skipping lane instead.
+[[nodiscard]] platform::CampaignResult run_on_engine(
+    const platform::CampaignSpec& spec) {
+  const platform::PlatformConfig& config = spec.config;
+  platform::CampaignResult result;
+  result.aggregate =
+      metrics::Aggregator(metrics::Aggregator::Options{.retain_raw = true});
+  for (std::uint32_t first = 0; first < spec.runs; first += spec.batch) {
+    const std::size_t lanes = std::min(spec.batch, spec.runs - first);
+    core::CreditSoA credit(lanes, *config.cba, config.credit_slots());
+    core::BatchCreditEngine engine(credit, *config.cba, lanes);
+    sim::BatchKernel batch(lanes, sim::BatchKernel::kCampaignStripe);
+    std::vector<std::unique_ptr<cpu::OpStream>> tuas;
+    std::vector<std::unique_ptr<platform::Multicore>> machines;
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const std::uint64_t seed = platform::run_seed(
+          spec.base_seed, first + static_cast<std::uint32_t>(lane));
+      rng::SplitMix64 stream_seeds(seed);
+      tuas.push_back(spec.tua_factory());
+      tuas.back()->reset(stream_seeds.next());
+      machines.push_back(std::make_unique<platform::Multicore>(
+          config, seed, *tuas.back(), std::vector<cpu::OpStream*>{},
+          credit.lane(lane), &engine, lane));
+      machines.back()->attach(batch, lane);
+    }
+    batch.set_stage(engine);
+    const std::vector<bool> fired = batch.run_until(
+        [&](std::size_t lane) { return machines[lane]->tua_done(); },
+        spec.max_cycles);
+    EXPECT_EQ(batch.executed_lane_cycles(), batch.simulated_lane_cycles())
+        << "the staged loop ticks every cycle";
+    for (std::size_t lane = 0; lane < lanes; ++lane) {
+      const platform::RunResult run =
+          machines[lane]->harvest(fired[lane], batch.now());
+      if (!run.tua_finished) {
+        ++result.unfinished_runs;
+        continue;
+      }
+      result.aggregate.add(run.record);
+    }
+  }
+  return result;
+}
+
+void expect_identical_campaigns(const platform::CampaignResult& a,
+                                const platform::CampaignResult& b,
+                                const std::string& label) {
+  EXPECT_EQ(a.unfinished_runs, b.unfinished_runs) << label;
+  ASSERT_EQ(a.samples().size(), b.samples().size()) << label;
+  for (std::size_t i = 0; i < a.samples().size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.samples()[i]),
+              std::bit_cast<std::uint64_t>(b.samples()[i]))
+        << label << " run " << i;
+  }
+  ASSERT_EQ(a.aggregate.keys(), b.aggregate.keys()) << label;
+  for (const std::string& key : a.aggregate.keys()) {
+    ASSERT_EQ(a.aggregate.width(key), b.aggregate.width(key)) << label;
+    for (std::size_t e = 0; e < a.aggregate.width(key); ++e) {
+      const auto& sa = a.aggregate.element_samples(key, e);
+      const auto& sb = b.aggregate.element_samples(key, e);
+      ASSERT_EQ(sa.size(), sb.size()) << label << ' ' << key;
+      for (std::size_t i = 0; i < sa.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(sa[i]),
+                  std::bit_cast<std::uint64_t>(sb[i]))
+            << label << ' ' << key << '[' << e << "] run " << i;
+      }
+    }
+  }
+}
+
+TEST(EngineParity, BatchThreadMatrixMatchesClassicPath) {
+  // runs = 7 leaves a tail stripe for batch 3 (7 % 3 == 1: a one-lane
+  // engine) and 8 (7 % 8 == 7: one under-full stripe, below the vector
+  // width).
+  for (const std::uint32_t batch : {1u, 3u, 8u}) {
+    const platform::CampaignResult engine =
+        run_on_engine(engine_spec(7, batch, 1));
+    ASSERT_EQ(engine.samples().size(), 7u) << "batch=" << batch;
+    for (const std::uint32_t threads : {1u, 4u}) {
+      const platform::CampaignResult classic =
+          platform::run_campaign(engine_spec(7, batch, threads));
+      expect_identical_campaigns(
+          engine, classic,
+          "batch=" + std::to_string(batch) +
+              " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(EngineParity, WideStripeAboveVectorWidthMatches) {
+  // One 12-lane stripe: above the widest 8-lane block, with a 4-lane
+  // vector tail inside the row.
+  expect_identical_campaigns(run_on_engine(engine_spec(12, 12, 1)),
+                             platform::run_campaign(engine_spec(12, 12, 1)),
+                             "12-lane stripe");
+}
+
+TEST(EngineParity, EightCoreMachineMatches) {
+  // The credit-bound end of the spectrum (BM_CampaignBatchWide's shape):
+  // 7 greedy contender banks, 8 Table-I slots per lane.
+  expect_identical_campaigns(run_on_engine(engine_spec(6, 6, 1, 8)),
+                             platform::run_campaign(engine_spec(6, 6, 1, 8)),
+                             "8-core machine");
+}
+
+TEST(EngineParity, ScalarKernelsMatchIsaKernelsOnCampaigns) {
+  // The same engine stripes under both dispatches: pins the kernels (not
+  // the engine's phase ordering, covered above) on a real workload.
+  const platform::CampaignResult isa = run_on_engine(engine_spec(5, 5, 1));
+  platform::CampaignResult scalar;
+  {
+    ScalarGuard guard;
+    scalar = run_on_engine(engine_spec(5, 5, 1));
+  }
+  expect_identical_campaigns(isa, scalar, "isa-vs-scalar");
 }
 
 }  // namespace
