@@ -34,8 +34,6 @@ class RandomPermutationArbiter final : public Arbiter {
   [[nodiscard]] const std::vector<std::uint32_t>& window() const noexcept {
     return permutation_;
   }
-  /// Exposed for testing: bitmask of masters already served in this window.
-  [[nodiscard]] std::uint32_t served_mask() const noexcept { return served_; }
 
  private:
   void redraw();

@@ -329,12 +329,6 @@ const BusStatistics& SegmentedInterconnect::segment_statistics(
   return seg.bus->statistics();
 }
 
-const Arbiter& SegmentedInterconnect::segment_arbiter(
-    std::uint32_t segment) const {
-  CBUS_EXPECTS(segment < config_.n_segments());
-  return *segments_[segment].arbiter;
-}
-
 void SegmentedInterconnect::raise_hop(std::uint32_t segment,
                                       std::uint32_t local, MasterId master,
                                       Cycle forced_hold, Cycle now) {

@@ -260,7 +260,6 @@ class SegmentedInterconnect final : public Interconnect {
   [[nodiscard]] const SegmentedConfig& config() const noexcept {
     return config_;
   }
-  [[nodiscard]] const Arbiter& segment_arbiter(std::uint32_t segment) const;
 
  private:
   // Per-(segment, local-slot) relay: routes NonSplitBus master callbacks

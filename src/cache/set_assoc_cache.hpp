@@ -35,12 +35,6 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::uint64_t dirty_evictions = 0;
-
-  [[nodiscard]] double hit_rate() const noexcept {
-    return accesses == 0
-               ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(accesses);
-  }
 };
 
 class SetAssocCache {
@@ -66,7 +60,6 @@ class SetAssocCache {
   void reset(std::uint64_t placement_seed);
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = CacheStats{}; }
 
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
   [[nodiscard]] Addr line_of(Addr addr) const noexcept {

@@ -35,13 +35,6 @@ struct DramStats {
   std::uint64_t accesses = 0;
   std::uint64_t row_hits = 0;
   std::uint64_t row_misses = 0;
-
-  [[nodiscard]] double row_hit_rate() const noexcept {
-    return accesses == 0
-               ? 0.0
-               : static_cast<double>(row_hits) /
-                     static_cast<double>(accesses);
-  }
 };
 
 class DramModel {

@@ -175,8 +175,8 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
   //
   // Engine mode keeps only the cores in the kernel: the engine stage
   // runs the contender bank, the phased bus tick and the vertical credit
-  // update in that same order, and attach() registers the adaptive
-  // controller as a post-stage component.
+  // update in that same order, and the staged batch registers the
+  // adaptive controller as a post-stage component.
   for (auto& core_ptr : cores_) kernel_.add(*core_ptr);
   if (engine_ != nullptr) {
     engine_->set_lane(engine_lane, bus(), filters_.front()->state());
@@ -191,34 +191,10 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
 
 RunResult Multicore::run(Cycle max_cycles) {
   CBUS_EXPECTS_MSG(engine_ == nullptr,
-                   "engine-mode machines run via attach() on a staged batch");
+                   "engine-mode machines run as lanes of a staged batch");
   const bool finished =
       kernel_.run_until([this]() { return tua_done(); }, max_cycles);
   return collect(finished, kernel_.now());
-}
-
-RunResult Multicore::run_all(Cycle max_cycles) {
-  CBUS_EXPECTS_MSG(engine_ == nullptr,
-                   "engine-mode machines run via attach() on a staged batch");
-  const bool finished = kernel_.run_until(
-      [this]() {
-        for (const auto& c : cores_) {
-          if (!c->done()) return false;
-        }
-        return true;
-      },
-      max_cycles);
-  return collect(finished, kernel_.now());
-}
-
-void Multicore::attach(sim::BatchKernel& batch, std::size_t lane) {
-  for (sim::Component* component : kernel_.components()) {
-    batch.add(lane, *component);
-  }
-  if (engine_ != nullptr && controller_ != nullptr &&
-      config_.controller.adaptive()) {
-    batch.add_post(lane, *controller_);
-  }
 }
 
 RunResult Multicore::collect(bool finished, Cycle executed) const {

@@ -32,7 +32,6 @@
 #include "metrics/record.hpp"
 #include "platform/platform_config.hpp"
 #include "rng/rand_bank.hpp"
-#include "sim/batch_kernel.hpp"
 #include "sim/kernel.hpp"
 
 namespace cbus::platform {
@@ -73,9 +72,11 @@ class Multicore {
   /// Table-I work to a batch credit engine as lane `engine_lane`: no
   /// per-lane VirtualContender components are built (the engine's
   /// contender bank replaces them) and the bus is ticked by the engine,
-  /// not the kernel. Such a machine runs ONLY via attach() on a staged
-  /// BatchKernel -- run()/run_all() assert. Campaigns pass neither
-  /// `credit_lane` nor `engine`; perfbench's traced replay still does.
+  /// not the kernel. Such a machine runs ONLY as a lane of a staged
+  /// BatchKernel that registers kernel().components() and, for an
+  /// adaptive controller, controller() as a post-stage component -- run()
+  /// asserts. Campaigns pass neither `credit_lane` nor `engine`;
+  /// perfbench's traced replay still does.
   Multicore(const PlatformConfig& config, std::uint64_t seed,
             cpu::OpStream& tua,
             const std::vector<cpu::OpStream*>& contenders = {},
@@ -89,14 +90,7 @@ class Multicore {
   /// Run until the TuA finishes (or `max_cycles`); returns the result.
   RunResult run(Cycle max_cycles = 50'000'000);
 
-  /// Run until every real core finishes (or `max_cycles`).
-  RunResult run_all(Cycle max_cycles = 50'000'000);
-
-  // --- batched execution (sim::BatchKernel) ------------------------------
-  /// Register every component as lane `lane` of `batch`, in the exact
-  /// tick order run() uses. The machine is then advanced externally.
-  void attach(sim::BatchKernel& batch, std::size_t lane);
-
+  // --- external stepping (perfbench's lockstep replay) --------------------
   /// run()'s stop predicate: the TuA (master 0) has finished.
   [[nodiscard]] bool tua_done() const noexcept {
     return cores_.front()->done();
@@ -104,7 +98,7 @@ class Multicore {
 
   /// Assemble the RunResult after external (batched) stepping. `fired` is
   /// the lane's run_until flag; `executed_cycles` the batch clock, used as
-  /// the TuA time of unfinished runs (exactly run()'s kernel.now()).
+  /// the TuA time of unfinished runs (exactly run()'s kernel().now()).
   [[nodiscard]] RunResult harvest(bool fired, Cycle executed_cycles) const {
     return collect(fired, executed_cycles);
   }

@@ -10,7 +10,6 @@
 
 #include "common/contracts.hpp"
 #include "rng/splitmix64.hpp"
-#include "sim/batch_kernel.hpp"
 
 namespace cbus::platform {
 
@@ -106,9 +105,9 @@ SliceExecution run_campaign_slice(const CampaignSpec& spec,
   rng::SplitMix64 mix(spec.base_seed);
   for (std::uint32_t i = 0; i < first_run; ++i) (void)mix.next();
 
-  // One run at a time: each builds its streams and machine, runs on its
-  // own single-lane kernel and is dropped before the next one starts, so
-  // a worker holds one live machine whatever the slice size.
+  // One run at a time: each builds its streams and machine, runs on the
+  // machine's own kernel and is dropped before the next one starts, so a
+  // worker holds one live machine whatever the slice size.
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     // Per-run derivation: machine seed, then one stream seed for the TuA
     // and one per co-runner.
@@ -132,16 +131,11 @@ SliceExecution run_campaign_slice(const CampaignSpec& spec,
     if (spec.instrument) {
       spec.instrument(first_run + static_cast<std::uint32_t>(i), machine);
     }
-
-    sim::BatchKernel kernel(1, sim::BatchKernel::kCampaignStripe);
-    machine.attach(kernel, 0);
-    const std::vector<bool> fired = kernel.run_until(
-        [&](std::size_t) { return machine.tua_done(); }, spec.max_cycles);
-    RunResult run = machine.harvest(fired[0], kernel.now());
+    RunResult run = machine.run(spec.max_cycles);
     outcomes[i].finished = run.tua_finished;
     outcomes[i].record = std::move(run.record);
-    execution.simulated_lane_cycles += kernel.simulated_lane_cycles();
-    execution.executed_lane_cycles += kernel.executed_lane_cycles();
+    execution.simulated_lane_cycles += machine.kernel().now();
+    execution.executed_lane_cycles += machine.kernel().executed_cycles();
   }
   return execution;
 }

@@ -19,9 +19,9 @@
 // Every campaign -- one through run_campaign, a whole sweep through
 // run_campaigns (exp::run_experiment) -- executes on the same slice
 // scheduler: contiguous slices of `batch` runs, each run one machine at
-// a time on the skipping sim::BatchKernel, spread over a worker pool,
-// folded in run order (raw series) or as exactly mergeable digests
-// (streaming).
+// a time through Multicore::run on the skipping sim::Kernel, spread over
+// a worker pool, folded in run order (raw series) or as exactly
+// mergeable digests (streaming).
 #pragma once
 
 #include <cstddef>
@@ -152,10 +152,10 @@ struct SliceExecution {
 };
 
 /// Run the contiguous slice of runs [first_run, first_run +
-/// outcomes.size()), one machine at a time on a single-lane
-/// sim::BatchKernel, writing each run's outcome in order, and report how
-/// it executed. This is the scheduler's unit of work; folding outcomes
-/// in run order yields the one-run-at-a-time aggregate bit-identically.
+/// outcomes.size()), one machine at a time through Multicore::run,
+/// writing each run's outcome in order, and report how it executed.
+/// This is the scheduler's unit of work; folding outcomes in run order
+/// yields the one-run-at-a-time aggregate bit-identically.
 SliceExecution run_campaign_slice(const CampaignSpec& spec,
                                   std::uint32_t first_run,
                                   std::span<RunOutcome> outcomes);

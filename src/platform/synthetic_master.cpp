@@ -34,6 +34,17 @@ void SyntheticMaster::tick(Cycle now) {
   in_flight_ = true;
 }
 
+Cycle SyntheticMaster::next_event(Cycle now) const {
+  if (done_ || in_flight_) return kNever;
+  return now + 1 + gap_remaining_;
+}
+
+void SyntheticMaster::skip(Cycle /*from*/, Cycle cycles) {
+  if (done_ || in_flight_) return;
+  CBUS_ASSERT(cycles <= gap_remaining_);
+  gap_remaining_ -= static_cast<std::uint32_t>(cycles);
+}
+
 void SyntheticMaster::on_grant(const bus::BusRequest& /*request*/,
                                Cycle /*now*/, Cycle /*hold*/) {}
 

@@ -35,6 +35,12 @@ class SyntheticMaster final : public sim::Component, public bus::BusMaster {
   SyntheticMaster(const SyntheticMasterConfig& config, bus::BusPort& bus);
 
   void tick(Cycle now) override;
+  /// The cycle that raises the next request once the gap has run out;
+  /// kNever while a request is in flight (the bus completes it) or after
+  /// the last one.
+  [[nodiscard]] Cycle next_event(Cycle now) const override;
+  /// Counts `cycles` gap cycles down, as that many ticks would.
+  void skip(Cycle from, Cycle cycles) override;
   void on_grant(const bus::BusRequest& request, Cycle now,
                 Cycle hold) override;
   void on_complete(const bus::BusRequest& request, Cycle now) override;

@@ -10,13 +10,14 @@
 // Event horizon (quiescence fast-forward): most cycles of a run only
 // count -- a compute countdown, a wait on the bus, a transfer in flight,
 // Table-I credit recovery. A component that can say when its tick next
-// does more than count overrides next_event() and skip(); the campaign
-// kernel (BatchKernel::run_until) then executes only the cycles some
-// component of the lane has an event in and applies every cycle between
-// two of them in closed form. A run's stop predicate is polled once after
-// every EXECUTED cycle; skipped cycles are not executed, only count, and
-// so cannot change it. The serial Kernel keeps ticking every cycle and is
-// the lane-level reference the skipping kernel is tested against.
+// does more than count overrides next_event() and skip(); the kernel
+// (Kernel::run_until) then executes only the cycles some component has an
+// event in and applies every cycle between two of them in closed form. A
+// run's stop predicate is polled once after every EXECUTED cycle; skipped
+// cycles are not executed, only count, and so cannot change it. One
+// component that keeps the default horizon makes the kernel execute every
+// cycle: the tests' tick-every-cycle reference is exactly that, registered
+// last.
 //
 // A component may defer its own internal work (the segmented
 // interconnect ticks only its busy segments and settles the others'
@@ -45,7 +46,7 @@ class Component {
   virtual void tick(Cycle now) = 0;
 
   /// This component's event horizon, asked after every component of its
-  /// lane has ticked cycle `now`: the first cycle after `now` at which
+  /// kernel has ticked cycle `now`: the first cycle after `now` at which
   /// tick() may do more than count, assuming no other component acts
   /// before then (kNever when only another component can end the wait,
   /// e.g. a core blocked on a bus completion). Returning early is always
@@ -53,7 +54,7 @@ class Component {
   [[nodiscard]] virtual Cycle next_event(Cycle now) const { return now + 1; }
 
   /// Apply the `cycles` ticks of cycles [from, from + cycles) in closed
-  /// form. Called only when every component of the lane reported a
+  /// form. Called only when every component of the kernel reported a
   /// horizon of at least from + cycles, so each skipped tick would only
   /// have counted. A component keeping the default next_event is never
   /// skipped, hence the no-op default.

@@ -1,22 +1,33 @@
 // The cycle-driven simulation kernel.
 //
 // Deliberately simple: a vector of non-owning component pointers ticked in
-// registration order under a single clock. Determinism is a hard
+// registration order under a single cycle counter. Determinism is a hard
 // requirement (MBPTA needs exact reproducibility from a seed), so there is
 // no event heap and no unordered container anywhere on the tick path.
 //
-// This kernel ticks every component on every cycle and never consults the
-// event horizon (Component::next_event): it is the tick-by-tick reference
-// model the skipping campaign kernel (BatchKernel) is tested against.
+// Quiescence fast-forward: after executing cycle t, the kernel asks its
+// components for their event horizons (Component::next_event) and jumps
+// straight to the earliest one, capped at the end of the call's budget;
+// the cycles in between only count, and every component applies them in
+// closed form (Component::skip). A run thus executes only the cycles some
+// component has an event in. A component that keeps the default horizon
+// (t + 1) makes the kernel execute every cycle -- traced runs do, and the
+// tests' tick-every-cycle reference registers such a component last.
+// Random numbers are drawn only inside executed cycles, so skipping never
+// changes a draw.
+//
+// This is the one loop that ticks components for campaigns, examples,
+// benches and tests (sim::BatchKernel's lockstep loop serves only
+// perfbench's traced replay and the engine batteries).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "common/types.hpp"
-#include "sim/clock.hpp"
 #include "sim/component.hpp"
 
 namespace cbus::sim {
@@ -29,7 +40,14 @@ class Kernel {
   /// the component; the caller (the platform) guarantees its lifetime.
   void add(Component& component) { components_.push_back(&component); }
 
-  [[nodiscard]] Cycle now() const noexcept { return clock_.now(); }
+  /// Cycles simulated so far: executed plus skipped.
+  [[nodiscard]] Cycle now() const noexcept { return now_; }
+
+  /// The share of now() the kernel executed (ticked); the rest were
+  /// skipped in closed form.
+  [[nodiscard]] std::uint64_t executed_cycles() const noexcept {
+    return executed_;
+  }
 
   /// Run exactly `cycles` cycles.
   void run(Cycle cycles);
@@ -38,8 +56,10 @@ class Kernel {
   /// iff `done()` fired. `done` is evaluated exactly once after every
   /// executed cycle -- never before the first one, never twice for the
   /// same cycle -- so side-effecting predicates observe one call per
-  /// cycle. A predicate that is already true therefore still executes one
-  /// cycle before it is seen. BatchKernel honours the same contract.
+  /// executed cycle. A predicate that is already true therefore still
+  /// executes one cycle before it is seen. Skipped cycles only count, so
+  /// they cannot change the predicate. Every call executes its first
+  /// cycle, and no jump crosses the end of its budget.
   bool run_until(const std::function<bool()>& done, Cycle max_cycles);
 
   /// Execute a single cycle.
@@ -49,14 +69,23 @@ class Kernel {
     return components_.size();
   }
 
-  /// Registered components in tick order (the batched campaign path
-  /// re-registers them into a BatchKernel lane).
+  /// Registered components in tick order (perfbench's replay re-registers
+  /// them into a BatchKernel lane).
   [[nodiscard]] std::span<Component* const> components() const noexcept {
     return components_;
   }
 
  private:
-  Clock clock_;
+  /// The one loop behind run_until, run and step. A template so that
+  /// run() and step() inline their never-firing predicate: through
+  /// std::function every step() paid a construction and two indirect
+  /// calls (BM_SplitBusStep, one step() per cycle, ran about 1.3x
+  /// slower).
+  template <typename Done>
+  bool advance(const Done& done, Cycle max_cycles);
+
+  Cycle now_ = 0;
+  std::uint64_t executed_ = 0;
   std::vector<Component*> components_;
 };
 

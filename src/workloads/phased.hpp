@@ -36,9 +36,6 @@ class PhasedStream final : public cpu::OpStream {
     return name_;
   }
 
-  [[nodiscard]] std::size_t phase_count() const noexcept {
-    return phases_.size();
-  }
   /// Phase currently being played (for instrumentation).
   [[nodiscard]] std::size_t current_phase() const noexcept { return index_; }
 

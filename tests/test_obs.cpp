@@ -9,10 +9,12 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/credit_filter.hpp"
 #include "exp/experiment.hpp"
 #include "exp/runner.hpp"
 #include "exp/sinks.hpp"
@@ -22,6 +24,7 @@
 #include "obs/timeline.hpp"
 #include "platform/config_file.hpp"
 #include "platform/multicore.hpp"
+#include "sim/component.hpp"
 #include "workloads/eembc_like.hpp"
 
 namespace cbus {
@@ -214,6 +217,102 @@ TEST(Timeline, SplitBusTraceHasCreditTracksAndNoSpans) {
   EXPECT_EQ(traced.credit_underflows, bare.credit_underflows);
   EXPECT_EQ(traced.core_finish, bare.core_finish);
   EXPECT_EQ(traced.record, bare.record);
+}
+
+/// Reads every master's budget the way a credit track must -- from its
+/// home segment's filter at its local slot -- every `stride` cycles.
+/// Registered after the Timeline, it sees the state the tracer's poll saw.
+class HomeBudgetRecorder final : public sim::Component {
+ public:
+  HomeBudgetRecorder(platform::Multicore& machine, Cycle stride)
+      : sim::Component("home-budgets"), machine_(machine), stride_(stride) {}
+
+  void tick(Cycle now) override {
+    if (now % stride_ != 0) return;
+    const bus::Interconnect& ic = machine_.interconnect();
+    std::vector<double>& row = seen[now];
+    for (MasterId m = 0; m < machine_.config().n_cores; ++m) {
+      const core::CreditFilter* filter =
+          machine_.credit_filter(ic.home_segment(m));
+      row.push_back(filter->state().budget_cycles(ic.local_slot(m)));
+    }
+  }
+
+  std::map<Cycle, std::vector<double>> seen;
+
+ private:
+  platform::Multicore& machine_;
+  Cycle stride_;
+};
+
+/// The `value` of the counter event on `line` after `key` ("ts", ...).
+[[nodiscard]] double field(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find("\"" + key + "\": ");
+  EXPECT_NE(at, std::string::npos) << line;
+  return std::stod(line.substr(at + key.size() + 4));
+}
+
+TEST(Timeline, CreditTracksReadEachMastersHomeSegmentSlot) {
+  // A segmented CBA WCET machine: masters off segment 0 keep their
+  // budgets in their home segment's filter, at a local slot that is not
+  // their master id. Counter tracks are emitted on change, so the track
+  // "credit m<m>" holds its last sample's value; at every sampled cycle
+  // that value must equal the master's home counter. Two cores put master
+  // 1 at slot 0 of segment 1 (slot 1 is the bridge's); four put masters 2
+  // and 3 at slots 0 and 1.
+  for (const std::uint32_t cores : {2u, 4u}) {
+    std::istringstream in("cores = " + std::to_string(cores) +
+                          "\nsetup = cba\nmode = wcet\ntopology = chain:2\n");
+    const platform::PlatformConfig cfg = platform::parse_config(in);
+    auto tua = workloads::make_eembc("canrdr");
+    tua->reset(7);
+    platform::Multicore machine(cfg, 7, *tua);
+    obs::Timeline timeline;
+    timeline.attach(machine);
+    HomeBudgetRecorder recorder(machine,
+                                obs::Timeline::Config{}.counter_stride);
+    machine.kernel().add(recorder);
+    ASSERT_TRUE(machine.run().tua_finished) << cores;
+
+    std::ostringstream json;
+    timeline.write_json(json);
+    std::istringstream lines(json.str());
+    std::vector<std::map<Cycle, double>> tracks(cores);
+    for (std::string line; std::getline(lines, line);) {
+      const std::string name = "\"name\": \"credit m";
+      const std::size_t at = line.find(name);
+      if (line.find("\"ph\": \"C\"") == std::string::npos ||
+          at == std::string::npos) {
+        continue;
+      }
+      const auto m =
+          static_cast<MasterId>(std::stoul(line.substr(at + name.size())));
+      ASSERT_LT(m, cores) << line;
+      tracks[m][static_cast<Cycle>(field(line, "ts"))] = field(line, "value");
+    }
+    for (MasterId m = 0; m < cores; ++m) {
+      const std::string who =
+          std::to_string(cores) + " cores, master " + std::to_string(m);
+      std::size_t changes = 0;
+      std::size_t mismatches = 0;
+      std::string first_mismatch;
+      double value = std::numeric_limits<double>::quiet_NaN();
+      for (const auto& [ts, budgets] : recorder.seen) {
+        if (const auto it = tracks[m].find(ts); it != tracks[m].end()) {
+          value = it->second;
+          ++changes;
+        }
+        if (value != budgets[m] && mismatches++ == 0) {
+          first_mismatch = "cycle " + std::to_string(ts) + ": track " +
+                           std::to_string(value) + ", counter " +
+                           std::to_string(budgets[m]);
+        }
+      }
+      EXPECT_EQ(changes, tracks[m].size()) << who << ": off-stride samples";
+      EXPECT_EQ(mismatches, 0u) << who << ", first at " << first_mismatch;
+      EXPECT_GT(changes, 1u) << who << ": the budget must move";
+    }
+  }
 }
 
 TEST(Timeline, TraceRunOutOfRangeIsRejected) {

@@ -22,6 +22,7 @@
 #include "platform/scenarios.hpp"
 #include "platform/synthetic_master.hpp"
 #include "rng/splitmix64.hpp"
+#include "tick_every_cycle.hpp"
 #include "workloads/eembc_like.hpp"
 #include "workloads/fixed_stream.hpp"
 #include "workloads/streaming.hpp"
@@ -347,8 +348,10 @@ void expect_same_aggregate(const metrics::Aggregator& a,
 
 /// The campaign protocol written out by hand, one run at a time over
 /// shared streams: run i resets the TuA and then each co-runner from
-/// seeds drawn off run_seed(base_seed, i), and runs one Multicore.
-/// `spec.config` must already be the protocol's effective config.
+/// seeds drawn off run_seed(base_seed, i), and runs one Multicore with
+/// the tick-every-cycle reference registered last, so every cycle
+/// executes. `spec.config` must already be the protocol's effective
+/// config.
 [[nodiscard]] CampaignResult serial_reference(
     const CampaignSpec& spec, cpu::OpStream& tua,
     const std::vector<cpu::OpStream*>& corunners = {}) {
@@ -361,7 +364,10 @@ void expect_same_aggregate(const metrics::Aggregator& a,
     tua.reset(stream_seeds.next());
     for (cpu::OpStream* s : corunners) s->reset(stream_seeds.next());
     Multicore machine(spec.config, seed, tua, corunners);
+    test::TickEveryCycle reference;
+    machine.kernel().add(reference);
     const RunResult r = machine.run(spec.max_cycles);
+    EXPECT_EQ(machine.kernel().executed_cycles(), machine.kernel().now());
     if (!r.tua_finished) {
       ++result.unfinished_runs;
       continue;
@@ -374,9 +380,10 @@ void expect_same_aggregate(const metrics::Aggregator& a,
 TEST(ScenarioRunners, FactoryFormMatchesSharedStreamForm) {
   // The sliced, batched, threaded scheduler must reproduce the
   // one-run-at-a-time replay over a shared stream bit-identically, for
-  // every batch and thread count. The reference ticks every cycle
-  // (Multicore::run on the serial kernel); the campaign slices run each
-  // run on the skipping loop, which fast-forwards over quiet cycles.
+  // every batch and thread count. The reference ticks every cycle (the
+  // tick-every-cycle component registered last); the campaign slices run
+  // each run through Multicore::run, which fast-forwards over quiet
+  // cycles.
   struct Input {
     CampaignSpec::Protocol protocol;
     BusSetup setup;

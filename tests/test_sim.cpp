@@ -1,5 +1,6 @@
 // Unit tests for the cycle-driven kernel: tick ordering, run_until
-// semantics, clock progression, and the lockstep BatchKernel.
+// semantics, clock progression, the fast-forward over quiet cycles, and
+// the lockstep BatchKernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,9 +8,9 @@
 #include <vector>
 
 #include "sim/batch_kernel.hpp"
-#include "sim/clock.hpp"
 #include "sim/component.hpp"
 #include "sim/kernel.hpp"
+#include "tick_every_cycle.hpp"
 
 namespace cbus::sim {
 namespace {
@@ -31,16 +32,6 @@ class Probe final : public Component {
  private:
   std::vector<std::string>* log_;
 };
-
-TEST(Clock, StartsAtZeroAndAdvances) {
-  Clock clock;
-  EXPECT_EQ(clock.now(), 0u);
-  clock.advance();
-  clock.advance();
-  EXPECT_EQ(clock.now(), 2u);
-  clock.reset();
-  EXPECT_EQ(clock.now(), 0u);
-}
 
 TEST(Kernel, RunTicksEveryComponentOncePerCycle) {
   Kernel kernel;
@@ -171,6 +162,149 @@ TEST(Kernel, ComponentCount) {
   EXPECT_EQ(kernel.components()[1], &b);
 }
 
+/// A component with an event every `period` cycles (at multiples of the
+/// period): it logs the cycles it executes and the windows it skips, and
+/// counts the horizon questions it is asked.
+class Periodic final : public Component {
+ public:
+  explicit Periodic(Cycle period) : Component("periodic"), period_(period) {}
+
+  void tick(Cycle now) override { executed.push_back(now); }
+  [[nodiscard]] Cycle next_event(Cycle now) const override {
+    ++asked;
+    return (now / period_ + 1) * period_;
+  }
+  void skip(Cycle from, Cycle cycles) override {
+    skipped.emplace_back(from, cycles);
+  }
+
+  std::vector<Cycle> executed;
+  std::vector<std::pair<Cycle, Cycle>> skipped;
+  mutable std::uint64_t asked = 0;
+
+ private:
+  Cycle period_;
+};
+
+/// Every cycle in [0, cycles) executed or skipped exactly once.
+void expect_each_cycle_once(const Periodic& p, Cycle cycles) {
+  std::vector<int> covered(cycles, 0);
+  for (const Cycle c : p.executed) ++covered[c];
+  for (const auto& [from, k] : p.skipped) {
+    for (Cycle c = from; c < from + k; ++c) ++covered[c];
+  }
+  EXPECT_EQ(std::count(covered.begin(), covered.end(), 1),
+            static_cast<std::ptrdiff_t>(cycles));
+}
+
+TEST(Kernel, FastForwardExecutesOnlyEventCyclesAndCallStarts) {
+  // Events every 100 cycles: one call executes cycle 0 and each event
+  // cycle, skips the rest in closed form, and polls done() once per
+  // executed cycle.
+  Kernel kernel;
+  Periodic p(100);
+  kernel.add(p);
+  std::vector<Cycle> polled;
+  const bool fired = kernel.run_until(
+      [&] {
+        polled.push_back(p.executed.back());
+        return false;
+      },
+      600);
+  EXPECT_FALSE(fired);
+  const std::vector<Cycle> expected{0, 100, 200, 300, 400, 500};
+  EXPECT_EQ(p.executed, expected);
+  EXPECT_EQ(polled, expected);
+  expect_each_cycle_once(p, 600);
+  EXPECT_EQ(kernel.now(), 600u);
+  EXPECT_EQ(kernel.executed_cycles(), expected.size());
+
+  // In calls of 256 cycles every call also executes its first cycle: no
+  // jump crosses the end of a call's budget.
+  Kernel chunked;
+  Periodic q(100);
+  chunked.add(q);
+  while (chunked.now() < 600) {
+    chunked.run(std::min<Cycle>(256, 600 - chunked.now()));
+  }
+  const std::vector<Cycle> with_starts{0, 100, 200, 256, 300, 400, 500, 512};
+  EXPECT_EQ(q.executed, with_starts);
+  expect_each_cycle_once(q, 600);
+  EXPECT_EQ(chunked.now(), 600u);
+  EXPECT_EQ(chunked.executed_cycles(), with_starts.size());
+}
+
+TEST(Kernel, DefaultHorizonTicksEveryCycle) {
+  // One component without an event horizon (the default, now + 1) keeps
+  // the kernel on the tick-every-cycle path, and no component is ever
+  // skipped. Registered last, it answers the first horizon question, so
+  // nothing else is even asked.
+  Kernel last;
+  Periodic p0(100);
+  test::TickEveryCycle reference;
+  last.add(p0);
+  last.add(reference);
+  last.run(300);
+  EXPECT_EQ(p0.executed.size(), 300u);
+  EXPECT_TRUE(p0.skipped.empty());
+  EXPECT_EQ(p0.asked, 0u);
+  EXPECT_EQ(last.executed_cycles(), 300u);
+  EXPECT_EQ(last.now(), 300u);
+
+  Kernel first;
+  Probe plain("b", nullptr);
+  Periodic p1(100);
+  first.add(plain);
+  first.add(p1);
+  first.run(300);
+  EXPECT_EQ(p1.executed.size(), 300u);
+  EXPECT_TRUE(p1.skipped.empty());
+  EXPECT_EQ(first.executed_cycles(), 300u);
+}
+
+TEST(Kernel, FiredRunCountsCyclesUpToItsFiringCycle) {
+  Kernel kernel;
+  Periodic p(50);
+  kernel.add(p);
+  const bool fired =
+      kernel.run_until([&] { return p.executed.back() == 150; }, 1'000);
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(kernel.now(), 151u);             // cycles 0..150
+  EXPECT_EQ(kernel.executed_cycles(), 4u);  // 0, 50, 100, 150
+}
+
+/// Acts at cycle 0, then never again.
+class OneShot final : public Component {
+ public:
+  OneShot() : Component("one-shot") {}
+
+  void tick(Cycle /*now*/) override { ++ticks; }
+  [[nodiscard]] Cycle next_event(Cycle /*now*/) const override {
+    return kNever;
+  }
+  void skip(Cycle /*from*/, Cycle cycles) override { skipped += cycles; }
+
+  std::uint64_t ticks = 0;
+  Cycle skipped = 0;
+};
+
+TEST(Kernel, QuietRunReachesItsBudgetInOneSkip) {
+  // Every horizon kNever: the first executed cycle is the last, and the
+  // budget end caps the jump -- saturating at kNever for an unbounded
+  // budget.
+  Kernel kernel;
+  OneShot shot;
+  kernel.add(shot);
+  EXPECT_FALSE(kernel.run_until([] { return false; }, 1'000'000));
+  EXPECT_EQ(shot.ticks, 1u);
+  EXPECT_EQ(shot.skipped, 999'999u);
+  EXPECT_EQ(kernel.now(), 1'000'000u);
+  kernel.run(kNever);
+  EXPECT_EQ(shot.ticks, 2u);
+  EXPECT_EQ(kernel.now(), kNever);
+  EXPECT_EQ(kernel.executed_cycles(), 2u);
+}
+
 // --- BatchKernel ------------------------------------------------------------
 
 TEST(BatchKernel, LanesRetireIndependentlyAtTheirOwnCycle) {
@@ -281,88 +415,6 @@ TEST(BatchKernel, ClockStopsWhenEveryLaneHasFired) {
   EXPECT_EQ(a.ticks_, 5u);
   EXPECT_EQ(b.ticks_, 6u);
   EXPECT_EQ(batch.now(), 0u);  // all lanes fired inside the first stripe
-}
-
-/// A component with an event every `period` cycles (at multiples of the
-/// period): it logs the cycles it executes and the windows it skips.
-class Periodic final : public Component {
- public:
-  explicit Periodic(Cycle period) : Component("periodic"), period_(period) {}
-
-  void tick(Cycle now) override { executed.push_back(now); }
-  [[nodiscard]] Cycle next_event(Cycle now) const override {
-    return (now / period_ + 1) * period_;
-  }
-  void skip(Cycle from, Cycle cycles) override {
-    skipped.emplace_back(from, cycles);
-  }
-
-  std::vector<Cycle> executed;
-  std::vector<std::pair<Cycle, Cycle>> skipped;
-
- private:
-  Cycle period_;
-};
-
-TEST(BatchKernel, FastForwardExecutesOnlyEventCyclesAndStripeStarts) {
-  // Events every 100 cycles against 256-cycle stripes: a lane executes
-  // cycle 0, each event cycle and each stripe's first cycle, skips the
-  // rest in closed form, and polls done() once per executed cycle.
-  BatchKernel batch(1, /*stripe=*/256);
-  Periodic p(100);
-  batch.add(0, p);
-  std::vector<Cycle> polled;
-  const auto fired = batch.run_until(
-      [&](std::size_t) {
-        polled.push_back(p.executed.back());
-        return false;
-      },
-      600);
-  EXPECT_EQ(fired, (std::vector<bool>{false}));
-  const std::vector<Cycle> expected{0, 100, 200, 256, 300, 400, 500, 512};
-  EXPECT_EQ(p.executed, expected);
-  EXPECT_EQ(polled, expected);
-  // Every cycle in [0, 600) is executed or skipped exactly once.
-  std::vector<int> covered(600, 0);
-  for (const Cycle c : p.executed) ++covered[c];
-  for (const auto& [from, cycles] : p.skipped) {
-    for (Cycle c = from; c < from + cycles; ++c) ++covered[c];
-  }
-  EXPECT_EQ(std::count(covered.begin(), covered.end(), 1), 600);
-  EXPECT_EQ(batch.now(), 600u);
-  EXPECT_EQ(batch.simulated_lane_cycles(), 600u);
-  EXPECT_EQ(batch.executed_lane_cycles(), expected.size());
-}
-
-TEST(BatchKernel, DefaultHorizonInALaneTicksEveryCycle) {
-  // One component without an event horizon (the default, now + 1) keeps
-  // its whole lane on the tick-every-cycle path.
-  BatchKernel batch(2, /*stripe=*/64);
-  Periodic p0(100), p1(100);
-  Probe plain0("a", nullptr), plain1("b", nullptr);
-  batch.add(0, p0);
-  batch.add(0, plain0);
-  batch.add(1, plain1);
-  batch.add(1, p1);
-  const auto fired = batch.run_until([](std::size_t) { return false; }, 300);
-  EXPECT_EQ(fired, (std::vector<bool>{false, false}));
-  EXPECT_EQ(p0.executed.size(), 300u);
-  EXPECT_EQ(p1.executed.size(), 300u);
-  EXPECT_TRUE(p0.skipped.empty());
-  EXPECT_TRUE(p1.skipped.empty());
-  EXPECT_EQ(batch.executed_lane_cycles(), 600u);
-  EXPECT_EQ(batch.simulated_lane_cycles(), 600u);
-}
-
-TEST(BatchKernel, FiredLaneCountsCyclesUpToItsFiringCycle) {
-  BatchKernel batch(1, /*stripe=*/512);
-  Periodic p(50);
-  batch.add(0, p);
-  const auto fired = batch.run_until(
-      [&](std::size_t) { return p.executed.back() == 150; }, 1'000);
-  EXPECT_EQ(fired, (std::vector<bool>{true}));
-  EXPECT_EQ(batch.simulated_lane_cycles(), 151u);  // cycles 0..150
-  EXPECT_EQ(batch.executed_lane_cycles(), 4u);     // 0, 50, 100, 150
 }
 
 TEST(BatchKernel, RejectsBadShapes) {

@@ -6,25 +6,32 @@
 //    and saturation crossings against ticking until they happen, on owned
 //    and CreditSoA-view storage;
 //  * small platforms of InOrderCore, NonSplitBus (with and without a
-//    credit filter) and VirtualContender (both policies) run on the
-//    serial sim::Kernel, which ticks every cycle, and on a one-lane
-//    sim::BatchKernel, which skips -- every public statistic must match;
+//    credit filter) and VirtualContender (both policies) run twice on
+//    sim::Kernel: once with the tick-every-cycle reference component
+//    registered last, so every cycle executes, and once skipping, in
+//    run_until calls of a chunk of cycles each -- every public statistic
+//    must match;
 //  * the edge cases: a run cut by max_cycles inside a compute burst and
-//    inside a 56-cycle contender transfer, stripe ends inside quiet
+//    inside a 56-cycle contender transfer, chunk ends inside quiet
 //    windows, a saturation crossing in the cycle the TuA raises its
 //    request;
 //  * the segmented interconnect, whose quiet segments stop ticking: chain,
 //    ring and mesh topologies, unbounded and depth-1 bridges, without a
 //    filter, with per-segment credit filters and with Table-I contenders,
-//    every public statistic and every credit budget against the serial
-//    kernel -- plus its own edge cases (a ready bridge head behind a busy
-//    ingress port, a pop opening the upstream mask, remote charges to a
-//    quiet home segment, a cut inside a quiet transfer, mid-run reads)
-//    and the deadlocked bounded ring, which skips whole stripes.
+//    every public statistic and every credit budget against the
+//    reference -- plus its own edge cases (a ready bridge head behind a
+//    busy ingress port, a pop opening the upstream mask, remote charges
+//    to a quiet home segment, a cut inside a quiet transfer, mid-run
+//    reads) and the deadlocked bounded ring, which reaches its budget in
+//    one skip;
+//  * SyntheticMaster's gap countdown: gaps, initial delays, instant
+//    re-requests and unbounded masters, with and without credits.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -43,9 +50,10 @@
 #include "cpu/in_order_core.hpp"
 #include "platform/multicore.hpp"
 #include "platform/platform_config.hpp"
+#include "platform/synthetic_master.hpp"
 #include "rng/splitmix64.hpp"
-#include "sim/batch_kernel.hpp"
 #include "sim/kernel.hpp"
+#include "tick_every_cycle.hpp"
 #include "workloads/fixed_stream.hpp"
 
 namespace cbus {
@@ -213,6 +221,47 @@ TEST(FastForward, CreditCrossingsReportNeverWhenUnreachable) {
 
 // --- small platforms: skipped vs ticked --------------------------------------
 
+/// Runs `kernel` until `done` fires or `max_cycles` elapse, in run_until
+/// calls of at most `chunk` cycles: every call executes its first cycle,
+/// so no jump crosses a chunk end.
+bool run_in_chunks(sim::Kernel& kernel, const std::function<bool()>& done,
+                   Cycle max_cycles, Cycle chunk) {
+  while (kernel.now() < max_cycles) {
+    if (kernel.run_until(done, std::min(chunk, max_cycles - kernel.now()))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The reference run of `order`: the tick-every-cycle component
+/// registered last, so the kernel executes every cycle and never asks the
+/// others for a horizon.
+bool run_every_cycle(std::span<sim::Component* const> order,
+                     const std::function<bool()>& done, Cycle max_cycles) {
+  sim::Kernel kernel;
+  for (sim::Component* c : order) kernel.add(*c);
+  test::TickEveryCycle reference;
+  kernel.add(reference);
+  const bool fired = kernel.run_until(done, max_cycles);
+  EXPECT_EQ(kernel.executed_cycles(), kernel.now());
+  return fired;
+}
+
+/// The skipping run of `order` in chunks of `chunk` cycles; returns the
+/// fired flag, reports the cycles simulated and executed.
+bool run_skipping(std::span<sim::Component* const> order,
+                  const std::function<bool()>& done, Cycle max_cycles,
+                  Cycle chunk, std::uint64_t& simulated,
+                  std::uint64_t& executed) {
+  sim::Kernel kernel;
+  for (sim::Component* c : order) kernel.add(*c);
+  const bool fired = run_in_chunks(kernel, done, max_cycles, chunk);
+  simulated = kernel.now();
+  executed = kernel.executed_cycles();
+  return fired;
+}
+
 /// Slave whose hold follows the line address: one line in eight evicts
 /// dirty (56 cycles), one in eight misses clean (28), the rest hit (5).
 class PatternSlave final : public bus::BusSlave {
@@ -298,24 +347,17 @@ struct Rig {
     order.push_back(bus.get());
   }
 
-  /// The serial reference: every cycle ticked.
+  /// The reference: every cycle ticked.
   bool run_ticked(Cycle max_cycles) {
-    sim::Kernel kernel;
-    for (sim::Component* c : order) kernel.add(*c);
-    return kernel.run_until([this] { return cores.front()->done(); },
-                            max_cycles);
+    return run_every_cycle(
+        order, [this] { return cores.front()->done(); }, max_cycles);
   }
 
-  /// One skipping lane; returns the fired flag, reports the lane-cycles.
-  bool run_skipped(Cycle max_cycles, Cycle stripe, std::uint64_t& simulated,
+  bool run_skipped(Cycle max_cycles, Cycle chunk, std::uint64_t& simulated,
                    std::uint64_t& executed) {
-    sim::BatchKernel batch(1, stripe);
-    for (sim::Component* c : order) batch.add(0, *c);
-    const std::vector<bool> fired = batch.run_until(
-        [this](std::size_t) { return cores.front()->done(); }, max_cycles);
-    simulated = batch.simulated_lane_cycles();
-    executed = batch.executed_lane_cycles();
-    return fired[0];
+    return run_skipping(
+        order, [this] { return cores.front()->done(); }, max_cycles, chunk,
+        simulated, executed);
   }
 
   PatternSlave slave;
@@ -383,30 +425,29 @@ void expect_same_rig(const Rig& a, const Rig& b, const std::string& where) {
   }
 }
 
-/// Runs `cfg` ticked and skipped at every cut and stripe; returns the
-/// lane-cycles the skipping runs executed and simulated in total.
+/// Runs `cfg` ticked and skipped at every cut and chunk; returns the
+/// cycles the skipping runs executed and simulated in total.
 std::pair<std::uint64_t, std::uint64_t> check_rig(
     const RigConfig& cfg, const std::string& name,
     std::initializer_list<Cycle> cuts = {200'000'000, 3'001, 20'011},
-    std::initializer_list<Cycle> stripes = {sim::BatchKernel::kCampaignStripe,
-                                            7}) {
+    std::initializer_list<Cycle> chunks = {kNever, 7}) {
   std::uint64_t executed_total = 0;
   std::uint64_t simulated_total = 0;
   for (const Cycle max_cycles : cuts) {
-    for (const Cycle stripe : stripes) {
+    for (const Cycle chunk : chunks) {
       const std::string where = name + " max " + std::to_string(max_cycles) +
-                                " stripe " + std::to_string(stripe);
+                                " chunk " + std::to_string(chunk);
       Rig ticked(cfg);
       Rig skipped(cfg);
       const bool fired_ticked = ticked.run_ticked(max_cycles);
       std::uint64_t simulated = 0;
       std::uint64_t executed = 0;
       const bool fired_skipped =
-          skipped.run_skipped(max_cycles, stripe, simulated, executed);
+          skipped.run_skipped(max_cycles, chunk, simulated, executed);
       EXPECT_EQ(fired_ticked, fired_skipped) << where;
       expect_same_rig(ticked, skipped, where);
       EXPECT_LE(executed, simulated) << where;
-      // Every simulated cycle is a bus cycle of the skipping lane.
+      // Every simulated cycle is a bus cycle of the skipping run.
       EXPECT_EQ(simulated, skipped.bus->statistics().total_cycles) << where;
       executed_total += executed;
       simulated_total += simulated;
@@ -491,7 +532,7 @@ TEST(FastForward, SaturationCrossingInTheCycleTheTuaRequests) {
   // request and the full budget together, latches and requests.
   const CbaConfig table1 = CbaConfig::paper_table1();
   for (std::uint32_t gap = 6; gap <= 14; ++gap) {
-    for (const Cycle stripe : {Cycle{512}, Cycle{10}, Cycle{11}}) {
+    for (const Cycle chunk : {kNever, Cycle{10}, Cycle{11}}) {
       RigConfig cfg;
       cfg.cba = table1;
       cfg.policy = ContenderPolicy::kCompLatch;
@@ -504,12 +545,12 @@ TEST(FastForward, SaturationCrossingInTheCycleTheTuaRequests) {
         }
       }
       const std::string where =
-          "gap " + std::to_string(gap) + " stripe " + std::to_string(stripe);
+          "gap " + std::to_string(gap) + " chunk " + std::to_string(chunk);
       const bool fired_ticked = ticked.run_ticked(5'000);
       std::uint64_t simulated = 0;
       std::uint64_t executed = 0;
       const bool fired_skipped =
-          skipped.run_skipped(5'000, stripe, simulated, executed);
+          skipped.run_skipped(5'000, chunk, simulated, executed);
       ASSERT_TRUE(fired_ticked) << where;
       EXPECT_EQ(fired_ticked, fired_skipped) << where;
       expect_same_rig(ticked, skipped, where);
@@ -520,23 +561,26 @@ TEST(FastForward, SaturationCrossingInTheCycleTheTuaRequests) {
   }
 }
 
-/// A Multicore run through the serial kernel and through a one-lane
-/// skipping BatchKernel, compared record for record.
+/// A Multicore run with the tick-every-cycle reference registered last
+/// and one skipping in chunks of `chunk` cycles, compared record for
+/// record.
 void expect_same_machine_runs(const platform::PlatformConfig& config,
                               const std::vector<cpu::MemOp>& ops,
-                              Cycle max_cycles, Cycle stripe,
+                              Cycle max_cycles, Cycle chunk,
                               const std::string& where) {
   workloads::FixedOpsStream tua_a(ops);
   workloads::FixedOpsStream tua_b(ops);
   platform::Multicore ticked(config, 42, tua_a);
   platform::Multicore skipped(config, 42, tua_b);
+  test::TickEveryCycle reference;
+  ticked.kernel().add(reference);
   const platform::RunResult a = ticked.run(max_cycles);
-  sim::BatchKernel batch(1, stripe);
-  skipped.attach(batch, 0);
-  const bool fired =
-      batch.run_until([&](std::size_t) { return skipped.tua_done(); },
-                      max_cycles)[0];
-  const platform::RunResult b = skipped.harvest(fired, batch.now());
+  EXPECT_EQ(ticked.kernel().executed_cycles(), ticked.kernel().now())
+      << where;
+  sim::Kernel& kernel = skipped.kernel();
+  const bool fired = run_in_chunks(
+      kernel, [&] { return skipped.tua_done(); }, max_cycles, chunk);
+  const platform::RunResult b = skipped.harvest(fired, kernel.now());
   EXPECT_EQ(a.tua_finished, b.tua_finished) << where;
   EXPECT_EQ(a.tua_cycles, b.tua_cycles) << where;
   expect_same_core(ticked.core(0), skipped.core(0), where);
@@ -556,8 +600,7 @@ void expect_same_machine_runs(const platform::PlatformConfig& config,
           << where << ' ' << key << '[' << i << ']';
     }
   }
-  EXPECT_LT(batch.executed_lane_cycles(), batch.simulated_lane_cycles())
-      << where;
+  EXPECT_LT(kernel.executed_cycles(), kernel.now()) << where;
 }
 
 TEST(FastForward, UnfinishedRunCutInsideAComputeBurst) {
@@ -572,7 +615,7 @@ TEST(FastForward, UnfinishedRunCutInsideAComputeBurst) {
     platform::PlatformConfig iso = platform::PlatformConfig::paper(setup);
     iso.mode = PlatformMode::kOperation;
     for (const Cycle cut : {Cycle{2'500}, Cycle{2'047}}) {
-      expect_same_machine_runs(iso, ops, cut, 512,
+      expect_same_machine_runs(iso, ops, cut, kNever,
                                "compute burst cut " + std::to_string(cut));
     }
   }
@@ -597,15 +640,16 @@ TEST(FastForward, UnfinishedRunCutInsideAContenderTransfer) {
       const std::string where = std::string(to_string(setup)) +
                                 " contender transfer cut " +
                                 std::to_string(cut);
-      expect_same_machine_runs(wcet, ops, cut, 512, where);
+      expect_same_machine_runs(wcet, ops, cut, kNever, where);
     }
     EXPECT_EQ(found, 3) << to_string(setup);
   }
 }
 
 TEST(FastForward, StripeEndsInsideQuietWindows) {
-  // 100- and 333-cycle compute bursts against stripes of 64 and 97: the
-  // fast-forward is capped at every stripe end and resumes there.
+  // 100- and 333-cycle compute bursts against run_until calls of 64 and
+  // 97 cycles: the fast-forward is capped at every call's end and resumes
+  // there with an executed cycle.
   std::vector<cpu::MemOp> ops;
   for (int i = 0; i < 40; ++i) {
     ops.push_back({i % 3 == 0 ? MemOpKind::kStore : MemOpKind::kLoad,
@@ -616,10 +660,10 @@ TEST(FastForward, StripeEndsInsideQuietWindows) {
   iso.mode = PlatformMode::kOperation;
   const platform::PlatformConfig wcet =
       platform::PlatformConfig::paper_wcet(BusSetup::kCba);
-  for (const Cycle stripe : {Cycle{64}, Cycle{97}}) {
-    const std::string where = "stripe " + std::to_string(stripe);
-    expect_same_machine_runs(iso, ops, 50'000'000, stripe, where);
-    expect_same_machine_runs(wcet, ops, 50'000'000, stripe, "wcet " + where);
+  for (const Cycle chunk : {Cycle{64}, Cycle{97}}) {
+    const std::string where = "chunk " + std::to_string(chunk);
+    expect_same_machine_runs(iso, ops, 50'000'000, chunk, where);
+    expect_same_machine_runs(wcet, ops, 50'000'000, chunk, "wcet " + where);
   }
 }
 
@@ -835,23 +879,18 @@ struct SegRig {
     return true;
   }
 
-  /// The serial reference: every component, every segment, every cycle.
+  /// The reference: every component, every cycle. (The interconnect
+  /// still ticks only its busy segments inside.)
   bool run_ticked(Cycle max_cycles) {
-    sim::Kernel kernel;
-    for (sim::Component* c : order) kernel.add(*c);
-    return kernel.run_until([this] { return cores_done(); }, max_cycles);
+    return run_every_cycle(
+        order, [this] { return cores_done(); }, max_cycles);
   }
 
-  /// One skipping lane; returns the fired flag, reports the lane-cycles.
-  bool run_skipped(Cycle max_cycles, Cycle stripe, std::uint64_t& simulated,
+  bool run_skipped(Cycle max_cycles, Cycle chunk, std::uint64_t& simulated,
                    std::uint64_t& executed) {
-    sim::BatchKernel batch(1, stripe);
-    for (sim::Component* c : order) batch.add(0, *c);
-    const std::vector<bool> fired = batch.run_until(
-        [this](std::size_t) { return cores_done(); }, max_cycles);
-    simulated = batch.simulated_lane_cycles();
-    executed = batch.executed_lane_cycles();
-    return fired[0];
+    return run_skipping(
+        order, [this] { return cores_done(); }, max_cycles, chunk, simulated,
+        executed);
   }
 
   PatternSlave slave;
@@ -896,33 +935,32 @@ void expect_same_seg_rig(const SegRig& a, const SegRig& b,
   }
 }
 
-/// Runs `cfg` ticked and skipped at every cut and stripe; returns the
-/// lane-cycles the skipping runs executed and simulated in total.
+/// Runs `cfg` ticked and skipped at every cut and chunk; returns the
+/// cycles the skipping runs executed and simulated in total.
 std::pair<std::uint64_t, std::uint64_t> check_seg_rig(
     const SegRigConfig& cfg, const std::string& name,
     std::initializer_list<Cycle> cuts = {2'000'000, 3'001, 20'011},
-    std::initializer_list<Cycle> stripes = {sim::BatchKernel::kCampaignStripe,
-                                            7}) {
+    std::initializer_list<Cycle> chunks = {kNever, 7}) {
   std::uint64_t executed_total = 0;
   std::uint64_t simulated_total = 0;
   for (const Cycle max_cycles : cuts) {
-    for (const Cycle stripe : stripes) {
+    for (const Cycle chunk : chunks) {
       const std::string where = name + " max " + std::to_string(max_cycles) +
-                                " stripe " + std::to_string(stripe);
+                                " chunk " + std::to_string(chunk);
       SegRig ticked(cfg);
       SegRig skipped(cfg);
       const bool fired_ticked = ticked.run_ticked(max_cycles);
       std::uint64_t simulated = 0;
       std::uint64_t executed = 0;
       const bool fired_skipped =
-          skipped.run_skipped(max_cycles, stripe, simulated, executed);
+          skipped.run_skipped(max_cycles, chunk, simulated, executed);
       EXPECT_EQ(fired_ticked, fired_skipped) << where;
       if (max_cycles >= 1'000'000) {
         EXPECT_TRUE(fired_ticked) << where << ": the long cut never binds";
       }
       expect_same_seg_rig(ticked, skipped, where);
       EXPECT_LE(executed, simulated) << where;
-      // Every simulated cycle is an interconnect cycle of the lane.
+      // Every simulated cycle is an interconnect cycle of the run.
       EXPECT_EQ(simulated, skipped.seg->ticked_cycles()) << where;
       executed_total += executed;
       simulated_total += simulated;
@@ -1003,7 +1041,7 @@ TEST(FastForward, SegmentedReadyHeadBehindABusyIngressPort) {
   ASSERT_TRUE(ticked.run_ticked(10'000));
   std::uint64_t simulated = 0;
   std::uint64_t executed = 0;
-  ASSERT_TRUE(skipped.run_skipped(10'000, 512, simulated, executed));
+  ASSERT_TRUE(skipped.run_skipped(10'000, kNever, simulated, executed));
   expect_same_seg_rig(ticked, skipped, "busy ingress port");
   // The second entry waited in the queue from cycle 10 to 63.
   EXPECT_GT(ticked.seg->bridge_queue_depth_sum(0), 50u);
@@ -1019,14 +1057,14 @@ TEST(FastForward, SegmentedPopOpensTheUpstreamMaskInTheSameCycle) {
   // open one from cycle 7 on.
   const SegRigConfig cfg =
       scripted_chain({one_load(0x1000), one_load(0x1100)}, 1);
-  for (const Cycle stripe : {Cycle{512}, Cycle{7}, Cycle{8}}) {
+  for (const Cycle chunk : {kNever, Cycle{7}, Cycle{8}}) {
     SegRig ticked(cfg);
     SegRig skipped(cfg);
     ASSERT_TRUE(ticked.run_ticked(10'000));
     std::uint64_t simulated = 0;
     std::uint64_t executed = 0;
-    ASSERT_TRUE(skipped.run_skipped(10'000, stripe, simulated, executed));
-    const std::string where = "pop stripe " + std::to_string(stripe);
+    ASSERT_TRUE(skipped.run_skipped(10'000, chunk, simulated, executed));
+    const std::string where = "pop chunk " + std::to_string(chunk);
     expect_same_seg_rig(ticked, skipped, where);
     EXPECT_EQ(ticked.seg->backpressure_stalls(0), 6u) << where;
   }
@@ -1047,7 +1085,7 @@ TEST(FastForward, SegmentedRemoteChargeToAQuietHomeSegment) {
     cfg.budget_reader = true;
     cfg.stats_period = 5;
     const std::string where = "remote charge depth " + std::to_string(depth);
-    (void)check_seg_rig(cfg, where, {10'000, 66, 130}, {512, 3});
+    (void)check_seg_rig(cfg, where, {10'000, 66, 130}, {kNever, 3});
   }
 }
 
@@ -1057,18 +1095,17 @@ TEST(FastForward, SegmentedRunCutInsideATransferOnAQuietSegment) {
   // and harvesting settles the transfer's partial countdown.
   const SegRigConfig cfg = scripted_chain({one_load(0x1000)}, 0);
   (void)check_seg_rig(cfg, "quiet transfer",
-                      {9, 20, 40, 62, 63, 64, 10'000}, {512, 16});
+                      {9, 20, 40, 62, 63, 64, 10'000}, {kNever, 16});
 }
 
-TEST(FastForward, DeadlockedBoundedRingSkipsWholeStripes) {
+TEST(FastForward, DeadlockedBoundedRingReachesTheBudgetInOneSkip) {
   // docs/TOPOLOGIES.md's bounded-ring deadlock: two masters per ring:4
   // segment load antipodal lines (two forward hops) at depth 1, all from
   // cycle 0. Round-robin grants each segment's second home master the
   // forward bridge the first one's delivery frees, ahead of that
   // delivery's own transit hop (cycle 7); so every forward bridge fills
   // while each ingress occupant waits on the next full one. From then on
-  // every horizon is kNever and the lane executes only the first cycle
-  // of each stripe.
+  // every horizon is kNever and the run jumps to its budget end at once.
   SegRigConfig cfg;
   cfg.topology = bus::Topology::ring(4);
   cfg.depth = 1;
@@ -1087,20 +1124,179 @@ TEST(FastForward, DeadlockedBoundedRingSkipsWholeStripes) {
   EXPECT_FALSE(ticked.run_ticked(max_cycles));
   std::uint64_t simulated = 0;
   std::uint64_t executed = 0;
-  EXPECT_FALSE(skipped.run_skipped(max_cycles,
-                                   sim::BatchKernel::kCampaignStripe,
-                                   simulated, executed));
+  EXPECT_FALSE(
+      skipped.run_skipped(max_cycles, kNever, simulated, executed));
   expect_same_seg_rig(ticked, skipped, "deadlocked ring");
   EXPECT_EQ(simulated, max_cycles);
-  const std::uint64_t stripes = max_cycles / sim::BatchKernel::kCampaignStripe;
-  EXPECT_GE(executed, stripes);
-  EXPECT_LE(executed, stripes + 32) << "only the run-up before the deadlock "
-                                        "executes more than a stripe start";
+  EXPECT_LE(executed, 16u) << "only the run-up to the deadlock executes";
   std::uint64_t stalls = 0;
   for (std::uint32_t s = 0; s < 4; ++s) {
     stalls += skipped.seg->backpressure_stalls(s);
   }
   EXPECT_GT(stalls, max_cycles) << "every segment stalls to the end";
+}
+
+// --- SyntheticMaster: gap countdowns skipped vs ticked -----------------------
+
+struct SynthRigConfig {
+  /// Master 0 must issue a bounded number of requests: its completion
+  /// ends the run.
+  std::vector<platform::SyntheticMasterConfig> masters;
+  bus::ArbiterKind arbiter = bus::ArbiterKind::kRandomPermutation;
+  bool credits = false;  ///< homogeneous CBA over the masters
+  bool bus_first = false;  ///< register the bus before the masters
+  std::uint64_t seed = 1;
+};
+
+/// The synthetic masters and the bus in either tick order -- built
+/// identically from the same seed.
+struct SynthRig {
+  explicit SynthRig(const SynthRigConfig& cfg) : bank(cfg.seed) {
+    const auto n = static_cast<std::uint32_t>(cfg.masters.size());
+    arbiter = bus::make_arbiter(cfg.arbiter, n, bank);
+    bus = std::make_unique<bus::NonSplitBus>(bus::BusConfig{n, true},
+                                             *arbiter, slave);
+    if (cfg.credits) {
+      filter = std::make_unique<core::CreditFilter>(
+          CbaConfig::homogeneous(n, 56));
+      bus->set_filter(filter.get());
+    }
+    if (cfg.bus_first) order.push_back(bus.get());
+    for (const platform::SyntheticMasterConfig& master : cfg.masters) {
+      masters.push_back(
+          std::make_unique<platform::SyntheticMaster>(master, *bus));
+      order.push_back(masters.back().get());
+    }
+    if (!cfg.bus_first) order.push_back(bus.get());
+  }
+
+  bool run_ticked(Cycle max_cycles) {
+    return run_every_cycle(
+        order, [this] { return masters.front()->done(); }, max_cycles);
+  }
+
+  bool run_skipped(Cycle max_cycles, Cycle chunk, std::uint64_t& simulated,
+                   std::uint64_t& executed) {
+    return run_skipping(
+        order, [this] { return masters.front()->done(); }, max_cycles,
+        chunk, simulated, executed);
+  }
+
+  PatternSlave slave;
+  rng::RandBank bank;
+  std::unique_ptr<bus::Arbiter> arbiter;
+  std::unique_ptr<bus::NonSplitBus> bus;
+  std::unique_ptr<core::CreditFilter> filter;
+  std::vector<std::unique_ptr<platform::SyntheticMaster>> masters;
+  std::vector<sim::Component*> order;
+};
+
+/// Runs `cfg` ticked and skipped at two cuts and two chunks; returns the
+/// cycles the skipping runs executed and simulated in total.
+std::pair<std::uint64_t, std::uint64_t> check_synth_rig(
+    const SynthRigConfig& cfg, const std::string& name) {
+  std::uint64_t executed_total = 0;
+  std::uint64_t simulated_total = 0;
+  for (const Cycle max_cycles : {Cycle{2'000'000}, Cycle{3'001}}) {
+    for (const Cycle chunk : {kNever, Cycle{7}}) {
+      const std::string where = name + " max " + std::to_string(max_cycles) +
+                                " chunk " + std::to_string(chunk);
+      SynthRig ticked(cfg);
+      SynthRig skipped(cfg);
+      const bool fired_ticked = ticked.run_ticked(max_cycles);
+      std::uint64_t simulated = 0;
+      std::uint64_t executed = 0;
+      const bool fired_skipped =
+          skipped.run_skipped(max_cycles, chunk, simulated, executed);
+      EXPECT_EQ(fired_ticked, fired_skipped) << where;
+      if (max_cycles > 1'000'000) EXPECT_TRUE(fired_ticked) << where;
+      for (std::size_t m = 0; m < ticked.masters.size(); ++m) {
+        const platform::SyntheticMaster& a = *ticked.masters[m];
+        const platform::SyntheticMaster& b = *skipped.masters[m];
+        const std::string who = where + " m" + std::to_string(m);
+        EXPECT_EQ(a.completed(), b.completed()) << who;
+        EXPECT_EQ(a.done(), b.done()) << who;
+        EXPECT_EQ(a.finish_cycle(), b.finish_cycle()) << who;
+      }
+      expect_same_bus(*ticked.bus, *skipped.bus, where);
+      if (cfg.credits) {
+        expect_same_credits(ticked.filter->state(), skipped.filter->state(),
+                            where);
+      }
+      EXPECT_EQ(simulated, skipped.bus->statistics().total_cycles) << where;
+      executed_total += executed;
+      simulated_total += simulated;
+    }
+  }
+  return {executed_total, simulated_total};
+}
+
+/// check_synth_rig under every arbiter, credit setting and tick order.
+std::pair<std::uint64_t, std::uint64_t> check_synth_settings(
+    SynthRigConfig cfg, const std::string& name) {
+  std::uint64_t executed_total = 0;
+  std::uint64_t simulated_total = 0;
+  for (const bus::ArbiterKind arbiter :
+       {bus::ArbiterKind::kRandomPermutation, bus::ArbiterKind::kRoundRobin,
+        bus::ArbiterKind::kTdma}) {
+    for (const bool credits : {false, true}) {
+      for (const bool bus_first : {false, true}) {
+        cfg.arbiter = arbiter;
+        cfg.credits = credits;
+        cfg.bus_first = bus_first;
+        std::string label = name + " " + std::string(bus::short_name(arbiter));
+        if (credits) label += " cba";
+        if (bus_first) label += " bus-first";
+        const auto [executed, simulated] = check_synth_rig(cfg, label);
+        executed_total += executed;
+        simulated_total += simulated;
+      }
+    }
+  }
+  return {executed_total, simulated_total};
+}
+
+[[nodiscard]] platform::SyntheticMasterConfig synthetic(
+    MasterId id, Cycle hold, std::uint64_t requests, std::uint32_t gap,
+    std::uint32_t initial_delay = 0, bool instant_rerequest = false) {
+  platform::SyntheticMasterConfig cfg;
+  cfg.id = id;
+  cfg.hold = hold;
+  cfg.requests = requests;
+  cfg.gap = gap;
+  cfg.initial_delay = initial_delay;
+  cfg.instant_rerequest = instant_rerequest;
+  return cfg;
+}
+
+TEST(FastForward, SyntheticMasterGapsSkippedMatchTicked) {
+  // The paper's illustrative pair (5- and 45-cycle requests) with think
+  // times, plus a sparse master whose long gaps dominate the run.
+  SynthRigConfig cfg;
+  cfg.masters = {synthetic(0, 5, 120, 4), synthetic(1, 45, 40, 30),
+                 synthetic(2, 6, 0, 250)};
+  const auto [executed, simulated] = check_synth_settings(cfg, "gaps");
+  EXPECT_LT(executed, simulated) << "gap countdowns must be skipped";
+}
+
+TEST(FastForward, SyntheticMasterInitialDelaySkippedMatchesTicked) {
+  // A TuA idle for 700 cycles before its first request (banking credit
+  // under CBA) against unbounded back-to-back contenders, one of which
+  // starts late too.
+  SynthRigConfig cfg;
+  cfg.masters = {synthetic(0, 6, 60, 0, 700), synthetic(1, 56, 0, 0),
+                 synthetic(2, 8, 0, 3, 333)};
+  (void)check_synth_settings(cfg, "initial delay");
+}
+
+TEST(FastForward, SyntheticMasterInstantRerequestSkippedMatchesTicked) {
+  // Masters that keep REQ asserted re-request in their completion cycle,
+  // next to one that needs a cycle to turn around and a gapped one.
+  SynthRigConfig cfg;
+  cfg.masters = {synthetic(0, 5, 150, 0, 0, true),
+                 synthetic(1, 45, 0, 0, 0, true), synthetic(2, 5, 0, 0),
+                 synthetic(3, 9, 0, 17, 40)};
+  (void)check_synth_settings(cfg, "instant re-request");
 }
 
 }  // namespace
