@@ -1,8 +1,11 @@
 #include "cache/set_assoc_cache.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <string>
 
 #include "common/contracts.hpp"
+#include "rng/permutation.hpp"
 
 namespace cbus::cache {
 
@@ -10,53 +13,64 @@ SetAssocCache::SetAssocCache(const CacheConfig& config, rng::RandBank& bank,
                              std::string_view name)
     : config_(config), placement_seed_(bank.derive_seed()) {
   config_.validate();
-  ways_.resize(static_cast<std::size_t>(config_.n_sets()) * config_.ways);
+  line_shift_ =
+      static_cast<std::uint32_t>(std::countr_zero(config_.line_bytes));
+  n_sets_ = config_.n_sets();
+  const std::size_t n_ways = static_cast<std::size_t>(n_sets_) * config_.ways;
+  tags_.resize(n_ways);
+  dirty_.resize(n_ways);
   switch (config_.replacement) {
     case ReplacementKind::kLru:
-      replacement_ = std::make_unique<LruReplacement>();
+      last_use_.resize(n_ways);
       break;
     case ReplacementKind::kRandom:
-      replacement_ = std::make_unique<RandomReplacement>(
-          bank.open(std::string(name) + ".repl"));
+      repl_.emplace(bank.open(std::string(name) + ".repl"));
       break;
   }
 }
 
-std::uint32_t SetAssocCache::index_of(Addr line_addr) const noexcept {
-  return config_.placement == PlacementKind::kModulo
-             ? modulo_index(line_addr, config_.n_sets())
-             : random_hash_index(line_addr, placement_seed_,
-                                 config_.n_sets());
+std::size_t SetAssocCache::row_of(Addr line) const noexcept {
+  const std::uint32_t set =
+      config_.placement == PlacementKind::kModulo
+          ? modulo_index(line, n_sets_)
+          : random_hash_index(line, placement_seed_, n_sets_);
+  return static_cast<std::size_t>(set) * config_.ways;
 }
 
-SetAssocCache::Way* SetAssocCache::find(std::uint32_t set, Addr line_addr) {
-  Way* base = &ways_[static_cast<std::size_t>(set) * config_.ways];
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].line == line_addr) return &base[w];
-  }
-  return nullptr;
+std::uint32_t SetAssocCache::find(std::size_t row,
+                                  std::uint32_t tag) const noexcept {
+  const std::uint32_t* tags = tags_.data() + row;
+  std::uint32_t w = 0;
+  while (w < config_.ways && tags[w] != tag) ++w;
+  return w;
 }
 
-const SetAssocCache::Way* SetAssocCache::find(std::uint32_t set,
-                                              Addr line_addr) const {
-  const Way* base = &ways_[static_cast<std::size_t>(set) * config_.ways];
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (base[w].valid && base[w].line == line_addr) return &base[w];
+std::uint32_t SetAssocCache::victim(std::size_t row) {
+  switch (config_.replacement) {
+    case ReplacementKind::kLru: {
+      // The first way with the oldest stamp.
+      const auto* stamps = last_use_.data() + row;
+      return static_cast<std::uint32_t>(
+          std::min_element(stamps, stamps + config_.ways) - stamps);
+    }
+    case ReplacementKind::kRandom:
+      return rng::uniform_below(*repl_, config_.ways);
   }
-  return nullptr;
+  CBUS_ASSERT(false);
+  return 0;
 }
 
 AccessResult SetAssocCache::access(Addr addr, bool allocate_on_miss,
                                    bool mark_dirty) {
   const Addr line = line_of(addr);
-  const std::uint32_t set = index_of(line);
+  const std::size_t row = row_of(line);
   ++stats_.accesses;
 
   AccessResult result;
-  if (Way* way = find(set, line); way != nullptr) {
+  if (const std::uint32_t w = find(row, line + 1); w < config_.ways) {
     ++stats_.hits;
-    way->meta.last_use = ++use_stamp_;
-    if (mark_dirty) way->dirty = true;
+    if (!last_use_.empty()) last_use_[row + w] = ++use_stamp_;
+    if (mark_dirty) dirty_[row + w] = 1;
     result.hit = true;
     return result;
   }
@@ -64,57 +78,44 @@ AccessResult SetAssocCache::access(Addr addr, bool allocate_on_miss,
   ++stats_.misses;
   if (!allocate_on_miss) return result;
 
-  Way* base = &ways_[static_cast<std::size_t>(set) * config_.ways];
-  Way* slot = nullptr;
-  for (std::uint32_t w = 0; w < config_.ways; ++w) {
-    if (!base[w].valid) {
-      slot = &base[w];
-      break;
-    }
-  }
-  if (slot == nullptr) {
-    // All ways valid: consult the replacement policy.
-    std::vector<WayMeta> metas(config_.ways);
-    for (std::uint32_t w = 0; w < config_.ways; ++w) metas[w] = base[w].meta;
-    const std::uint32_t victim = replacement_->victim(metas);
-    CBUS_ASSERT(victim < config_.ways);
-    slot = &base[victim];
+  // Invalid ways fill first; a full row consults the replacement policy.
+  std::uint32_t slot = find(row, 0);
+  if (slot == config_.ways) {
+    slot = victim(row);
+    CBUS_ASSERT(slot < config_.ways);
     result.victim_valid = true;
-    result.victim_dirty = slot->dirty;
-    result.victim_line = slot->line;
+    result.victim_dirty = dirty_[row + slot] != 0;
+    result.victim_line = tags_[row + slot] - 1;
     ++stats_.evictions;
-    if (slot->dirty) ++stats_.dirty_evictions;
+    if (result.victim_dirty) ++stats_.dirty_evictions;
   }
 
-  slot->line = line;
-  slot->valid = true;
-  slot->dirty = mark_dirty;
-  slot->meta.valid = true;
-  slot->meta.last_use = ++use_stamp_;
+  tags_[row + slot] = line + 1;
+  dirty_[row + slot] = mark_dirty ? 1 : 0;
+  if (!last_use_.empty()) last_use_[row + slot] = ++use_stamp_;
   result.filled = true;
   return result;
 }
 
 bool SetAssocCache::probe(Addr addr) const {
   const Addr line = line_of(addr);
-  return find(index_of(line), line) != nullptr;
+  return find(row_of(line), line + 1) < config_.ways;
 }
 
 bool SetAssocCache::invalidate(Addr addr) {
   const Addr line = line_of(addr);
-  if (Way* way = find(index_of(line), line); way != nullptr) {
-    way->valid = false;
-    way->dirty = false;
-    way->meta = WayMeta{};
-    return true;
-  }
-  return false;
+  const std::size_t row = row_of(line);
+  const std::uint32_t w = find(row, line + 1);
+  if (w == config_.ways) return false;
+  tags_[row + w] = 0;
+  dirty_[row + w] = 0;
+  return true;
 }
 
 void SetAssocCache::reset(std::uint64_t placement_seed) {
-  for (auto& way : ways_) way = Way{};
+  std::fill(tags_.begin(), tags_.end(), 0u);
+  std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
   placement_seed_ = placement_seed;
-  use_stamp_ = 0;
 }
 
 }  // namespace cbus::cache

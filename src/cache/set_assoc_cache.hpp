@@ -5,16 +5,20 @@
 // dirty-victim miss); it does not store data. Tags hold the full line
 // address, which is required under random placement (the set index is not
 // recoverable from the tag).
+//
+// Storage is one packed row per set, row-major over the sets: a 32-bit tag
+// per way holding `line + 1` (0 marks an invalid way; lines are addresses
+// shifted right by at least 2, so `line + 1` never wraps), a dirty byte
+// per way and, for LRU caches only, a 64-bit last-use stamp per way. An
+// 8-way set's tags are one 32-byte row, and a lookup scans only that row.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "cache/cache_config.hpp"
 #include "cache/placement.hpp"
-#include "cache/replacement.hpp"
 #include "common/types.hpp"
 #include "rng/rand_bank.hpp"
 
@@ -39,8 +43,9 @@ struct CacheStats {
 
 class SetAssocCache {
  public:
-  /// `bank` supplies the placement seed and the random-replacement channel;
-  /// one cache == one independent consumer of platform randomness.
+  /// `bank` supplies the placement seed, then (random replacement only)
+  /// the `<name>.repl` channel; one cache == one independent consumer of
+  /// platform randomness.
   SetAssocCache(const CacheConfig& config, rng::RandBank& bank,
                 std::string_view name);
 
@@ -63,26 +68,30 @@ class SetAssocCache {
 
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
   [[nodiscard]] Addr line_of(Addr addr) const noexcept {
-    return addr / config_.line_bytes;
+    return addr >> line_shift_;
   }
 
  private:
-  struct Way {
-    Addr line = 0;
-    bool valid = false;
-    bool dirty = false;
-    WayMeta meta;
-  };
-
-  [[nodiscard]] std::uint32_t index_of(Addr line_addr) const noexcept;
-  [[nodiscard]] Way* find(std::uint32_t set, Addr line_addr);
-  [[nodiscard]] const Way* find(std::uint32_t set, Addr line_addr) const;
+  /// First element of `line`'s row in the per-way arrays.
+  [[nodiscard]] std::size_t row_of(Addr line) const noexcept;
+  /// The way of the row at `row` holding `tag`, or config().ways if none.
+  [[nodiscard]] std::uint32_t find(std::size_t row,
+                                   std::uint32_t tag) const noexcept;
+  /// The way a fill evicts from the full row at `row`.
+  [[nodiscard]] std::uint32_t victim(std::size_t row);
 
   CacheConfig config_;
+  std::uint32_t line_shift_ = 0;  ///< log2(line_bytes)
+  std::uint32_t n_sets_ = 0;
   std::uint64_t placement_seed_;
-  std::vector<Way> ways_;  ///< n_sets x ways, row-major
-  std::unique_ptr<ReplacementPolicy> replacement_;
+  std::vector<std::uint32_t> tags_;  ///< line + 1 per way; 0 = invalid
+  std::vector<std::uint8_t> dirty_;
+  /// LRU only: the access stamp per way. Invalidation and reset leave it
+  /// stale; it is never read then, because invalid ways fill before a
+  /// victim is chosen and every fill stamps its way.
+  std::vector<std::uint64_t> last_use_;
   std::uint64_t use_stamp_ = 0;
+  std::optional<rng::RandChannel> repl_;  ///< random replacement only
   CacheStats stats_;
 };
 

@@ -21,9 +21,11 @@
 // perfbench's traced replay and the engine batteries).
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -60,7 +62,26 @@ class Kernel {
   /// executes one cycle before it is seen. Skipped cycles only count, so
   /// they cannot change the predicate. Every call executes its first
   /// cycle, and no jump crosses the end of its budget.
-  bool run_until(const std::function<bool()>& done, Cycle max_cycles);
+  ///
+  /// `done` is any callable returning bool; a template, so a lambda
+  /// inlines into the loop. A null or empty predicate (nullptr, a null
+  /// function pointer, an empty std::function) is a precondition failure.
+  template <typename Done>
+  bool run_until(const Done& done, Cycle max_cycles) {
+    if constexpr (std::is_null_pointer_v<Done>) {
+      CBUS_EXPECTS_MSG(false, "run_until needs a predicate");
+      return false;
+    } else {
+      // Pointers and std::function can be empty; lambdas cannot (a
+      // capture-less one is an empty class that converts to bool).
+      if constexpr (std::is_constructible_v<bool, const Done&> &&
+                    !std::is_empty_v<Done>) {
+        CBUS_EXPECTS_MSG(static_cast<bool>(done),
+                         "run_until needs a predicate");
+      }
+      return advance(done, max_cycles);
+    }
+  }
 
   /// Execute a single cycle.
   void step();
@@ -76,13 +97,37 @@ class Kernel {
   }
 
  private:
-  /// The one loop behind run_until, run and step. A template so that
-  /// run() and step() inline their never-firing predicate: through
-  /// std::function every step() paid a construction and two indirect
-  /// calls (BM_SplitBusStep, one step() per cycle, ran about 1.3x
-  /// slower).
+  /// The one loop behind run_until, run and step. A template so that the
+  /// predicate inlines: through std::function every step() paid a
+  /// construction and two indirect calls (BM_SplitBusStep, one step() per
+  /// cycle, ran about 1.3x slower).
   template <typename Done>
-  bool advance(const Done& done, Cycle max_cycles);
+  bool advance(const Done& done, Cycle max_cycles) {
+    const Cycle end = max_cycles > kNever - now_ ? kNever : now_ + max_cycles;
+    while (now_ < end) {
+      const Cycle t = now_;
+      for (Component* component : components_) component->tick(t);
+      ++executed_;
+      now_ = t + 1;
+      // The run_until contract: polled once after every executed cycle.
+      if (done()) return true;
+      // Fast-forward to the next event. Asked last-registered first: a run
+      // holding a component with the default horizon (a tracer, the tests'
+      // every-cycle reference) learns `t + 1` from its first question.
+      Cycle next = end;
+      for (auto it = components_.rbegin();
+           it != components_.rend() && next > t + 1; ++it) {
+        next = std::min(next, (*it)->next_event(t));
+      }
+      if (next > t + 1) {
+        for (Component* component : components_) {
+          component->skip(t + 1, next - t - 1);
+        }
+        now_ = next;
+      }
+    }
+    return false;
+  }
 
   Cycle now_ = 0;
   std::uint64_t executed_ = 0;

@@ -1,17 +1,24 @@
 // Cache model tests: geometry validation, hit/miss/eviction mechanics,
 // dirty-victim tracking, placement functions, replacement policies, the
-// store buffer, and reference-model equivalence checks.
+// store buffer, and reference-model equivalence checks (among them a
+// differential test against the record-based cache the packed rows
+// replaced).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cache/cache_config.hpp"
 #include "cache/placement.hpp"
-#include "cache/replacement.hpp"
 #include "cache/set_assoc_cache.hpp"
 #include "cache/store_buffer.hpp"
+#include "rng/permutation.hpp"
 #include "rng/rand_bank.hpp"
 
 namespace cbus::cache {
@@ -81,23 +88,49 @@ TEST(Placement, RandomHashRoughlyUniform) {
 
 // --- replacement -----------------------------------------------------------------
 
+/// One set of four ways (modulo placement): every line maps to set 0.
+CacheConfig one_set(ReplacementKind repl) {
+  return CacheConfig{.size_bytes = 128, .line_bytes = 32, .ways = 4,
+                     .placement = PlacementKind::kModulo,
+                     .replacement = repl};
+}
+
 TEST(Replacement, LruPicksOldest) {
-  LruReplacement lru;
-  std::vector<WayMeta> ways(4);
-  ways[0].last_use = 30;
-  ways[1].last_use = 10;
-  ways[2].last_use = 20;
-  ways[3].last_use = 40;
-  EXPECT_EQ(lru.victim(ways), 1u);
+  rng::RandBank bank(5);
+  SetAssocCache cache(one_set(ReplacementKind::kLru), bank, "t");
+  for (Addr line = 0; line < 4; ++line) {
+    (void)cache.access(line * 32, true, false);  // fills ways 0..3
+  }
+  // Last uses in way order 3, 1, 2, 4: way 1 (line 1) is the oldest.
+  (void)cache.access(1 * 32, true, false);
+  (void)cache.access(2 * 32, true, false);
+  (void)cache.access(0 * 32, true, false);
+  (void)cache.access(3 * 32, true, false);
+  const AccessResult r = cache.access(4 * 32, true, false);
+  EXPECT_TRUE(r.victim_valid);
+  EXPECT_EQ(r.victim_line, 1u);
 }
 
 TEST(Replacement, RandomVictimInRange) {
   rng::RandBank bank(5);
-  RandomReplacement random(bank.open("r"));
-  std::vector<WayMeta> ways(4);
-  std::set<std::uint32_t> seen;
-  for (int i = 0; i < 200; ++i) seen.insert(random.victim(ways));
-  for (const auto v : seen) EXPECT_LT(v, 4u);
+  SetAssocCache cache(one_set(ReplacementKind::kRandom), bank, "t");
+  // Way w holds way_line[w]: invalid ways fill first, in way order, and a
+  // fill reuses the victim's way.
+  std::array<Addr, 4> way_line{};
+  for (Addr line = 0; line < 4; ++line) {
+    (void)cache.access(line * 32, true, false);
+    way_line[line] = line;
+  }
+  std::set<std::size_t> seen;
+  for (Addr line = 4; line < 204; ++line) {
+    const AccessResult r = cache.access(line * 32, true, false);
+    ASSERT_TRUE(r.victim_valid);
+    const auto* it = std::find(way_line.begin(), way_line.end(), r.victim_line);
+    ASSERT_NE(it, way_line.end());  // the victim was resident
+    const auto way = static_cast<std::size_t>(it - way_line.begin());
+    way_line[way] = line;
+    seen.insert(way);
+  }
   EXPECT_EQ(seen.size(), 4u);  // all ways eventually chosen
 }
 
@@ -298,6 +331,59 @@ TEST(StoreBuffer, ClearEmpties) {
   EXPECT_TRUE(sb.empty());
 }
 
+// The ring against a std::deque over random pushes and pops: FIFO order,
+// size, full/empty and forwarding hits hold across many wrap-arounds, at
+// depths below, at and above the ring's first allocation (12 grows it
+// twice while wrapped).
+TEST(StoreBuffer, RingMatchesDequeAcrossWrapAround) {
+  for (const std::uint32_t depth : {1u, 2u, 5u, 12u}) {
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    StoreBuffer sb(depth);
+    std::deque<Addr> ref;
+    rng::RandBank bank(depth);
+    rng::RandChannel ops = bank.open("ops");
+    std::uint64_t pops = 0;
+    for (int i = 0; i < 4000; ++i) {
+      // Lean towards pushes for half of each 1000 ops, pops for the rest,
+      // so the buffer keeps filling up and draining.
+      const bool fill_phase = (i / 500) % 2 == 0;
+      const bool push = sb.empty() ||
+                        (!sb.full() && rng::uniform_below(ops, 4) <
+                                           (fill_phase ? 3u : 1u));
+      if (push) {
+        const Addr addr = rng::uniform_below(ops, 64) * 8;  // 8 stores/line
+        sb.push(addr);
+        ref.push_back(addr);
+      } else {
+        sb.pop();
+        ref.pop_front();
+        ++pops;
+      }
+      ASSERT_EQ(sb.size(), ref.size()) << "op " << i;
+      ASSERT_EQ(sb.empty(), ref.empty());
+      ASSERT_EQ(sb.full(), ref.size() == depth);
+      if (!ref.empty()) {
+        ASSERT_EQ(sb.front(), ref.front()) << "op " << i;
+      }
+      for (Addr probe = 0; probe < 64 * 8; probe += 20) {
+        const bool want = std::any_of(ref.begin(), ref.end(), [&](Addr a) {
+          return a / 32 == probe / 32;
+        });
+        ASSERT_EQ(sb.contains_line(probe, 32), want)
+            << "op " << i << " probe " << probe;
+      }
+    }
+    EXPECT_GT(pops, 10u * depth);  // the ring wrapped around many times
+    // Draining returns the rest in push order.
+    while (!ref.empty()) {
+      ASSERT_EQ(sb.front(), ref.front());
+      sb.pop();
+      ref.pop_front();
+    }
+    EXPECT_TRUE(sb.empty());
+  }
+}
+
 // --- random placement behaviour (the MBPTA enabler) ---------------------------------
 
 TEST(Cache, RandomPlacementChangesConflictsAcrossSeeds) {
@@ -315,6 +401,238 @@ TEST(Cache, RandomPlacementChangesConflictsAcrossSeeds) {
   // 16 sets -> expect ~4/64 conflicts; definitely not all or none.
   EXPECT_GT(conflict_seeds, 0);
   EXPECT_LT(conflict_seeds, 20);
+}
+
+
+// --- differential test against the record-based reference ------------------
+
+/// The record-based cache the packed rows replaced, kept as the reference:
+/// one {line, valid, dirty, last_use} record per way, LRU by the first
+/// smallest stamp, random by one uniform_below(ways) draw from the
+/// `<name>.repl` channel, which is opened after the placement seed.
+class RecordCache {
+ public:
+  RecordCache(const CacheConfig& config, rng::RandBank& bank,
+              std::string_view name)
+      : config_(config), placement_seed_(bank.derive_seed()) {
+    ways_.resize(static_cast<std::size_t>(config_.n_sets()) * config_.ways);
+    if (config_.replacement == ReplacementKind::kRandom) {
+      channel_.emplace(bank.open(std::string(name) + ".repl"));
+    }
+  }
+
+  AccessResult access(Addr addr, bool allocate_on_miss, bool mark_dirty) {
+    const Addr line = addr / config_.line_bytes;
+    Way* base = set_of(line);
+    ++stats_.accesses;
+    AccessResult result;
+    if (Way* way = find(base, line); way != nullptr) {
+      ++stats_.hits;
+      way->last_use = ++use_stamp_;
+      if (mark_dirty) way->dirty = true;
+      result.hit = true;
+      return result;
+    }
+    ++stats_.misses;
+    if (!allocate_on_miss) return result;
+    Way* slot = nullptr;
+    for (std::uint32_t w = 0; w < config_.ways && slot == nullptr; ++w) {
+      if (!base[w].valid) slot = &base[w];
+    }
+    if (slot == nullptr) {
+      std::uint32_t victim = 0;
+      if (channel_.has_value()) {
+        victim = rng::uniform_below(*channel_, config_.ways);
+      } else {
+        for (std::uint32_t w = 1; w < config_.ways; ++w) {
+          if (base[w].last_use < base[victim].last_use) victim = w;
+        }
+      }
+      slot = &base[victim];
+      result.victim_valid = true;
+      result.victim_dirty = slot->dirty;
+      result.victim_line = slot->line;
+      ++stats_.evictions;
+      if (slot->dirty) ++stats_.dirty_evictions;
+    }
+    *slot = Way{line, true, mark_dirty, ++use_stamp_};
+    result.filled = true;
+    return result;
+  }
+
+  bool probe(Addr addr) {
+    const Addr line = addr / config_.line_bytes;
+    return find(set_of(line), line) != nullptr;
+  }
+
+  bool invalidate(Addr addr) {
+    const Addr line = addr / config_.line_bytes;
+    Way* way = find(set_of(line), line);
+    if (way == nullptr) return false;
+    *way = Way{};
+    return true;
+  }
+
+  void reset(std::uint64_t placement_seed) {
+    for (auto& way : ways_) way = Way{};
+    placement_seed_ = placement_seed;
+    use_stamp_ = 0;
+  }
+
+  [[nodiscard]] const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Way {
+    Addr line = 0;
+    bool valid = false;
+    bool dirty = false;
+    std::uint64_t last_use = 0;
+  };
+
+  Way* set_of(Addr line) {
+    const std::uint32_t set =
+        config_.placement == PlacementKind::kModulo
+            ? static_cast<std::uint32_t>(line % config_.n_sets())
+            : random_hash_index(line, placement_seed_, config_.n_sets());
+    return &ways_[static_cast<std::size_t>(set) * config_.ways];
+  }
+
+  Way* find(Way* base, Addr line) {
+    for (std::uint32_t w = 0; w < config_.ways; ++w) {
+      if (base[w].valid && base[w].line == line) return &base[w];
+    }
+    return nullptr;
+  }
+
+  CacheConfig config_;
+  std::uint64_t placement_seed_;
+  std::vector<Way> ways_;
+  std::optional<rng::RandChannel> channel_;
+  std::uint64_t use_stamp_ = 0;
+  CacheStats stats_;
+};
+
+testing::AssertionResult same_result(const AccessResult& got,
+                                     const AccessResult& want) {
+  if (got.hit == want.hit && got.filled == want.filled &&
+      got.victim_valid == want.victim_valid &&
+      got.victim_dirty == want.victim_dirty &&
+      got.victim_line == want.victim_line) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure()
+         << "got {hit " << got.hit << ", filled " << got.filled
+         << ", victim_valid " << got.victim_valid << ", victim_dirty "
+         << got.victim_dirty << ", victim_line " << got.victim_line
+         << "}, want {" << want.hit << ", " << want.filled << ", "
+         << want.victim_valid << ", " << want.victim_dirty << ", "
+         << want.victim_line << "}";
+}
+
+testing::AssertionResult same_stats(const CacheStats& got,
+                                    const CacheStats& want) {
+  if (got.accesses == want.accesses && got.hits == want.hits &&
+      got.misses == want.misses && got.evictions == want.evictions &&
+      got.dirty_evictions == want.dirty_evictions) {
+    return testing::AssertionSuccess();
+  }
+  return testing::AssertionFailure()
+         << "got {" << got.accesses << ", " << got.hits << ", " << got.misses
+         << ", " << got.evictions << ", " << got.dirty_evictions
+         << "}, want {" << want.accesses << ", " << want.hits << ", "
+         << want.misses << ", " << want.evictions << ", "
+         << want.dirty_evictions << "}";
+}
+
+// Random op sequences over {LRU, random} x {modulo, random-hash} x five
+// geometries (direct-mapped to a single 8-way set). Each access draws its
+// (allocate, dirty) pair from all four combinations; probes, invalidations
+// and resets interleave. The packed cache and the reference are built from
+// RandBanks with the same seed, and after every op every AccessResult
+// field, every probe/invalidate answer and every CacheStats field agree.
+// Lines come from a pool four times the cache's capacity, half of it at
+// the top of the 32-bit address space (the largest `line + 1` tags).
+TEST(CacheDifferential, PackedRowsMatchRecordReference) {
+  struct Geometry {
+    std::uint32_t size_bytes, line_bytes, ways;
+  };
+  const Geometry geometries[] = {
+      {64, 4, 1}, {512, 32, 2}, {1024, 32, 4}, {512, 16, 8}, {256, 32, 8}};
+  std::uint64_t seed = 0;
+  for (const ReplacementKind repl :
+       {ReplacementKind::kLru, ReplacementKind::kRandom}) {
+    for (const PlacementKind placement :
+         {PlacementKind::kModulo, PlacementKind::kRandomHash}) {
+      for (const Geometry& g : geometries) {
+        ++seed;
+        const CacheConfig cfg{.size_bytes = g.size_bytes,
+                              .line_bytes = g.line_bytes,
+                              .ways = g.ways,
+                              .placement = placement,
+                              .replacement = repl};
+        SCOPED_TRACE(std::string(to_string(repl)) + " " +
+                     std::string(to_string(placement)) + " " +
+                     std::to_string(g.size_bytes) + "B/" +
+                     std::to_string(g.line_bytes) + "B/" +
+                     std::to_string(g.ways) + "-way");
+        rng::RandBank packed_bank(seed);
+        rng::RandBank record_bank(seed);
+        SetAssocCache packed(cfg, packed_bank, "t");
+        RecordCache record(cfg, record_bank, "t");
+        rng::RandBank op_bank(seed + 1000);
+        rng::RandChannel ops = op_bank.open("ops");
+
+        const std::uint32_t pool = 4 * cfg.n_lines();
+        const Addr top_line = ~Addr{0} / cfg.line_bytes;
+        auto draw_addr = [&] {
+          const std::uint32_t k = rng::uniform_below(ops, pool);
+          const Addr line = k < pool / 2 ? k : top_line - (k - pool / 2);
+          return line * cfg.line_bytes +
+                 rng::uniform_below(ops, cfg.line_bytes);
+        };
+
+        std::uint64_t probe_hits = 0;
+        std::uint64_t invalidated = 0;
+        std::uint64_t resets = 0;
+        for (int i = 0; i < 6000; ++i) {
+          const std::uint32_t kind = rng::uniform_below(ops, 100);
+          if (kind < 80) {
+            const std::uint32_t flags = rng::uniform_below(ops, 4);
+            const bool allocate = (flags & 1) != 0;
+            const bool dirty = (flags & 2) != 0;
+            const Addr addr = draw_addr();
+            ASSERT_TRUE(same_result(packed.access(addr, allocate, dirty),
+                                    record.access(addr, allocate, dirty)))
+                << "access " << addr << " op " << i;
+          } else if (kind < 90) {
+            const Addr addr = draw_addr();
+            const bool want = record.probe(addr);
+            ASSERT_EQ(packed.probe(addr), want) << "probe op " << i;
+            probe_hits += want ? 1 : 0;
+          } else if (kind < 99) {
+            const Addr addr = draw_addr();
+            const bool want = record.invalidate(addr);
+            ASSERT_EQ(packed.invalidate(addr), want) << "invalidate op " << i;
+            invalidated += want ? 1 : 0;
+          } else {
+            const std::uint64_t placement_seed = ops.word();
+            packed.reset(placement_seed);
+            record.reset(placement_seed);
+            ++resets;
+          }
+          ASSERT_TRUE(same_stats(packed.stats(), record.stats())) << "op " << i;
+        }
+        // Every path ran: hits, evictions of dirty lines, resident probes,
+        // invalidations and resets.
+        EXPECT_GT(record.stats().hits, 0u);
+        EXPECT_GT(record.stats().dirty_evictions, 0u);
+        EXPECT_GT(record.stats().evictions, record.stats().dirty_evictions);
+        EXPECT_GT(probe_hits, 0u);
+        EXPECT_GT(invalidated, 0u);
+        EXPECT_GT(resets, 0u);
+      }
+    }
+  }
 }
 
 }  // namespace

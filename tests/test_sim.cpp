@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -138,6 +139,12 @@ TEST(Kernel, RunUntilZeroBudgetNeverPollsThePredicate) {
 TEST(Kernel, RunUntilRejectsNullPredicate) {
   Kernel kernel;
   EXPECT_THROW((void)kernel.run_until(nullptr, 10), std::invalid_argument);
+  bool (*const null_function)() = nullptr;
+  EXPECT_THROW((void)kernel.run_until(null_function, 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)kernel.run_until(std::function<bool()>{}, 10),
+               std::invalid_argument);
+  EXPECT_EQ(kernel.now(), 0u);  // nothing ran
 }
 
 TEST(Kernel, StepExecutesExactlyOneCycle) {

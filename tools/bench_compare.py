@@ -5,6 +5,10 @@ Compares Google-Benchmark ``--benchmark_format=json`` results against the
 pinned reference numbers in ``bench/baselines.json`` (derived from
 docs/BASELINES.md) and fails on a >threshold throughput regression.
 
+Each benchmark is gated on the median of all its non-aggregate entries
+across the given files: several passes, or ``--benchmark_repetitions``,
+let a majority outvote one noisy pass.
+
 Because CI runners are not the pinned reference machine, absolute times
 are meaningless there; the gate therefore normalises by the MEDIAN
 current/baseline ratio across all matched benchmarks (the machine-speed
@@ -20,9 +24,10 @@ Usage:
   bench_compare.py --self-test
 
 The self-test fabricates a clean result set (must pass) and one with a
-single 2x slowdown injected (must fail), exercising the gate logic
-without running any benchmark; CTest runs it as
-``tools.bench_compare_selftest``.
+single 2x slowdown injected (must fail), then three passes in which one
+pass carries a 2x outlier (must pass) and three in which every pass
+does (must fail), exercising the gate logic without running any
+benchmark; CTest runs it as ``tools.bench_compare_selftest``.
 """
 
 import argparse
@@ -34,7 +39,7 @@ TIME_UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def load_results(paths):
-    """name -> real_time in ns, merged across result files."""
+    """name -> [real_time in ns], every non-aggregate entry of every file."""
     results = {}
     for path in paths:
         with open(path) as f:
@@ -43,8 +48,14 @@ def load_results(paths):
             if entry.get("run_type") == "aggregate":
                 continue
             unit = TIME_UNIT_NS[entry.get("time_unit", "ns")]
-            results[entry["name"]] = float(entry["real_time"]) * unit
+            results.setdefault(entry["name"], []).append(
+                float(entry["real_time"]) * unit)
     return results
+
+
+def median_times(samples):
+    """name -> median of that benchmark's entries."""
+    return {name: statistics.median(times) for name, times in samples.items()}
 
 
 def load_baseline(path):
@@ -84,7 +95,7 @@ def compare(current, baseline, threshold):
 
 
 def run_gate(args):
-    current = load_results(args.results)
+    current = median_times(load_results(args.results))
     baseline = load_baseline(args.baseline)
     rows, regressions, machine, missing = compare(
         current, baseline, args.threshold)
@@ -141,15 +152,31 @@ def self_test():
     assert missing == ["BM_X/3"], f"dropped benchmark missed: {missing}"
     assert not regressions
 
+    # Three passes: one pass's 2x outlier is outvoted by the median...
+    passes = [dict(clean) for _ in range(3)]
+    passes[1]["BM_X/2"] *= 2.0
+    samples = {name: [p[name] for p in passes] for name in clean}
+    _, regressions, _, _ = compare(median_times(samples), baseline, 0.25)
+    assert not regressions, f"one-pass outlier flagged: {regressions}"
+
+    # ... but a slowdown every pass shows is not.
+    for p in passes:
+        p["BM_X/2"] = 2.0 * clean["BM_X/2"]
+    samples = {name: [p[name] for p in passes] for name in clean}
+    _, regressions, _, _ = compare(median_times(samples), baseline, 0.25)
+    assert regressions == ["BM_X/2"], f"3-pass 2x slowdown missed: {regressions}"
+
     print("bench_compare: self-test PASSED (clean passes, injected 2x "
-          "slowdown fails, dropped benchmark detected)")
+          "slowdown fails, dropped benchmark detected, one-pass outlier "
+          "outvoted, every-pass slowdown fails)")
     return 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("results", nargs="*",
-                        help="--benchmark_format=json output files")
+                        help="--benchmark_out JSON files; entries of one "
+                             "benchmark across them gate on their median")
     parser.add_argument("--baseline", default="bench/baselines.json")
     parser.add_argument("--threshold", type=float, default=0.25,
                         help="allowed normalized slowdown (default 0.25)")
