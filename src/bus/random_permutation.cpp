@@ -1,19 +1,19 @@
 #include "bus/random_permutation.hpp"
 
-#include "rng/permutation.hpp"
-
 namespace cbus::bus {
 
 RandomPermutationArbiter::RandomPermutationArbiter(std::uint32_t n_masters,
                                                    rng::RandChannel channel)
     : Arbiter(n_masters),
       channel_(std::move(channel)),
+      bounds_(rng::shuffle_bounds(n_masters)),
       permutation_(n_masters) {
   redraw();
 }
 
 void RandomPermutationArbiter::redraw() {
-  rng::random_permutation(channel_, std::span<std::uint32_t>(permutation_));
+  rng::random_permutation(channel_, std::span<std::uint32_t>(permutation_),
+                          std::span<const rng::BoundedUniform>(bounds_));
   served_ = 0;
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bus/arbiter.hpp"
+#include "rng/permutation.hpp"
 #include "rng/rand_bank.hpp"
 
 namespace cbus::bus {
@@ -39,6 +40,8 @@ class RandomPermutationArbiter final : public Arbiter {
   void redraw();
 
   rng::RandChannel channel_;
+  /// The shuffle's bounds n ... 2, computed once (rng::shuffle_bounds).
+  std::vector<rng::BoundedUniform> bounds_;
   std::vector<std::uint32_t> permutation_;
   std::uint32_t served_ = 0;
 };

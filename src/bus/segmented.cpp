@@ -53,6 +53,9 @@ SegmentedInterconnect::SegmentedInterconnect(
   const Topology& topo = config_.topology;
   const std::uint32_t n = topo.n_segments();
   segments_.resize(n);
+  horizon_.assign(n, kNever);
+  holder_.assign(n, kNoMaster);
+  filter_.assign(n, nullptr);
   for (MasterId m = 0; m < config_.n_masters; ++m) {
     home_[m] = config_.home_segment(m);
     Segment& seg = segments_[home_[m]];
@@ -68,6 +71,7 @@ SegmentedInterconnect::SegmentedInterconnect(
   }
   for (Segment& seg : segments_) {
     std::sort(seg.ingress_from.begin(), seg.ingress_from.end());
+    seg.ingress_bridge.assign(seg.ingress_from.size(), kNoBridge);
   }
 
   for (std::uint32_t s = 0; s < n; ++s) {
@@ -110,17 +114,21 @@ SegmentedInterconnect::SegmentedInterconnect(
   // chain this is the historical (s, direction) order).
   edge_index_.assign(static_cast<std::size_t>(n) * n, kNoBridge);
   for (const TopologyEdge& e : topo.edges()) {
-    const Segment& dest = segments_[e.to];
+    Segment& dest = segments_[e.to];
     const auto it = std::find(dest.ingress_from.begin(),
                               dest.ingress_from.end(), e.from);
     CBUS_ASSERT(it != dest.ingress_from.end());
-    const std::uint32_t port = static_cast<std::uint32_t>(
-        dest.cores.size() + (it - dest.ingress_from.begin()));
-    edge_index_[static_cast<std::size_t>(e.from) * n + e.to] =
-        static_cast<std::uint32_t>(bridges_.size());
-    bridges_.push_back(Bridge{e.from, e.to, port, {}, 0, 0, 0});
+    const auto in = static_cast<std::size_t>(it - dest.ingress_from.begin());
+    const std::uint32_t port =
+        static_cast<std::uint32_t>(dest.cores.size() + in);
+    const auto b = static_cast<std::uint32_t>(bridges_.size());
+    edge_index_[static_cast<std::size_t>(e.from) * n + e.to] = b;
+    dest.ingress_bridge[in] = b;
+    bridges_.push_back(Bridge{e.from, e.to, port, {}, 0, 0, 0, 0, 0});
   }
   queued_.assign((bridges_.size() + 63) / 64, 0);
+  ingress_busy_.assign(queued_.size(), 0);
+  head_ready_.assign(bridges_.size(), kNever);
 
   global_.master.resize(config_.n_masters);
 }
@@ -173,31 +181,22 @@ void SegmentedInterconnect::tick(Cycle now) {
   // A segment with an event at t ticks, after its quiet cycles since its
   // last tick are settled; a quiet one only passes the cycle to its
   // filter, at the same place in segment order.
-  for (std::uint32_t s = 0; s < n_segments(); ++s) {
-    Segment& seg = segments_[s];
-    if (seg.horizon <= now) {
-      settle(seg);
-      seg.bus->tick(now);
-      seg.synced = ticks_ + 1;
-      seg.horizon = seg.bus->next_event(now);
-      recount_ |= 1u << s;
-    } else if (seg.gate->user != nullptr) {
-      seg.gate->user->on_cycle(seg.bus->holder(), now);
+  const std::uint32_t n = n_segments();
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (horizon_[s] <= now) {
+      tick_segment(s, now);
+    } else if (filter_[s] != nullptr) {
+      filter_[s]->on_cycle(holder_[s], now);
     }
   }
 
-  // End-of-cycle accounting: queue-depth accumulators per bridge, and --
-  // with a bounded depth -- one stall master-cycle per pending request
-  // withheld from arbitration by a full next-hop bridge. Only a segment
-  // that ticked or was woken this cycle can have changed its count; the
-  // others keep charging theirs per cycle, settled on the next recount.
+  // End-of-cycle accounting, with a bounded depth: one stall
+  // master-cycle per pending request withheld from arbitration by a full
+  // next-hop bridge. Only a segment that ticked or was woken this cycle
+  // can have changed its count; the others keep charging theirs per
+  // cycle, settled on the next recount.
   ++ticks_;
   clock_ = now + 1;
-  for_each_queued([this](std::uint32_t b) {
-    Bridge& bridge = bridges_[b];
-    bridge.depth_sum += bridge.queue.size();
-    bridge.depth_max = std::max(bridge.depth_max, bridge.queue.size());
-  });
   if (config_.bridge_depth == 0) {
     recount_ = 0;
     return;
@@ -215,36 +214,35 @@ void SegmentedInterconnect::tick(Cycle now) {
   }
 }
 
+void SegmentedInterconnect::tick_segment(std::uint32_t s, Cycle now) {
+  Segment& seg = segments_[s];
+  settle(seg);
+  seg.bus->tick(now);
+  seg.synced = ticks_ + 1;
+  horizon_[s] = seg.bus->next_event(now);
+  holder_[s] = seg.bus->holder();
+  recount_ |= 1u << s;
+}
+
 Cycle SegmentedInterconnect::next_event(Cycle now) const {
-  Cycle next = kNever;
-  for (const Segment& seg : segments_) next = std::min(next, seg.horizon);
+  Cycle next = *std::min_element(horizon_.begin(), horizon_.end());
   // A head waiting on a busy ingress port has no horizon of its own: the
   // port frees on a hop completion, an event of its segment.
-  for_each_queued([&](std::uint32_t b) {
-    const Bridge& bridge = bridges_[b];
-    if (segments_[bridge.to].port_owner[bridge.dest_port] == kNoMaster) {
-      next = std::min(next, std::max(bridge.queue.front().ready, now + 1));
-    }
-  });
+  for_each_open([&](std::uint32_t b) { next = std::min(next, head_ready_[b]); });
   return std::max(next, now + 1);
 }
 
 void SegmentedInterconnect::skip(Cycle from, Cycle cycles) {
   ticks_ += cycles;
   clock_ = from + cycles;
-  for_each_queued([&](std::uint32_t b) {
-    bridges_[b].depth_sum += cycles * bridges_[b].queue.size();
-  });
-  for (const Segment& seg : segments_) {
-    if (seg.gate->user != nullptr) {
-      seg.gate->user->skip(seg.bus->holder(), from, cycles);
-    }
+  const std::uint32_t n = n_segments();
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (filter_[s] != nullptr) filter_[s]->skip(holder_[s], from, cycles);
   }
 }
 
 void SegmentedInterconnect::wake(std::uint32_t segment, Cycle now) {
-  Segment& seg = segments_[segment];
-  seg.horizon = std::min(seg.horizon, now);
+  horizon_[segment] = std::min(horizon_[segment], now);
   recount_ |= 1u << segment;
 }
 
@@ -258,7 +256,7 @@ void SegmentedInterconnect::settle(const Segment& seg) const {
 void SegmentedInterconnect::set_filter(std::uint32_t segment,
                                        EligibilityFilter* filter) {
   CBUS_EXPECTS(segment < config_.n_segments());
-  segments_[segment].gate->user = filter;
+  filter_[segment] = filter;
 }
 
 std::uint32_t SegmentedInterconnect::n_local_masters(
@@ -297,7 +295,9 @@ std::size_t SegmentedInterconnect::bridge_queue_depth_max(
 std::uint64_t SegmentedInterconnect::bridge_queue_depth_sum(
     std::uint32_t b) const {
   CBUS_EXPECTS(b < bridges_.size());
-  return bridges_[b].depth_sum;
+  const Bridge& bridge = bridges_[b];
+  return bridge.depth_sum +
+         bridge.queue.size() * (ticks_ - bridge.depth_synced);
 }
 
 std::uint64_t SegmentedInterconnect::backpressure_stalls(
@@ -336,10 +336,13 @@ void SegmentedInterconnect::raise_hop(std::uint32_t segment,
   CBUS_ASSERT(seg.port_owner[local] == kNoMaster);
   seg.port_owner[local] = master;
   const std::uint32_t target = flight_[master].target;
-  seg.port_bridge[local] =
-      target == segment
-          ? kNoBridge
-          : bridge_index(segment, config_.topology.next_hop(segment, target));
+  if (target != segment) {
+    const std::uint32_t b =
+        bridge_index(segment, config_.topology.next_hop(segment, target));
+    seg.port_bridge[local] = b;
+    bridges_[b].routed |= 1u << local;
+    if (full(bridges_[b])) seg.blocked |= 1u << local;
+  }
   wake(segment, now);
 
   BusRequest hop;
@@ -352,49 +355,33 @@ void SegmentedInterconnect::raise_hop(std::uint32_t segment,
 }
 
 void SegmentedInterconnect::deliver_bridges(Cycle now) {
-  for_each_queued([&](std::uint32_t b) {
+  // The ingress port presents one request at a time; the rest of the
+  // queue waits (store-and-forward backpressure). port_owner is the
+  // authoritative busy flag, mirrored in ingress_busy_: the bus's
+  // can_request() is briefly true in the latched-grant window (granted,
+  // transfer not yet begun), but the port's hop only retires at transfer
+  // completion.
+  for_each_open([&](std::uint32_t b) {
+    if (head_ready_[b] > now) return;
     Bridge& bridge = bridges_[b];
     const BridgeEntry& head = bridge.queue.front();
-    if (head.ready > now) return;
-    Segment& dest = segments_[bridge.to];
     const std::uint32_t port = bridge.dest_port;
-    // The ingress port presents one request at a time; the rest of the
-    // queue waits (store-and-forward backpressure). port_owner is the
-    // authoritative busy flag: the bus's can_request() is briefly true
-    // in the latched-grant window (granted, transfer not yet begun),
-    // but the port's hop only retires at transfer completion.
-    if (dest.port_owner[port] != kNoMaster) return;
-    CBUS_ASSERT(dest.bus->can_request(port));
+    CBUS_ASSERT(segments_[bridge.to].bus->can_request(port));
     bridge_stats_.queue_cycles += now - head.enqueued;
     raise_hop(bridge.to, port, head.master, /*forced_hold=*/0, now);
+    ingress_busy_[b / 64] |= std::uint64_t{1} << (b % 64);
+    settle_depth(bridge);
+    // A full bounded bridge has exactly one slot free after the pop.
+    if (full(bridge)) segments_[bridge.from].blocked &= ~bridge.routed;
     bridge.queue.pop_front();
     if (bridge.queue.empty()) {
       queued_[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+    } else {
+      head_ready_[b] = bridge.queue.front().ready;
     }
     // The freed slot may open the upstream segment's backpressure mask.
     if (config_.bridge_depth > 0) wake(bridge.from, now);
   });
-}
-
-std::uint32_t SegmentedInterconnect::blocked_mask(
-    std::uint32_t segment) const {
-  if (config_.bridge_depth == 0) return 0;
-  std::uint32_t mask = 0;
-  const Segment& seg = segments_[segment];
-  const std::uint32_t n_local =
-      static_cast<std::uint32_t>(seg.port_bridge.size());
-  for (std::uint32_t local = 0; local < n_local; ++local) {
-    const std::uint32_t b = seg.port_bridge[local];
-    if (b == kNoBridge) continue;  // free, or delivered here
-    const Bridge& bridge = bridges_[b];
-    // Count grant-time reservations too: overlapped arbitration admits
-    // the next transfer while the previous one is still in service, so
-    // the live queue alone under-reports committed occupancy.
-    if (bridge.queue.size() + bridge.reserved >= config_.bridge_depth) {
-      mask |= 1u << local;
-    }
-  }
-  return mask;
 }
 
 std::uint32_t SegmentedInterconnect::bridge_index(std::uint32_t from,
@@ -450,6 +437,7 @@ void SegmentedInterconnect::hop_granted(std::uint32_t segment,
     ++bridge.reserved;
     CBUS_ASSERT(bridge.queue.size() + bridge.reserved <=
                 config_.bridge_depth);
+    if (full(bridge)) segments_[segment].blocked |= bridge.routed;
   }
   auto& pm = global_.master[master];
   pm.hold_cycles += hold;
@@ -480,6 +468,14 @@ void SegmentedInterconnect::hop_completed(std::uint32_t segment,
   const std::uint32_t b = seg.port_bridge[local];
   seg.port_owner[local] = kNoMaster;
   seg.port_bridge[local] = kNoBridge;
+  if (b != kNoBridge) {
+    bridges_[b].routed &= ~(1u << local);
+    seg.blocked &= ~(1u << local);
+  }
+  if (local >= seg.cores.size()) {
+    const std::uint32_t in = seg.ingress_bridge[local - seg.cores.size()];
+    ingress_busy_[in / 64] &= ~(std::uint64_t{1} << (in % 64));
+  }
   InFlight& entry = flight_[master];
 
   // A hop served on a FOREIGN segment was charged to nobody there (the
@@ -487,7 +483,7 @@ void SegmentedInterconnect::hop_completed(std::uint32_t segment,
   // for it now, so a budget bounds its master's occupancy of the whole
   // interconnect, not just the home segment.
   const std::uint32_t home = home_[master];
-  EligibilityFilter* const home_filter = segments_[home].gate->user;
+  EligibilityFilter* const home_filter = filter_[home];
   if (segment != home && home_filter != nullptr) {
     home_filter->on_remote_occupancy(slot_[master], entry.hop_hold);
   }
@@ -521,8 +517,13 @@ void SegmentedInterconnect::hop_completed(std::uint32_t segment,
     --bridge.reserved;
     CBUS_ASSERT(bridge.queue.size() < config_.bridge_depth);
   }
+  settle_depth(bridge);
+  if (bridge.queue.empty()) head_ready_[b] = now + config_.bridge_latency;
   bridge.queue.push_back(
       BridgeEntry{master, now + config_.bridge_latency, now});
+  // Pops precede pushes within a cycle (deliver_bridges runs first), so
+  // the depth after a push is this cycle's end-of-cycle depth.
+  bridge.depth_max = std::max(bridge.depth_max, bridge.queue.size());
   queued_[b / 64] |= std::uint64_t{1} << (b % 64);
 }
 

@@ -64,13 +64,17 @@
 // bus counters and its backpressure stalls (k times the count of
 // blocked pending requests, which cannot change while it is quiet)
 // catch up in closed form the next time it ticks or when a statistic is
-// read. next_event() is the earliest segment horizon or ready bridge
-// head with a free ingress port; skip() counts the quiet cycles into the
-// tick count and queue-depth sums and advances every installed filter.
-// Random draws (arbitration, the slave) happen only inside executed
-// segment ticks, all state is per-instance, and every statistic equals
-// the tick-every-segment-every-cycle model's -- so a replica is
-// lane-safe under sim::BatchKernel, for every topology.
+// read; a bridge's queue-depth sum and high-water mark catch up when its
+// queue changes or is read (a cycle pops before it pushes, so the depth
+// after a push is that cycle's end-of-cycle depth). The horizons, the
+// holders of the quiet segments and the installed filters sit in packed
+// per-segment arrays, so the per-cycle passes do not walk the segments.
+// next_event() is the earliest segment horizon or ready bridge head with
+// a free ingress port; skip() counts the quiet cycles and advances every
+// installed filter. Random draws (arbitration, the slave) happen only
+// inside executed segment ticks, all state is per-instance, and every
+// statistic equals the tick-every-segment-every-cycle model's -- so a
+// replica is lane-safe under sim::BatchKernel, for every topology.
 #pragma once
 
 #include <bit>
@@ -168,9 +172,9 @@ class SegmentedInterconnect final : public Interconnect {
   /// port is free; kNever when every transaction waits on a full bridge.
   [[nodiscard]] Cycle next_event(Cycle now) const override;
 
-  /// Counts `cycles` quiet cycles into ticked_cycles() and the bridge
-  /// queue-depth sums and advances every installed filter with its
-  /// segment's holder fixed; segment bus counters settle lazily.
+  /// Counts `cycles` quiet cycles into ticked_cycles() and advances
+  /// every installed filter with its segment's holder fixed; segment bus
+  /// counters and bridge queue-depth sums settle lazily.
   void skip(Cycle from, Cycle cycles) override;
 
   /// Install a passive observer of GLOBAL-level activity (nullptr
@@ -303,14 +307,18 @@ class SegmentedInterconnect final : public Interconnect {
   struct SegmentGate final : EligibilityFilter {
     SegmentedInterconnect* owner = nullptr;
     std::uint32_t segment = 0;
-    EligibilityFilter* user = nullptr;  ///< from set_filter (may be null)
+    /// The filter installed by set_filter (may be null).
+    [[nodiscard]] EligibilityFilter* user() const {
+      return owner->filter_[segment];
+    }
     std::uint32_t eligible(std::uint32_t pending, Cycle now) override {
-      const std::uint32_t mask =
-          user != nullptr ? user->eligible(pending, now) : pending;
+      EligibilityFilter* const f = user();
+      const std::uint32_t mask = f != nullptr ? f->eligible(pending, now)
+                                              : pending;
       return mask & ~owner->blocked_mask(segment);
     }
     void on_cycle(MasterId holder, Cycle now) override {
-      if (user != nullptr) user->on_cycle(holder, now);
+      if (EligibilityFilter* const f = user()) f->on_cycle(holder, now);
     }
     /// kNever while every pending request is backpressure-blocked (only a
     /// bridge pop, which wakes the segment, can change that); else the
@@ -319,17 +327,20 @@ class SegmentedInterconnect final : public Interconnect {
                                       Cycle now) const override {
       const std::uint32_t open = pending & ~owner->blocked_mask(segment);
       if (open == 0) return kNever;
-      return user != nullptr ? user->next_eligible(open, now) : now + 1;
+      EligibilityFilter* const f = user();
+      return f != nullptr ? f->next_eligible(open, now) : now + 1;
     }
     void skip(MasterId, Cycle, Cycle) override {}
     void on_grant(MasterId master, Cycle now) override {
-      if (user != nullptr) user->on_grant(master, now);
+      if (EligibilityFilter* const f = user()) f->on_grant(master, now);
     }
     void on_remote_occupancy(MasterId master, Cycle occupancy) override {
-      if (user != nullptr) user->on_remote_occupancy(master, occupancy);
+      if (EligibilityFilter* const f = user()) {
+        f->on_remote_occupancy(master, occupancy);
+      }
     }
     void reset() override {
-      if (user != nullptr) user->reset();
+      if (EligibilityFilter* const f = user()) f->reset();
     }
   };
 
@@ -338,6 +349,8 @@ class SegmentedInterconnect final : public Interconnect {
     /// Source segment feeding each bridge-ingress port, ascending; port
     /// i lives at local slot cores.size() + i.
     std::vector<std::uint32_t> ingress_from;
+    /// The bridge feeding each bridge-ingress port.
+    std::vector<std::uint32_t> ingress_bridge;
     std::unique_ptr<Arbiter> arbiter;
     std::unique_ptr<SegmentSlave> slave;
     std::unique_ptr<SegmentGate> gate;
@@ -349,9 +362,9 @@ class SegmentedInterconnect final : public Interconnect {
     /// the hop is raised (kNoBridge: free, or delivered here).
     std::vector<std::uint32_t> port_bridge;
 
-    /// First cycle the bus may do more than count: its next_event after
-    /// it last ticked, pulled in by wake().
-    Cycle horizon = kNever;
+    /// Local slots whose occupant's routed next-hop bridge is full
+    /// (blocked_mask), kept current as routes and fill levels change.
+    std::uint32_t blocked = 0;
     /// ticked_cycles() value its bus counters are current to.
     mutable std::uint64_t synced = 0;
     /// Backpressure stalls through ticked_cycles() == stall_synced, and
@@ -377,8 +390,13 @@ class SegmentedInterconnect final : public Interconnect {
     /// Grant-time admissions not yet enqueued (bounded depth only):
     /// queue.size() + reserved <= bridge_depth is the hard invariant.
     std::uint32_t reserved = 0;
-    std::uint64_t depth_sum = 0;  ///< end-of-cycle depths, summed
-    std::size_t depth_max = 0;    ///< high-water mark
+    /// Local slots of segment `from` whose hop forwards into this bridge.
+    std::uint32_t routed = 0;
+    /// End-of-cycle depths summed through ticked_cycles() == depth_synced;
+    /// the queue has held its size since.
+    std::uint64_t depth_sum = 0;
+    std::uint64_t depth_synced = 0;
+    std::size_t depth_max = 0;  ///< high-water mark, updated at each push
   };
 
   /// One outstanding transaction per global master.
@@ -399,20 +417,39 @@ class SegmentedInterconnect final : public Interconnect {
   /// has passed it) and recount its backpressure stalls at the end of
   /// the cycle.
   void wake(std::uint32_t segment, Cycle now);
+  /// Tick segment `s` at `now`, after settling its quiet cycles.
+  void tick_segment(std::uint32_t s, Cycle now);
   /// Apply the quiet cycles since `seg` last ticked to its bus counters.
   void settle(const Segment& seg) const;
+  /// Fold the cycles since `bridge`'s queue last changed into its depth
+  /// sum (before the queue changes).
+  void settle_depth(Bridge& bridge) const {
+    bridge.depth_sum += bridge.queue.size() * (ticks_ - bridge.depth_synced);
+    bridge.depth_synced = ticks_;
+  }
   /// Local slots whose occupant's routed next-hop bridge is full (0 when
   /// bridge_depth is unbounded). Consulted by the SegmentGate at
   /// arbitration time and by the stall accounting in tick().
-  [[nodiscard]] std::uint32_t blocked_mask(std::uint32_t segment) const;
+  [[nodiscard]] std::uint32_t blocked_mask(std::uint32_t segment) const {
+    return segments_[segment].blocked;
+  }
+  /// True iff a bounded bridge has no slot left to admit a hop: counting
+  /// grant-time reservations, since overlapped arbitration admits the
+  /// next transfer while the previous one is still in service.
+  [[nodiscard]] bool full(const Bridge& bridge) const noexcept {
+    return config_.bridge_depth > 0 &&
+           bridge.queue.size() + bridge.reserved >= config_.bridge_depth;
+  }
   /// Bridge index of directed edge (from -> to); asserts adjacency.
   [[nodiscard]] std::uint32_t bridge_index(std::uint32_t from,
                                            std::uint32_t to) const;
-  /// Calls f(b) for every bridge b holding entries, in index order.
+  /// Calls f(b) for every bridge b holding entries whose ingress port
+  /// is free, in index order.
   template <typename F>
-  void for_each_queued(const F& f) const {
+  void for_each_open(const F& f) const {
     for (std::size_t w = 0; w < queued_.size(); ++w) {
-      for (std::uint64_t bits = queued_[w]; bits != 0; bits &= bits - 1) {
+      for (std::uint64_t bits = queued_[w] & ~ingress_busy_[w]; bits != 0;
+           bits &= bits - 1) {
         f(static_cast<std::uint32_t>(w * 64 + std::countr_zero(bits)));
       }
     }
@@ -435,10 +472,21 @@ class SegmentedInterconnect final : public Interconnect {
   BusSlave& slave_;
 
   std::vector<Segment> segments_;
+  /// Per segment: the first cycle its bus may do more than count -- its
+  /// next_event after it last ticked, pulled in by wake().
+  std::vector<Cycle> horizon_;
+  /// Per segment: its bus holder as of its last tick, fixed while quiet.
+  std::vector<MasterId> holder_;
+  /// Per segment: the filter installed by set_filter (null: none).
+  std::vector<EligibilityFilter*> filter_;
   std::vector<Bridge> bridges_;  ///< Topology::edges() order
-  /// Bit b set iff bridge b's queue is non-empty: the per-cycle bridge
-  /// passes skip the (usually many) empty bridges.
+  /// Bit b set iff bridge b's queue is non-empty, and iff its ingress
+  /// port is occupied (port_owner of its dest_port): the per-cycle bridge
+  /// passes visit only the queued bridges with a free port.
   std::vector<std::uint64_t> queued_;
+  std::vector<std::uint64_t> ingress_busy_;
+  /// Per bridge: the ready cycle of its queue head (valid while queued).
+  std::vector<Cycle> head_ready_;
   /// Directed-edge lookup: edge_index_[from * n + to] = bridge index.
   std::vector<std::uint32_t> edge_index_;
 

@@ -92,15 +92,21 @@ namespace {
 }  // namespace
 
 void CreditState::advance(MasterId holder, Cycle cycles) {
+  // Division-free: every closed form below compares a product with the
+  // distance to the bound. A product that overflows 64 bits (a jump to
+  // an unbounded budget's end) is past any bound.
   for (MasterId m = 0; m < config_.n_masters; ++m) {
     const std::uint64_t inc = config_.increment[m];
     std::uint64_t& v = value(m);
+    std::uint64_t units = 0;
     if (m != holder) {
       // Saturating recovery composes: k steps of min(v + inc, cap) are
-      // min(v + k * inc, cap). Compared in ticks, so k * inc cannot
-      // overflow.
+      // min(v + k * inc, cap).
       const std::uint64_t cap = config_.saturation[m];
-      v = cycles >= ticks_to_reach(v, inc, cap) ? cap : v + cycles * inc;
+      v = v >= cap || __builtin_mul_overflow(cycles, inc, &units) ||
+                  units >= cap - v
+              ? cap
+              : v + units;
       continue;
     }
     // The holder's counter never exceeds its cap and increment <= scale,
@@ -108,14 +114,17 @@ void CreditState::advance(MasterId holder, Cycle cycles) {
     // to zero (counted) from the first tick it cannot pay -- after which
     // every tick clamps again.
     const std::uint64_t net = config_.scale - inc;
-    if (net == 0) continue;
-    const Cycle paid = std::min<Cycle>(cycles, v / net);
-    v -= paid * net;
-    if (paid < cycles) {
-      v = 0;
-      underflow_clamps_ += cycles - paid;
-      underflows_by_master_[m] += cycles - paid;
+    if (!__builtin_mul_overflow(cycles, net, &units) && units <= v) {
+      v -= units;
+      continue;
     }
+    // The budget runs dry inside the jump (only with MaxL under-estimated):
+    // the first v / net ticks pay (net > 0 here, as units > v >= 0), the
+    // rest clamp.
+    const Cycle clamped = cycles - v / net;
+    v = 0;
+    underflow_clamps_ += clamped;
+    underflows_by_master_[m] += clamped;
   }
 }
 

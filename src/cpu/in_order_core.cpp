@@ -3,6 +3,7 @@
 #include <string>
 
 #include "common/contracts.hpp"
+#include "sim/kernel.hpp"
 
 namespace cbus::cpu {
 
@@ -46,13 +47,19 @@ void InOrderCore::drain_store_buffer(Cycle now) {
 }
 
 void InOrderCore::tick(Cycle now) {
-  if (done_) return;
+  // Every state whose horizon is kNever parks (see next_event): only
+  // on_complete ends it, and wakes the core first.
+  if (done_) {
+    park();
+    return;
+  }
   ++stats_.cycles;
 
   // Blocked on an outstanding load/atomic: nothing else can proceed
   // (single bus port, in-order pipeline).
   if (waiting_ != Wait::kNone) {
     ++stats_.bus_stall_cycles;
+    park();
     return;
   }
 
@@ -70,8 +77,9 @@ void InOrderCore::tick(Cycle now) {
     if (store_buffer_.empty() && !store_in_flight_) {
       done_ = true;
       finish_cycle_ = now;
+      park();
     } else {
-      ++stats_.bus_stall_cycles;
+      stall_behind_drain(stats_.bus_stall_cycles);
     }
     return;
   }
@@ -103,7 +111,7 @@ void InOrderCore::tick(Cycle now) {
       // Write-through ordering: the miss may only go out once every older
       // buffered store has drained.
       if (!store_buffer_.empty() || store_in_flight_) {
-        ++stats_.bus_stall_cycles;
+        stall_behind_drain(stats_.bus_stall_cycles);
         return;
       }
       bus::BusRequest req;
@@ -114,12 +122,14 @@ void InOrderCore::tick(Cycle now) {
       ++stats_.bus_requests;
       waiting_ = Wait::kLoad;
       ++stats_.bus_stall_cycles;
+      park();
       return;
     }
     case MemOpKind::kStore: {
       if (store_buffer_.full()) {
-        ++stats_.sb_stall_cycles;
-        return;  // drain_store_buffer above is working on it
+        // drain_store_buffer above is working on it
+        stall_behind_drain(stats_.sb_stall_cycles);
+        return;
       }
       // Write-through, no write-allocate: the L1 is only updated on a hit.
       dl1_->access(op.addr, /*allocate_on_miss=*/false, /*mark_dirty=*/false);
@@ -131,7 +141,7 @@ void InOrderCore::tick(Cycle now) {
     case MemOpKind::kAtomic: {
       // Atomics are ordering points: drain the write buffer first.
       if (!store_buffer_.empty() || store_in_flight_) {
-        ++stats_.bus_stall_cycles;
+        stall_behind_drain(stats_.bus_stall_cycles);
         return;
       }
       bus::BusRequest req;
@@ -143,10 +153,18 @@ void InOrderCore::tick(Cycle now) {
       ++stats_.atomics;
       waiting_ = Wait::kAtomic;
       ++stats_.bus_stall_cycles;
+      park();
       return;
     }
   }
   CBUS_ASSERT(false);
+}
+
+void InOrderCore::stall_behind_drain(Cycle& counter) {
+  ++counter;
+  // With the drain in flight, only its completion ends the stall; a
+  // store still buffered goes on the bus next cycle instead.
+  if (store_in_flight_) park();
 }
 
 Cycle InOrderCore::next_event(Cycle now) const {
@@ -189,6 +207,7 @@ void InOrderCore::on_grant(const bus::BusRequest& /*request*/, Cycle /*now*/,
                            Cycle /*hold*/) {}
 
 void InOrderCore::on_complete(const bus::BusRequest& request, Cycle /*now*/) {
+  wake();  // settles the cycles missed while parked, in the blocked state
   if (store_in_flight_ && request.kind == MemOpKind::kStore) {
     store_buffer_.pop();
     store_in_flight_ = false;

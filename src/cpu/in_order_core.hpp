@@ -43,7 +43,8 @@ class InOrderCore final : public sim::Component, public bus::BusMaster {
   /// compute_remaining); t + 1 when a buffered store can go on the bus or
   /// the next op can run; kNever while a wait only a bus completion ends
   /// (an outstanding load or atomic, or a stall behind a store drain in
-  /// flight) and once done.
+  /// flight) and once done. The core parks in exactly those kNever
+  /// states (sim::Component), and on_complete wakes it.
   [[nodiscard]] Cycle next_event(Cycle now) const override;
 
   /// Count `cycles` cycles into `cycles` and into the compute, bus-stall
@@ -71,6 +72,10 @@ class InOrderCore final : public sim::Component, public bus::BusMaster {
 
   /// Try to put the oldest buffered store on the bus.
   void drain_store_buffer(Cycle now);
+
+  /// Count one cycle of progress stalled behind the store drain into
+  /// `counter`; parks while the drain is in flight.
+  void stall_behind_drain(Cycle& counter);
 
   /// Fetch the next op from the stream into current_op_.
   void advance_stream();

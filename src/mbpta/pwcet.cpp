@@ -1,6 +1,8 @@
 #include "mbpta/pwcet.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "common/contracts.hpp"
 
@@ -9,8 +11,15 @@ namespace cbus::mbpta {
 MbptaResult analyze(std::span<const double> exec_times,
                     const MbptaConfig& config) {
   CBUS_EXPECTS(config.block_size >= 1);
-  CBUS_EXPECTS_MSG(exec_times.size() >= 2 * config.block_size,
-                   "not enough samples for block maxima");
+  // Checked here, before any fit, with a message that names no source
+  // location: experiment sinks print it as the job's pwcet error.
+  if (exec_times.size() / config.block_size < kMinBlockMaxima) {
+    throw std::invalid_argument(
+        "pwcet needs at least " +
+        std::to_string(kMinBlockMaxima * config.block_size) +
+        " runs (four block maxima of " + std::to_string(config.block_size) +
+        " runs each), got " + std::to_string(exec_times.size()));
+  }
 
   MbptaResult result;
   const std::vector<double> maxima =

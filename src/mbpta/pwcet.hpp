@@ -30,7 +30,13 @@ struct MbptaResult {
   double observed_max = 0.0;
 };
 
-/// Run the full analysis. Requires at least 2 * block_size samples.
+/// Block maxima the analysis needs: the CV and runs tests of the
+/// diagnostics take at least four.
+inline constexpr std::size_t kMinBlockMaxima = 4;
+
+/// Run the full analysis. Fewer than kMinBlockMaxima * block_size samples
+/// throw std::invalid_argument with a message that states the run count
+/// needed (and no source location).
 [[nodiscard]] MbptaResult analyze(std::span<const double> exec_times,
                                   const MbptaConfig& config = {});
 

@@ -19,20 +19,40 @@
 // cycle: the tests' tick-every-cycle reference is exactly that, registered
 // last.
 //
+// Parking: a component whose wait can only end when another component
+// calls into it (a core blocked on a bus completion) may park() from its
+// own tick(). Its horizon must then be kNever, and it must stay so until
+// that call. The kernel stops ticking a parked component, asking its
+// horizon (it counts as kNever) and skipping it. The call that ends the
+// wait invokes wake() before it changes any state: the kernel settles,
+// through one skip(), every cycle the component missed whose tick slot
+// has already passed -- through the current cycle if the component is
+// registered before the caller, up to it if after -- and ticks it again
+// from the next slot on. Before a run_until, run or step call returns,
+// the kernel settles every parked component, so state read between calls
+// is current. Outside those calls, in a call of one cycle (step()), and
+// on any other clock (BatchKernel, a test ticking by hand), park() and
+// wake() do nothing: a component ticked anyway behaves as if it never
+// parked.
+//
 // A component may defer its own internal work (the segmented
 // interconnect ticks only its busy segments and settles the others'
 // counters when they are read). Two kinds of state must be current
 // whenever tick() or skip() returns: state readable through its API
 // (settling on read counts), and state it does not own (the credit
-// budgets of a filter that other components read).
+// budgets of a filter that other components read). A parked component's
+// own counters lag until it is woken or the call returns.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
 #include "common/types.hpp"
 
 namespace cbus::sim {
+
+class Kernel;
 
 class Component {
  public:
@@ -56,14 +76,34 @@ class Component {
   /// Apply the `cycles` ticks of cycles [from, from + cycles) in closed
   /// form. Called only when every component of the kernel reported a
   /// horizon of at least from + cycles, so each skipped tick would only
-  /// have counted. A component keeping the default next_event is never
-  /// skipped, hence the no-op default.
+  /// have counted -- or, for a parked component, once at its wake for
+  /// every cycle it missed. A component keeping the default next_event
+  /// is never skipped, hence the no-op default.
   virtual void skip(Cycle /*from*/, Cycle /*cycles*/) {}
 
   [[nodiscard]] std::string_view name() const noexcept { return name_; }
 
+ protected:
+  // Both are inline in sim/kernel.hpp, which a component that parks
+  // includes.
+
+  /// Stop being ticked until wake() (see the header comment). Only from
+  /// this component's own tick(), with its horizon kNever.
+  void park();
+
+  /// End a park, before the waking call changes any state. A no-op
+  /// unless parked.
+  void wake();
+
  private:
+  friend class Kernel;
+
   std::string name_;
+  /// The kernel running this component, bound for the length of each
+  /// run_until/run/step call (null otherwise).
+  Kernel* kernel_ = nullptr;
+  /// This component's registration index in kernel_.
+  std::uint32_t slot_ = 0;
 };
 
 }  // namespace cbus::sim

@@ -16,6 +16,17 @@
 // Random numbers are drawn only inside executed cycles, so skipping never
 // changes a draw.
 //
+// Parking (the contract is in component.hpp): a component that parks in
+// its tick is left out of the tick, horizon and skip passes -- it counts
+// as kNever, exactly its horizon, so the executed cycles do not change --
+// until another component's call wakes it. The wake settles the cycles it
+// missed whose tick slot has passed: through the current cycle when it is
+// registered before the component being ticked (a core woken by its bus),
+// up to it when after, in which case it is still ticked this cycle. Only
+// a call made from some component's tick may wake; every call settles
+// what is still parked before it returns, and a one-cycle call (step())
+// runs without parking at all.
+//
 // This is the one loop that ticks components for campaigns, examples,
 // benches and tests (sim::BatchKernel's lockstep loop serves only
 // perfbench's traced replay and the engine batteries).
@@ -40,7 +51,7 @@ class Kernel {
 
   /// Register a component; ticked in registration order. Kernel does not own
   /// the component; the caller (the platform) guarantees its lifetime.
-  void add(Component& component) { components_.push_back(&component); }
+  void add(Component& component);
 
   /// Cycles simulated so far: executed plus skipped.
   [[nodiscard]] Cycle now() const noexcept { return now_; }
@@ -61,7 +72,8 @@ class Kernel {
   /// executed cycle. A predicate that is already true therefore still
   /// executes one cycle before it is seen. Skipped cycles only count, so
   /// they cannot change the predicate. Every call executes its first
-  /// cycle, and no jump crosses the end of its budget.
+  /// cycle, no jump crosses the end of its budget, and no component is
+  /// left parked when it returns.
   ///
   /// `done` is any callable returning bool; a template, so a lambda
   /// inlines into the loop. A null or empty predicate (nullptr, a null
@@ -86,6 +98,16 @@ class Kernel {
   /// Execute a single cycle.
   void step();
 
+  /// Wake every parked component. The tests' every-cycle reference calls
+  /// it from its tick, so every component is ticked every cycle.
+  void wake_all();
+
+  /// True iff `component` is parked in a call in progress; false between
+  /// calls, which settle every parked component before they return.
+  [[nodiscard]] bool parked(const Component& component) const noexcept {
+    return component.kernel_ == this && is_parked_[component.slot_] != 0;
+  }
+
   [[nodiscard]] std::size_t component_count() const noexcept {
     return components_.size();
   }
@@ -97,6 +119,23 @@ class Kernel {
   }
 
  private:
+  friend class Component;
+
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+  /// Binds the components to this kernel for one call; on the way out
+  /// (normal or exceptional) unbinds them and marks every one active.
+  class Binding {
+   public:
+    explicit Binding(Kernel& kernel);
+    Binding(const Binding&) = delete;
+    Binding& operator=(const Binding&) = delete;
+    ~Binding();
+
+   private:
+    Kernel& kernel_;
+  };
+
   /// The one loop behind run_until, run and step. A template so that the
   /// predicate inlines: through std::function every step() paid a
   /// construction and two indirect calls (BM_SplitBusStep, one step() per
@@ -104,34 +143,99 @@ class Kernel {
   template <typename Done>
   bool advance(const Done& done, Cycle max_cycles) {
     const Cycle end = max_cycles > kNever - now_ ? kNever : now_ + max_cycles;
+    if (end - now_ == 1) {
+      // One cycle (step()): whatever parks in it is settled at once with
+      // nothing to settle, so it runs unbound -- park() and wake() do
+      // nothing -- and skips the binding.
+      for (Component* component : components_) component->tick(now_);
+      ++executed_;
+      ++now_;
+      return done();
+    }
+    const Binding binding(*this);
     while (now_ < end) {
       const Cycle t = now_;
-      for (Component* component : components_) component->tick(t);
+      // A park or a wake during a tick moves next_, so a component woken
+      // from a later slot is ticked this cycle.
+      for (next_ = 0; next_ < active_.size();) {
+        const Active a = active_[next_++];
+        ticking_ = a.slot;
+        a.component->tick(t);
+      }
+      ticking_ = kNoSlot;
       ++executed_;
       now_ = t + 1;
       // The run_until contract: polled once after every executed cycle.
-      if (done()) return true;
-      // Fast-forward to the next event. Asked last-registered first: a run
-      // holding a component with the default horizon (a tracer, the tests'
-      // every-cycle reference) learns `t + 1` from its first question.
+      if (done()) {
+        settle_parked();
+        return true;
+      }
+      // Fast-forward to the next event; a parked component counts as
+      // kNever. Asked last-registered first: a run holding a component
+      // with the default horizon (a tracer, the tests' every-cycle
+      // reference) learns `t + 1` from its first question.
       Cycle next = end;
-      for (auto it = components_.rbegin();
-           it != components_.rend() && next > t + 1; ++it) {
-        next = std::min(next, (*it)->next_event(t));
+      for (auto it = active_.rbegin(); it != active_.rend() && next > t + 1;
+           ++it) {
+        next = std::min(next, it->component->next_event(t));
       }
       if (next > t + 1) {
-        for (Component* component : components_) {
-          component->skip(t + 1, next - t - 1);
-        }
+        for (const Active& a : active_) a.component->skip(t + 1, next - t - 1);
         now_ = next;
       }
     }
+    settle_parked();
     return false;
   }
+
+  void park(std::size_t slot) {
+    CBUS_ASSERT(slot == ticking_);  // parks only from its own tick
+    // The component being ticked sits just before next_.
+    --next_;
+    active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(next_));
+    is_parked_[slot] = 1;
+    parked_from_[slot] = now_ + 1;
+    ++parked_;
+  }
+
+  void wake(std::size_t slot) {
+    if (is_parked_[slot] != 0) wake_parked(slot);
+  }
+
+  void wake_parked(std::size_t slot);
+  /// Tick `slot` again, after skipping the cycles it missed before `until`.
+  void unpark(std::size_t slot, Cycle until);
+  /// Unpark every parked component through now().
+  void settle_parked();
 
   Cycle now_ = 0;
   std::uint64_t executed_ = 0;
   std::vector<Component*> components_;
+  /// An unparked component and its slot (index into components_).
+  struct Active {
+    Component* component;
+    std::uint32_t slot;
+  };
+  /// The unparked components in registration order: the tick, horizon
+  /// and skip passes walk only these.
+  std::vector<Active> active_;
+  /// Per component: parked or not, and while parked the first cycle it
+  /// has not accounted.
+  std::vector<std::uint8_t> is_parked_;
+  std::vector<Cycle> parked_from_;
+  std::size_t parked_ = 0;  ///< components currently parked
+  /// Tick pass: the position in active_ of the next component to tick,
+  /// and the slot of the one being ticked (kNoSlot outside the pass).
+  std::size_t next_ = 0;
+  std::size_t ticking_ = kNoSlot;
 };
+
+inline void Component::park() {
+  if (kernel_ != nullptr) kernel_->park(slot_);
+}
+
+inline void Component::wake() {
+  if (kernel_ != nullptr) kernel_->wake(slot_);
+}
 
 }  // namespace cbus::sim

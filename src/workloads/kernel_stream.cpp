@@ -21,6 +21,13 @@ namespace {
 KernelStream::KernelStream(KernelProfile profile)
     : profile_(std::move(profile)), engine_(hash_name(profile_.name)) {
   profile_.validate();
+  if (profile_.hot_permille_1024 > 0) {
+    hot_word_ = rng::BoundedUniform(profile_.hot_bytes / 4);
+  }
+  if (profile_.pattern == AccessPattern::kRandom) {
+    footprint_word_ = rng::BoundedUniform(profile_.footprint_bytes / 4);
+  }
+  gap_ = rng::BoundedUniform(profile_.gap_max - profile_.gap_min + 1);
   reset(0);
 }
 
@@ -39,8 +46,7 @@ Addr KernelStream::next_address() {
   // Loop-carried locality: a slice of accesses stays in the hot region.
   if (profile_.hot_permille_1024 > 0 &&
       rng::bernoulli(engine_, profile_.hot_permille_1024, 1024)) {
-    const std::uint32_t offset =
-        rng::uniform_below(engine_, profile_.hot_bytes / 4) * 4;
+    const std::uint32_t offset = hot_word_(engine_) * 4;
     return profile_.base + offset;
   }
 
@@ -52,8 +58,7 @@ Addr KernelStream::next_address() {
       return profile_.base + offset;
     }
     case AccessPattern::kRandom: {
-      const std::uint32_t offset =
-          rng::uniform_below(engine_, footprint / 4) * 4;
+      const std::uint32_t offset = footprint_word_(engine_) * 4;
       return profile_.base + offset;
     }
     case AccessPattern::kPointerChase: {
@@ -94,8 +99,7 @@ std::optional<cpu::MemOp> KernelStream::next() {
         rng::bernoulli(engine_, profile_.burst_prob_1024, 1024)) {
       burst_remaining_ = profile_.burst_len;
     }
-    op.compute_before =
-        rng::uniform_in(engine_, profile_.gap_min, profile_.gap_max);
+    op.compute_before = profile_.gap_min + gap_(engine_);
   }
   return op;
 }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include "cpu/op_stream.hpp"
+#include "rng/permutation.hpp"
 #include "rng/xorshift.hpp"
 #include "workloads/kernel_profile.hpp"
 
@@ -29,6 +30,11 @@ class KernelStream final : public cpu::OpStream {
 
   KernelProfile profile_;
   rng::XorShift64Star engine_;
+  // The profile's fixed bounds, in words and in cycles (no division per
+  // draw).
+  rng::BoundedUniform hot_word_;
+  rng::BoundedUniform footprint_word_;
+  rng::BoundedUniform gap_;
   std::uint64_t emitted_ = 0;
   std::uint64_t stride_pos_ = 0;
   std::uint32_t chase_cursor_ = 0;

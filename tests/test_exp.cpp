@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "exp/experiment.hpp"
 #include "exp/runner.hpp"
@@ -433,6 +434,37 @@ TEST(Runner, PwcetProducesCurve) {
   ASSERT_EQ(result.jobs.size(), 1u);
   ASSERT_TRUE(result.jobs[0].mbpta.has_value()) << result.jobs[0].mbpta_error;
   EXPECT_FALSE(result.jobs[0].mbpta->curve.empty());
+}
+
+TEST(Runner, TooFewPwcetRunsReportAFixedMessage) {
+  // Block size 2 below 60 runs: 3 runs fail the sample count, 6 runs give
+  // three block maxima where the diagnostics need four. Both report the
+  // same message in the summary and in the JSON, with no file path.
+  const std::string expected =
+      "pwcet needs at least 8 runs (four block maxima of 2 runs each)";
+  for (const int runs : {3, 6}) {
+    ExperimentSpec spec = parse(
+        "scenario = con\n"
+        "kernel = canrdr\n"
+        "runs = " + std::to_string(runs) + "\n"
+        "pwcet = on\n");
+    const auto result = run_experiment(spec, 1);
+    ASSERT_EQ(result.jobs.size(), 1u);
+    const JobResult& job = result.jobs[0];
+    EXPECT_FALSE(job.mbpta.has_value());
+    EXPECT_EQ(job.mbpta_error,
+              expected + ", got " + std::to_string(runs));
+    EXPECT_EQ(job.mbpta_error.find('/'), std::string::npos);
+    std::ostringstream summary, json;
+    make_sink(SinkKind::kSummary)->write(spec, result.jobs, summary);
+    make_sink(SinkKind::kJson)->write(spec, result.jobs, json);
+    EXPECT_NE(summary.str().find("pwcet=n/a (" + job.mbpta_error + ")"),
+              std::string::npos)
+        << summary.str();
+    EXPECT_NE(json.str().find("\"pwcet_error\": \"" + job.mbpta_error + "\""),
+              std::string::npos)
+        << json.str();
+  }
 }
 
 // --- golden sink output -----------------------------------------------------

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "mbpta/convergence.hpp"
@@ -195,6 +196,26 @@ TEST(Analyze, ProducesMonotoneCurveAboveObservations) {
 TEST(Analyze, RequiresEnoughSamples) {
   const std::vector<double> xs(5, 1.0);
   EXPECT_THROW((void)analyze(xs), std::invalid_argument);
+}
+
+TEST(Analyze, RequiresFourBlockMaximaWithAFixedMessage) {
+  // 2 x block size samples used to pass the entry check and fail inside
+  // the diagnostics with a source path in the message.
+  MbptaConfig cfg;
+  cfg.block_size = 2;
+  for (const std::size_t n : {std::size_t{3}, std::size_t{6}, std::size_t{7}}) {
+    const auto xs = gumbel_sample(100.0, 5.0, n, 61);
+    try {
+      (void)analyze(xs, cfg);
+      ADD_FAILURE() << n << " samples accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "pwcet needs at least 8 runs (four block maxima of 2 runs "
+                "each), got " + std::to_string(n));
+    }
+  }
+  const auto enough = gumbel_sample(100.0, 5.0, 8, 61);
+  EXPECT_EQ(analyze(enough, cfg).maxima_used, 4u);
 }
 
 TEST(Analyze, CustomProbabilities) {

@@ -364,8 +364,7 @@ void expect_same_aggregate(const metrics::Aggregator& a,
     tua.reset(stream_seeds.next());
     for (cpu::OpStream* s : corunners) s->reset(stream_seeds.next());
     Multicore machine(spec.config, seed, tua, corunners);
-    test::TickEveryCycle reference;
-    machine.kernel().add(reference);
+    test::TickEveryCycle reference(machine.kernel());
     const RunResult r = machine.run(spec.max_cycles);
     EXPECT_EQ(machine.kernel().executed_cycles(), machine.kernel().now());
     if (!r.tua_finished) {

@@ -5,7 +5,10 @@
 
 #include <array>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "rng/distributions.hpp"
@@ -141,6 +144,136 @@ TEST(UniformBelow, NoModuloBias) {
   const double expected = static_cast<double>(kN) / kBound;
   for (const int c : counts) {
     EXPECT_NEAR(c, expected, 5 * std::sqrt(expected));
+  }
+}
+
+/// The bounded draw as it was before the fast forms: the limit and the
+/// remainder each computed with a division on every draw.
+[[nodiscard]] std::uint32_t division_limit(std::uint32_t bound) {
+  return static_cast<std::uint32_t>(-bound) / bound * bound + bound - 1;
+}
+
+template <typename Engine>
+[[nodiscard]] std::uint32_t division_draw(Engine& engine,
+                                          std::uint32_t bound) {
+  if (bound == 1) return 0;
+  const std::uint32_t limit = division_limit(bound);
+  for (;;) {
+    const std::uint32_t draw = static_cast<std::uint32_t>(engine());
+    if (draw <= limit || limit == ~0u) return draw % bound;
+  }
+}
+
+/// Replays a fixed list of words; counts how many were drawn. The high
+/// half of each 64-bit word is noise the draws must ignore.
+class ScriptedEngine {
+ public:
+  explicit ScriptedEngine(std::vector<std::uint32_t> words)
+      : words_(std::move(words)) {}
+  std::uint64_t operator()() {
+    const std::uint64_t noise = 0x9E37'79B9'0000'0000ull * (drawn_ + 1);
+    return noise | words_.at(drawn_++);
+  }
+  [[nodiscard]] std::size_t drawn() const noexcept { return drawn_; }
+
+ private:
+  std::vector<std::uint32_t> words_;
+  std::size_t drawn_ = 0;
+};
+
+/// Every bound up to 4096, then bounds at both ends of the upper half of
+/// the 32-bit range (where the rejection zone is largest).
+[[nodiscard]] std::vector<std::uint32_t> fast_form_bounds() {
+  std::vector<std::uint32_t> bounds;
+  for (std::uint32_t b = 1; b <= 4096; ++b) bounds.push_back(b);
+  for (const std::uint32_t b :
+       {0x8000'0000u, 0x8000'0001u, 0x7FFF'FFFFu, 0xAAAA'AAABu, 0xC000'0000u,
+        0xFFFF'FFFDu, 0xFFFF'FFFEu, 0xFFFF'FFFFu, 1'000'000'007u}) {
+    bounds.push_back(b);
+  }
+  return bounds;
+}
+
+TEST(UniformBelow, FastFormsMatchModuloAndTheDivisionLimit) {
+  SplitMix64 words(99);
+  for (const std::uint32_t bound : fast_form_bounds()) {
+    const BoundedUniform fixed(bound);
+    const std::uint32_t limit = division_limit(bound);
+    ASSERT_EQ(fixed.limit(), limit) << bound;
+    ASSERT_EQ(rejection_limit(bound), limit) << bound;
+    std::vector<std::uint32_t> xs = {0u,         1u,        bound - 1,
+                                     bound,      bound + 1, limit,
+                                     limit + 1u, ~0u - 1u,  ~0u};
+    for (int i = 0; i < 48; ++i) {
+      xs.push_back(static_cast<std::uint32_t>(words.next()));
+    }
+    for (const std::uint32_t x : xs) {
+      ASSERT_EQ(fixed.mod(x), x % bound) << bound << ' ' << x;
+    }
+  }
+}
+
+TEST(UniformBelow, FastFormsDrawLikeTheDivisionForm) {
+  // Scripted words: up to three from the rejection zone (none exists for
+  // a power of two), then an accepted one. Every form must take the same
+  // words and return the same value.
+  SplitMix64 words(7);
+  for (const std::uint32_t bound : fast_form_bounds()) {
+    const std::uint32_t limit = division_limit(bound);
+    std::vector<std::uint32_t> script;
+    if (limit != ~0u) {
+      const std::uint64_t zone = std::uint64_t{~0u} - limit;  // >= 1
+      script.push_back(limit + 1u);
+      script.push_back(~0u);
+      script.push_back(limit + 1u +
+                       static_cast<std::uint32_t>(words.next() % zone));
+    }
+    script.push_back(static_cast<std::uint32_t>(words.next()) % limit);
+    script.push_back(0u);  // never reached
+    ScriptedEngine reference(script);
+    ScriptedEngine generic(script);
+    ScriptedEngine fixed(script);
+    const std::uint32_t want = division_draw(reference, bound);
+    EXPECT_EQ(uniform_below(generic, bound), want) << bound;
+    EXPECT_EQ(BoundedUniform(bound)(fixed), want) << bound;
+    EXPECT_EQ(generic.drawn(), reference.drawn()) << bound;
+    EXPECT_EQ(fixed.drawn(), reference.drawn()) << bound;
+    EXPECT_EQ(reference.drawn(), bound == 1 ? 0u : script.size() - 1);
+  }
+}
+
+TEST(UniformBelow, FastFormsFollowTheDivisionFormOverLongStreams) {
+  for (const std::uint32_t bound :
+       {2u, 3u, 6u, 9u, 1024u, 1536u, 24'576u, 0x8000'0001u, 0xFFFF'FFFFu}) {
+    XorShift64Star reference(bound);
+    XorShift64Star generic(bound);
+    XorShift64Star fixed(bound);
+    const BoundedUniform draw(bound);
+    for (int i = 0; i < 5'000; ++i) {
+      const std::uint32_t want = division_draw(reference, bound);
+      ASSERT_EQ(uniform_below(generic, bound), want) << bound << ' ' << i;
+      ASSERT_EQ(draw(fixed), want) << bound << ' ' << i;
+    }
+    const std::uint64_t after = reference.next();
+    EXPECT_EQ(generic.next(), after) << bound;
+    EXPECT_EQ(fixed.next(), after) << bound;
+  }
+}
+
+TEST(Shuffle, PrecomputedBoundsGiveTheSamePermutations) {
+  for (const std::uint32_t n : {1u, 2u, 5u, 9u, 32u}) {
+    const std::vector<BoundedUniform> bounds = shuffle_bounds(n);
+    XorShift32 a(n + 3);
+    XorShift32 b(n + 3);
+    std::vector<std::uint32_t> x(n);
+    std::vector<std::uint32_t> y(n);
+    for (int i = 0; i < 200; ++i) {
+      random_permutation(a, std::span<std::uint32_t>(x));
+      random_permutation(b, std::span<std::uint32_t>(y),
+                         std::span<const BoundedUniform>(bounds));
+      ASSERT_EQ(x, y) << n << ' ' << i;
+    }
+    EXPECT_EQ(a.next(), b.next()) << n;
   }
 }
 

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -248,9 +251,8 @@ TEST(Kernel, DefaultHorizonTicksEveryCycle) {
   // nothing else is even asked.
   Kernel last;
   Periodic p0(100);
-  test::TickEveryCycle reference;
   last.add(p0);
-  last.add(reference);
+  test::TickEveryCycle reference(last);
   last.run(300);
   EXPECT_EQ(p0.executed.size(), 300u);
   EXPECT_TRUE(p0.skipped.empty());
@@ -310,6 +312,230 @@ TEST(Kernel, QuietRunReachesItsBudgetInOneSkip) {
   EXPECT_EQ(shot.ticks, 2u);
   EXPECT_EQ(kernel.now(), kNever);
   EXPECT_EQ(kernel.executed_cycles(), 2u);
+}
+
+// --- parking ------------------------------------------------------------------
+
+/// Parks in its tick at `sleep_at` (and re-parks if ticked while asleep)
+/// until ring() wakes it; its horizon is kNever while asleep and t + 1
+/// otherwise. Records what the kernel did to it, cycle by cycle.
+class Sleeper final : public Component {
+ public:
+  explicit Sleeper(Cycle sleep_at) : Component("sleeper"), sleep_at_(sleep_at) {}
+
+  void tick(Cycle now) override {
+    ticked.push_back(now);
+    if (now == sleep_at_) asleep = true;
+    if (asleep && parks) park();
+  }
+  [[nodiscard]] Cycle next_event(Cycle now) const override {
+    if (asleep) ++asked_asleep;
+    return asleep ? kNever : now + 1;
+  }
+  void skip(Cycle from, Cycle cycles) override {
+    skipped.emplace_back(from, cycles);
+  }
+
+  /// The call that ends the wait: wakes first, then changes state.
+  void ring() {
+    wake();
+    asleep = false;
+  }
+
+  bool asleep = false;
+  bool parks = true;  ///< false: waits asleep without parking
+  std::vector<Cycle> ticked;
+  std::vector<std::pair<Cycle, Cycle>> skipped;
+  mutable std::uint64_t asked_asleep = 0;
+
+ private:
+  Cycle sleep_at_;
+};
+
+/// Rings `sleeper` at each cycle of `at`; its horizon is the next one.
+class Bell final : public Component {
+ public:
+  Bell(Sleeper& sleeper, std::vector<Cycle> at)
+      : Component("bell"), sleeper_(sleeper), at_(std::move(at)) {}
+
+  void tick(Cycle now) override {
+    if (std::find(at_.begin(), at_.end(), now) != at_.end()) sleeper_.ring();
+  }
+  [[nodiscard]] Cycle next_event(Cycle now) const override {
+    for (const Cycle c : at_) {
+      if (c > now) return c;
+    }
+    return kNever;
+  }
+
+ private:
+  Sleeper& sleeper_;
+  std::vector<Cycle> at_;
+};
+
+/// Every cycle in [0, cycles) ticked or skipped exactly once.
+void expect_covered_once(const Sleeper& s, Cycle cycles) {
+  std::vector<int> covered(cycles, 0);
+  for (const Cycle c : s.ticked) ++covered.at(c);
+  for (const auto& [from, k] : s.skipped) {
+    for (Cycle c = from; c < from + k; ++c) ++covered.at(c);
+  }
+  EXPECT_EQ(std::count(covered.begin(), covered.end(), 1),
+            static_cast<std::ptrdiff_t>(cycles));
+}
+
+TEST(Kernel, ParkedComponentSettlesTheCyclesWhoseSlotPassed) {
+  // Parked at the end of cycle 5, rung at cycle 20. Registered before
+  // the bell, its slot at 20 has passed: the wake settles 6..20 and it
+  // ticks from 21. Registered after, the wake settles 6..19 and it ticks
+  // at 20 in the same pass.
+  for (const bool sleeper_first : {true, false}) {
+    Kernel kernel;
+    Sleeper sleeper(5);
+    Bell bell(sleeper, {20});
+    if (sleeper_first) kernel.add(sleeper);
+    kernel.add(bell);
+    if (!sleeper_first) kernel.add(sleeper);
+    kernel.run(30);
+    const Cycle resume = sleeper_first ? 21 : 20;
+    ASSERT_EQ(sleeper.skipped.size(), 1u) << sleeper_first;
+    EXPECT_EQ(sleeper.skipped[0], std::make_pair(Cycle{6}, resume - 6))
+        << sleeper_first;
+    std::vector<Cycle> expected{0, 1, 2, 3, 4, 5};
+    for (Cycle c = resume; c < 30; ++c) expected.push_back(c);
+    EXPECT_EQ(sleeper.ticked, expected) << sleeper_first;
+    EXPECT_EQ(sleeper.asked_asleep, 0u) << "a parked component is not asked";
+    expect_covered_once(sleeper, 30);
+  }
+}
+
+TEST(Kernel, ParkingKeepsTheExecutedCycles) {
+  // Parked, the sleeper counts as kNever -- its horizon -- so the kernel
+  // executes exactly the cycles it executes when the sleeper does not
+  // park and is ticked, asked and skipped while asleep.
+  const auto run = [](bool parks) {
+    Kernel kernel;
+    Sleeper sleeper(3);
+    sleeper.parks = parks;
+    Bell bell(sleeper, {40, 90, 150});
+    Periodic periodic(17);
+    kernel.add(sleeper);
+    kernel.add(periodic);
+    kernel.add(bell);
+    kernel.run(200);
+    return std::make_tuple(kernel.executed_cycles(), sleeper.ticked.size(),
+                           sleeper.asked_asleep);
+  };
+  const auto [parked_executed, parked_ticks, parked_asked] = run(true);
+  const auto [awake_executed, awake_ticks, awake_asked] = run(false);
+  EXPECT_EQ(parked_executed, awake_executed);
+  EXPECT_LT(parked_ticks, awake_ticks);
+  EXPECT_EQ(parked_asked, 0u);
+  EXPECT_GT(awake_asked, 0u);
+}
+
+TEST(Kernel, EveryCallSettlesItsParkedComponents) {
+  // Never rung: parked from cycle 6 to the end of each call. Every call
+  // settles it before returning and ticks it again at its start.
+  Kernel kernel;
+  Sleeper sleeper(5);
+  kernel.add(sleeper);
+  class Watch final : public Component {
+   public:
+    Watch(const Kernel& kernel, const Sleeper& sleeper)
+        : Component("watch"), kernel_(kernel), sleeper_(sleeper) {}
+    void tick(Cycle /*now*/) override {
+      seen_parked = seen_parked || kernel_.parked(sleeper_);
+    }
+    [[nodiscard]] Cycle next_event(Cycle /*now*/) const override {
+      return kNever;
+    }
+    bool seen_parked = false;
+
+   private:
+    const Kernel& kernel_;
+    const Sleeper& sleeper_;
+  };
+  Watch watch(kernel, sleeper);
+  kernel.add(watch);
+  for (Cycle end = 10; end <= 40; end += 10) {
+    kernel.run(10);
+    EXPECT_FALSE(kernel.parked(sleeper)) << end;
+    expect_covered_once(sleeper, end);
+  }
+  EXPECT_TRUE(watch.seen_parked);
+  const std::vector<Cycle> ticks{0, 1, 2, 3, 4, 5, 10, 20, 30};
+  EXPECT_EQ(sleeper.ticked, ticks);
+
+  // step() executes one cycle per call and leaves nothing parked.
+  for (int i = 0; i < 3; ++i) kernel.step();
+  EXPECT_EQ(sleeper.ticked.back(), 42u);
+  expect_covered_once(sleeper, 43);
+}
+
+TEST(Kernel, WakeAllTicksEveryComponentEveryCycle) {
+  // The every-cycle reference wakes the sleeper in the cycle it parks,
+  // with nothing to settle, so it is ticked every cycle.
+  Kernel kernel;
+  Sleeper sleeper(2);
+  kernel.add(sleeper);
+  test::TickEveryCycle reference(kernel);
+  kernel.run(50);
+  EXPECT_EQ(sleeper.ticked.size(), 50u);
+  EXPECT_TRUE(sleeper.skipped.empty());
+  EXPECT_EQ(kernel.executed_cycles(), 50u);
+}
+
+TEST(Kernel, ParkAndWakeOutsideACallDoNothing) {
+  // Ticked by hand (or by another clock), a component that parks is
+  // simply ticked again: parking needs a kernel call in progress.
+  Sleeper sleeper(0);
+  Kernel kernel;
+  kernel.add(sleeper);
+  for (Cycle c = 0; c < 5; ++c) sleeper.tick(c);
+  sleeper.ring();
+  EXPECT_FALSE(kernel.parked(sleeper));
+  EXPECT_TRUE(sleeper.skipped.empty());
+  EXPECT_EQ(sleeper.ticked.size(), 5u);
+}
+
+TEST(Kernel, ComponentRegisteredTwiceIsRejectedAtRun) {
+  Kernel kernel;
+  Probe a("a", nullptr);
+  kernel.add(a);
+  kernel.add(a);
+  EXPECT_THROW(kernel.run(2), std::invalid_argument);
+  // Nothing stays bound: another kernel runs it.
+  Kernel other;
+  other.add(a);
+  other.run(3);
+  EXPECT_EQ(a.ticks_, 3u);
+}
+
+TEST(Kernel, ExceptionLeavesEveryComponentTicking) {
+  // A tick throws while the sleeper is parked: the next call ticks it.
+  class Thrower final : public Component {
+   public:
+    Thrower() : Component("thrower") {}
+    void tick(Cycle now) override {
+      if (now == throw_at) throw std::runtime_error("boom");
+    }
+    [[nodiscard]] Cycle next_event(Cycle now) const override {
+      return now < throw_at ? throw_at : kNever;
+    }
+    Cycle throw_at = 8;
+  };
+  Kernel kernel;
+  Sleeper sleeper(1);
+  Thrower thrower;
+  kernel.add(sleeper);
+  kernel.add(thrower);
+  EXPECT_THROW(kernel.run(20), std::runtime_error);
+  EXPECT_FALSE(kernel.parked(sleeper));
+  thrower.throw_at = kNever;
+  sleeper.ticked.clear();
+  kernel.run(5);
+  EXPECT_EQ(sleeper.ticked.size(), 1u);
 }
 
 // --- BatchKernel ------------------------------------------------------------

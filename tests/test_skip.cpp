@@ -25,7 +25,13 @@
 //    reads) and the deadlocked bounded ring, which reaches its budget in
 //    one skip;
 //  * SyntheticMaster's gap countdown: gaps, initial delays, instant
-//    re-requests and unbounded masters, with and without credits.
+//    re-requests and unbounded masters, with and without credits;
+//  * parking: cores blocked on the bus leave the kernel's passes until
+//    their completion wakes them -- a parked TuA on the single bus in
+//    ISO and WCET mode, with the bus registered after and before the
+//    cores, nine parked cores on mesh:3x3, a budget that ends while the
+//    TuA is parked, and runs driven by run_until chunks and by step()
+//    (one-cycle calls run unbound, so nothing parks there).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +41,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,6 +55,8 @@
 #include "core/credit_state.hpp"
 #include "core/virtual_contender.hpp"
 #include "cpu/in_order_core.hpp"
+#include "metrics/record.hpp"
+#include "platform/config_file.hpp"
 #include "platform/multicore.hpp"
 #include "platform/platform_config.hpp"
 #include "platform/synthetic_master.hpp"
@@ -206,6 +215,42 @@ TEST(FastForward, CreditAdvanceMatchesTicksOnSoaViews) {
   }
 }
 
+TEST(FastForward, CreditAdvanceSurvivesJumpsToAnUnboundedBudgetEnd) {
+  // A quiet run with an unbounded budget jumps almost 2^64 cycles at
+  // once; k * increment and k * (scale - increment) overflow 64 bits.
+  // Non-holders saturate (a zero increment never moves); the holder
+  // pays v / net cycles and clamps on every other one.
+  for (const NamedConfig& named : credit_configs()) {
+    CbaConfig cfg = named.config;
+    cfg.increment[2] = 0;
+    cfg.initial[2] = cfg.saturation[2] / 2;
+    for (const Cycle k : {kNever - 1, kNever / 3, Cycle{1} << 62}) {
+      for (MasterId holder = 0; holder < 2; ++holder) {
+        CreditState state(cfg);
+        state.set_budget(holder, cfg.saturation[holder] - 1);
+        const std::uint64_t before = state.budget(holder);
+        state.advance(holder, k);
+        const std::string where = named.name + " k " + std::to_string(k) +
+                                  " holder " + std::to_string(holder);
+        const std::uint64_t net = cfg.scale - cfg.increment[holder];
+        if (net == 0) {
+          EXPECT_EQ(state.budget(holder), before) << where;
+          EXPECT_EQ(state.underflow_clamps(), 0u) << where;
+        } else {
+          EXPECT_EQ(state.budget(holder), 0u) << where;
+          EXPECT_EQ(state.underflow_clamps(holder), k - before / net)
+              << where;
+        }
+        EXPECT_EQ(state.budget(2), cfg.saturation[2] / 2) << where;
+        for (MasterId m = 0; m < cfg.n_masters; ++m) {
+          if (m == holder || m == 2) continue;
+          EXPECT_EQ(state.budget(m), cfg.saturation[m]) << where << ' ' << m;
+        }
+      }
+    }
+  }
+}
+
 TEST(FastForward, CreditCrossingsReportNeverWhenUnreachable) {
   CbaConfig cfg = CbaConfig::homogeneous(4, 56);
   cfg.increment[1] = 0;  // master 1 never recovers
@@ -221,11 +266,22 @@ TEST(FastForward, CreditCrossingsReportNeverWhenUnreachable) {
 
 // --- small platforms: skipped vs ticked --------------------------------------
 
+/// run_in_chunks' chunk for driving the kernel with step() instead.
+constexpr Cycle kStepping = 0;
+
 /// Runs `kernel` until `done` fires or `max_cycles` elapse, in run_until
 /// calls of at most `chunk` cycles: every call executes its first cycle,
-/// so no jump crosses a chunk end.
+/// so no jump crosses a chunk end. kStepping calls step() per cycle,
+/// polling `done` after each as run_until does.
 bool run_in_chunks(sim::Kernel& kernel, const std::function<bool()>& done,
                    Cycle max_cycles, Cycle chunk) {
+  if (chunk == kStepping) {
+    while (kernel.now() < max_cycles) {
+      kernel.step();
+      if (done()) return true;
+    }
+    return false;
+  }
   while (kernel.now() < max_cycles) {
     if (kernel.run_until(done, std::min(chunk, max_cycles - kernel.now()))) {
       return true;
@@ -241,8 +297,7 @@ bool run_every_cycle(std::span<sim::Component* const> order,
                      const std::function<bool()>& done, Cycle max_cycles) {
   sim::Kernel kernel;
   for (sim::Component* c : order) kernel.add(*c);
-  test::TickEveryCycle reference;
-  kernel.add(reference);
+  test::TickEveryCycle reference(kernel);
   const bool fired = kernel.run_until(done, max_cycles);
   EXPECT_EQ(kernel.executed_cycles(), kernel.now());
   return fired;
@@ -311,10 +366,12 @@ struct RigConfig {
   std::size_t ops = 400;
   /// The TuA's ops when set (random_ops otherwise).
   std::optional<std::vector<cpu::MemOp>> tua_ops;
+  bool bus_first = false;  ///< register the bus before the masters
 };
 
 /// One small platform: cores, then contenders, then the bus -- the
-/// Multicore tick order -- built identically from the same seed.
+/// Multicore tick order, or the bus first -- built identically from the
+/// same seed.
 struct Rig {
   explicit Rig(const RigConfig& cfg) : bank(cfg.seed) {
     arbiter = bus::make_arbiter(cfg.arbiter, cfg.n_masters, bank);
@@ -324,6 +381,7 @@ struct Rig {
       filter = std::make_unique<core::CreditFilter>(*cfg.cba);
       bus->set_filter(filter.get());
     }
+    if (cfg.bus_first) order.push_back(bus.get());
     for (MasterId m = 0; m < cfg.cores; ++m) {
       std::vector<cpu::MemOp> ops = random_ops(cfg.seed * 31 + m, cfg.ops);
       if (m == 0 && cfg.tua_ops.has_value()) ops = *cfg.tua_ops;
@@ -344,7 +402,7 @@ struct Rig {
         order.push_back(contenders.back().get());
       }
     }
-    order.push_back(bus.get());
+    if (!cfg.bus_first) order.push_back(bus.get());
   }
 
   /// The reference: every cycle ticked.
@@ -561,23 +619,78 @@ TEST(FastForward, SaturationCrossingInTheCycleTheTuaRequests) {
   }
 }
 
+void expect_same_records(const metrics::Record& a, const metrics::Record& b,
+                         const std::string& where) {
+  ASSERT_EQ(a.keys(), b.keys()) << where;
+  for (const std::string& key : a.keys()) {
+    const std::span<const double> x = a.at(key).elements();
+    const std::span<const double> y = b.at(key).elements();
+    ASSERT_EQ(x.size(), y.size()) << where << ' ' << key;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]),
+                std::bit_cast<std::uint64_t>(y[i]))
+          << where << ' ' << key << '[' << i << ']';
+    }
+  }
+}
+
+/// Records, at every executed cycle, which of the watched components its
+/// kernel has parked. Its horizon is kNever, so it adds no executed
+/// cycle; registered last, it sees the parks of the cycle just ticked.
+class ParkWatch final : public sim::Component {
+ public:
+  ParkWatch(sim::Kernel& kernel, std::vector<const sim::Component*> watched)
+      : sim::Component("park-watch"),
+        kernel_(kernel),
+        watched_(std::move(watched)),
+        seen(watched_.size(), false),
+        last(watched_.size(), false) {
+    kernel_.add(*this);
+  }
+
+  void tick(Cycle /*now*/) override {
+    for (std::size_t i = 0; i < watched_.size(); ++i) {
+      last[i] = kernel_.parked(*watched_[i]);
+      seen[i] = seen[i] || last[i];
+    }
+  }
+  [[nodiscard]] Cycle next_event(Cycle /*now*/) const override {
+    return kNever;
+  }
+
+ private:
+  sim::Kernel& kernel_;
+  std::vector<const sim::Component*> watched_;
+
+ public:
+  std::vector<bool> seen;  ///< parked at the end of some executed cycle
+  std::vector<bool> last;  ///< parked at the end of the last one
+};
+
+/// Whether the skipping run's TuA was parked at some executed cycle and
+/// at the last one.
+struct TuaParking {
+  bool seen = false;
+  bool last = false;
+};
+
 /// A Multicore run with the tick-every-cycle reference registered last
-/// and one skipping in chunks of `chunk` cycles, compared record for
-/// record.
-void expect_same_machine_runs(const platform::PlatformConfig& config,
-                              const std::vector<cpu::MemOp>& ops,
-                              Cycle max_cycles, Cycle chunk,
-                              const std::string& where) {
+/// and one skipping in chunks of `chunk` cycles (kStepping: step()),
+/// compared record for record.
+TuaParking expect_same_machine_runs(const platform::PlatformConfig& config,
+                                    const std::vector<cpu::MemOp>& ops,
+                                    Cycle max_cycles, Cycle chunk,
+                                    const std::string& where) {
   workloads::FixedOpsStream tua_a(ops);
   workloads::FixedOpsStream tua_b(ops);
   platform::Multicore ticked(config, 42, tua_a);
   platform::Multicore skipped(config, 42, tua_b);
-  test::TickEveryCycle reference;
-  ticked.kernel().add(reference);
+  test::TickEveryCycle reference(ticked.kernel());
   const platform::RunResult a = ticked.run(max_cycles);
   EXPECT_EQ(ticked.kernel().executed_cycles(), ticked.kernel().now())
       << where;
   sim::Kernel& kernel = skipped.kernel();
+  const ParkWatch watch(kernel, {&skipped.core(0)});
   const bool fired = run_in_chunks(
       kernel, [&] { return skipped.tua_done(); }, max_cycles, chunk);
   const platform::RunResult b = skipped.harvest(fired, kernel.now());
@@ -589,18 +702,11 @@ void expect_same_machine_runs(const platform::PlatformConfig& config,
     expect_same_credits(ticked.credit_filter()->state(),
                         skipped.credit_filter()->state(), where);
   }
-  ASSERT_EQ(a.record.keys(), b.record.keys()) << where;
-  for (const std::string& key : a.record.keys()) {
-    const std::span<const double> x = a.record.at(key).elements();
-    const std::span<const double> y = b.record.at(key).elements();
-    ASSERT_EQ(x.size(), y.size()) << where << ' ' << key;
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]),
-                std::bit_cast<std::uint64_t>(y[i]))
-          << where << ' ' << key << '[' << i << ']';
-    }
+  expect_same_records(a.record, b.record, where);
+  if (chunk != kStepping) {
+    EXPECT_LT(kernel.executed_cycles(), kernel.now()) << where;
   }
-  EXPECT_LT(kernel.executed_cycles(), kernel.now()) << where;
+  return {watch.seen[0], watch.last[0]};
 }
 
 TEST(FastForward, UnfinishedRunCutInsideAComputeBurst) {
@@ -1297,6 +1403,188 @@ TEST(FastForward, SyntheticMasterInstantRerequestSkippedMatchesTicked) {
                  synthetic(1, 45, 0, 0, 0, true), synthetic(2, 5, 0, 0),
                  synthetic(3, 9, 0, 17, 40)};
   (void)check_synth_settings(cfg, "instant re-request");
+}
+
+// --- parking: blocked cores leave the kernel's passes -------------------------
+
+TEST(FastForward, ParkedTuaOnTheSingleBusMatchesTicked) {
+  // The TuA's loads, atomics and drains block it on the bus: alone in
+  // ISO mode, behind Table-I contenders in WCET mode. It parks, and the
+  // bus's completion wakes it.
+  const auto ops = random_ops(21, 400);
+  platform::PlatformConfig iso = platform::PlatformConfig::paper(BusSetup::kCba);
+  iso.mode = PlatformMode::kOperation;
+  for (const auto& [name, config] :
+       {std::pair{std::string("iso"), iso},
+        std::pair{std::string("wcet"),
+                  platform::PlatformConfig::paper_wcet(BusSetup::kCba)},
+        std::pair{std::string("wcet rp"),
+                  platform::PlatformConfig::paper_wcet(BusSetup::kRp)}}) {
+    for (const Cycle chunk : {kNever, Cycle{7}}) {
+      const std::string where = name + " chunk " + std::to_string(chunk);
+      const TuaParking parked =
+          expect_same_machine_runs(config, ops, 50'000'000, chunk, where);
+      EXPECT_TRUE(parked.seen) << where;
+    }
+  }
+}
+
+TEST(FastForward, ParkedCoresWithTheBusRegisteredFirstMatchTicked) {
+  // The bus ticks before the cores: a completion at cycle t wakes a core
+  // whose slot at t is still ahead, so the wake settles the cycles up to
+  // t and the core ticks at t in the same pass. Real cores only: the
+  // Table-I contenders' horizons assume the platform's order (contenders
+  // before the bus).
+  for (const bool credits : {false, true}) {
+    RigConfig cfg;
+    cfg.cores = 2;
+    cfg.contenders = false;
+    if (credits) cfg.cba = CbaConfig::paper_table1();
+    cfg.bus_first = true;
+    cfg.seed = 31;
+    const std::string name =
+        credits ? "bus first, two cores, cba" : "bus first, two cores";
+    (void)check_rig(cfg, name, {200'000'000, 3'001}, {kNever, 7, kStepping});
+  }
+  RigConfig iso;
+  iso.contenders = false;
+  iso.bus_first = true;
+  iso.seed = 32;
+  (void)check_rig(iso, "bus first, iso");
+}
+
+TEST(FastForward, BudgetEndingWhileTheTuaIsParked) {
+  // One load that misses the L1 and the L2 after 10 compute cycles: the
+  // TuA waits on the bus from cycle 10. Every cut inside the wait ends
+  // the run unfinished with the TuA parked at its last executed cycle;
+  // the settled cycle and stall counts must match the ticked run's.
+  const std::vector<cpu::MemOp> ops{{MemOpKind::kLoad, 0x1000, 10},
+                                    {MemOpKind::kLoad, 0x9000, 0}};
+  platform::PlatformConfig iso = platform::PlatformConfig::paper(BusSetup::kRp);
+  iso.mode = PlatformMode::kOperation;
+  const platform::PlatformConfig wcet =
+      platform::PlatformConfig::paper_wcet(BusSetup::kCba);
+  int parked_cuts = 0;
+  for (const auto& [name, config] :
+       {std::pair{std::string("iso"), iso},
+        std::pair{std::string("wcet"), wcet}}) {
+    for (Cycle cut = 12; cut < 80; cut += 5) {
+      const std::string where = name + " cut " + std::to_string(cut);
+      workloads::FixedOpsStream probe_stream(ops);
+      platform::Multicore probe(config, 42, probe_stream);
+      if (probe.run(cut).tua_finished) continue;
+      const TuaParking parked =
+          expect_same_machine_runs(config, ops, cut, kNever, where);
+      if (parked.last) ++parked_cuts;
+    }
+  }
+  EXPECT_GE(parked_cuts, 10) << "cuts that end with the TuA parked";
+}
+
+TEST(FastForward, TuaDrivenByStepMatchesTicked) {
+  // step() executes one cycle per call. Whatever parks in a one-cycle
+  // call is settled at once with nothing to settle, so such a call runs
+  // unbound and nothing parks.
+  const auto ops = random_ops(23, 150);
+  platform::PlatformConfig iso =
+      platform::PlatformConfig::paper(BusSetup::kHcba);
+  iso.mode = PlatformMode::kOperation;
+  for (const auto& [name, config] :
+       {std::pair{std::string("iso"), iso},
+        std::pair{std::string("wcet"),
+                  platform::PlatformConfig::paper_wcet(BusSetup::kHcba)}}) {
+    const TuaParking parked =
+        expect_same_machine_runs(config, ops, 50'000'000, kStepping, name);
+    EXPECT_FALSE(parked.seen) << name;
+  }
+}
+
+/// The mesh_corun shape: nine cores on mesh:3x3, every one running its
+/// own random ops, under `setup` with bridges bounded at `depth`.
+[[nodiscard]] platform::PlatformConfig mesh_corun_config(
+    const std::string& setup, std::uint32_t depth) {
+  std::istringstream in("cores = 9\ntopology = mesh:3x3\nmode = operation\n"
+                        "arbiter = rr\nsetup = " + setup + "\nbridge_depth = " +
+                        (depth == 0 ? std::string("unbounded")
+                                    : std::to_string(depth)) +
+                        "\n");
+  return platform::parse_config(in);
+}
+
+/// Nine-core Multicore runs: the every-cycle reference against a parking,
+/// skipping run driven in chunks of `chunk` (kStepping: step()); every
+/// core, interconnect and credit statistic and the record must match,
+/// and every core must have parked unless driven by step().
+void expect_same_mesh_corun(const platform::PlatformConfig& config,
+                            Cycle max_cycles, Cycle chunk,
+                            const std::string& where) {
+  struct Side {
+    explicit Side(const platform::PlatformConfig& config) {
+      for (MasterId m = 0; m < config.n_cores; ++m) {
+        streams.push_back(std::make_unique<workloads::FixedOpsStream>(
+            random_ops(77 + m, 160)));
+        if (m > 0) corunners.push_back(streams.back().get());
+      }
+      machine = std::make_unique<platform::Multicore>(
+          config, 42, *streams.front(), corunners);
+    }
+    std::vector<std::unique_ptr<workloads::FixedOpsStream>> streams;
+    std::vector<cpu::OpStream*> corunners;
+    std::unique_ptr<platform::Multicore> machine;
+  };
+  Side ticked(config);
+  Side skipped(config);
+  test::TickEveryCycle reference(ticked.machine->kernel());
+  const platform::RunResult a = ticked.machine->run(max_cycles);
+  sim::Kernel& kernel = skipped.machine->kernel();
+  std::vector<const sim::Component*> cores;
+  for (std::size_t i = 0; i < skipped.machine->real_cores(); ++i) {
+    cores.push_back(&skipped.machine->core(i));
+  }
+  const ParkWatch watch(kernel, cores);
+  platform::Multicore& machine = *skipped.machine;
+  const bool fired = run_in_chunks(
+      kernel, [&] { return machine.tua_done(); }, max_cycles, chunk);
+  const platform::RunResult b = machine.harvest(fired, kernel.now());
+  EXPECT_EQ(a.tua_finished, b.tua_finished) << where;
+  EXPECT_EQ(a.tua_cycles, b.tua_cycles) << where;
+  for (std::size_t i = 0; i < machine.real_cores(); ++i) {
+    const std::string who = where + " core " + std::to_string(i);
+    expect_same_core(ticked.machine->core(i), machine.core(i), who);
+    // One-cycle calls run unbound (see TuaDrivenByStepMatchesTicked).
+    EXPECT_EQ(watch.seen[i], chunk != kStepping) << who;
+  }
+  const auto x = interconnect_stats(*ticked.machine->segmented());
+  const auto y = interconnect_stats(*machine.segmented());
+  ASSERT_EQ(x.size(), y.size()) << where;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i].second, y[i].second) << where << ' ' << x[i].first;
+  }
+  for (std::uint32_t s = 0; s < machine.interconnect().n_segments(); ++s) {
+    if (machine.credit_filter(s) == nullptr) continue;
+    expect_same_credits(ticked.machine->credit_filter(s)->state(),
+                        machine.credit_filter(s)->state(),
+                        where + " segment " + std::to_string(s));
+  }
+  expect_same_records(a.record, b.record, where);
+}
+
+TEST(FastForward, NineParkedCoresOnTheMeshMatchTicked) {
+  for (const std::string setup : {"rp", "hcba"}) {
+    for (const std::uint32_t depth : {0u, 1u}) {
+      for (const Cycle chunk : {kNever, Cycle{7}}) {
+        const std::string where = setup + " depth " + std::to_string(depth) +
+                                  " chunk " + std::to_string(chunk);
+        expect_same_mesh_corun(mesh_corun_config(setup, depth), 50'000'000,
+                               chunk, where);
+      }
+    }
+  }
+  // A cut mid-run and a stepped run.
+  expect_same_mesh_corun(mesh_corun_config("hcba", 1), 2'501, kNever,
+                         "hcba depth 1 cut 2501");
+  expect_same_mesh_corun(mesh_corun_config("rp", 1), 50'000'000, kStepping,
+                         "rp depth 1 step");
 }
 
 }  // namespace
