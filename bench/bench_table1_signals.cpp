@@ -62,17 +62,17 @@ void print_table1_trace() {
   platform::SyntheticMaster tua(tua_cfg, b);
   kernel.add(tua);
 
-  std::vector<std::unique_ptr<core::VirtualContender>> contenders;
+  std::vector<core::VirtualContender::Contender> cs;
   for (MasterId m = 1; m < 4; ++m) {
     core::VirtualContenderConfig vc;
     vc.self = m;
     vc.tua = 0;
     vc.hold = 56;
     vc.policy = core::ContenderPolicy::kCompLatch;
-    contenders.push_back(
-        std::make_unique<core::VirtualContender>(vc, b, &filter.state()));
-    kernel.add(*contenders.back());
+    cs.push_back({vc, &filter.state()});
   }
+  core::VirtualContender contenders(cs, b);
+  kernel.add(contenders);
   kernel.add(b);
 
   bench::Table table({"cycle", "BUDG0", "BUDG1", "BUDG2", "BUDG3", "COMP2",
@@ -103,9 +103,9 @@ void print_table1_trace() {
           {std::to_string(t), std::to_string(cs.budget(0)),
            std::to_string(cs.budget(1)), std::to_string(cs.budget(2)),
            std::to_string(cs.budget(3)),
-           contenders[0]->comp() ? "1" : "0",
-           contenders[1]->comp() ? "1" : "0",
-           contenders[2]->comp() ? "1" : "0",
+           contenders.comp(1) ? "1" : "0",
+           contenders.comp(2) ? "1" : "0",
+           contenders.comp(3) ? "1" : "0",
            b.has_pending(0) ? "1" : "0",
            holder == kNoMaster ? "-" : std::to_string(holder), event});
     }

@@ -50,6 +50,16 @@ class Arbiter {
   /// Winner notification (update rotation pointers, permutation windows...).
   virtual void on_grant(MasterId master, Cycle now) = 0;
 
+  /// Event horizon of an idle bus with `pending` requests (non-empty), asked
+  /// after cycle `now` arbitrated: the first cycle after `now` whose
+  /// arbitration may pick one of them, assuming they stay pending. Every
+  /// cycle before it must decline without side effects. The default,
+  /// now + 1, suits every arbiter that picks from any non-empty set.
+  [[nodiscard]] virtual Cycle next_pick(std::uint32_t /*pending*/,
+                                        Cycle now) const {
+    return now + 1;
+  }
+
   /// Transfer-completion notification with the actual occupancy: post-paid
   /// policies (deficit round-robin) charge their accounting here. Default
   /// no-op.

@@ -101,11 +101,17 @@ Cycle NonSplitBus::next_event(Cycle now) const {
   if (transfer_.has_value()) return now + transfer_->remaining;
   if (latched_grant_.has_value()) return now + 1;
   if (pending_bits_ == 0) return kNever;
-  // Arbitration at `now` found no eligible request (or the arbiter
-  // declined, e.g. TDMA): without a filter to say when that changes,
-  // arbitrate again next cycle.
-  if (filter_ == nullptr) return now + 1;
-  return filter_->next_eligible(pending_bits_, now);
+  return next_grant(now);
+}
+
+Cycle NonSplitBus::next_grant(Cycle now) const {
+  // Arbitration at `now` found no eligible request, or the arbiter
+  // declined (TDMA outside a pending owner's slot). A grant needs both an
+  // eligible request and an arbiter that picks, so the later of the two
+  // lower bounds is one too.
+  const Cycle pick = arbiter_.next_pick(pending_bits_, now);
+  if (filter_ == nullptr) return pick;
+  return std::max(pick, filter_->next_eligible(pending_bits_, now));
 }
 
 void NonSplitBus::skip(Cycle from, Cycle cycles) {

@@ -195,9 +195,10 @@ class NonSplitBus final : public Interconnect {
   void tick(Cycle now) override;
 
   /// Event horizon: the completion cycle of a transfer in flight; t + 1
-  /// for a latched grant; for an idle bus with requests pending but none
-  /// eligible, the filter's first eligibility crossing; kNever for an
-  /// idle bus with nothing pending (only a master's request ends that).
+  /// for a latched grant; for an idle bus with requests pending, the later
+  /// of the arbiter's next pick (Arbiter::next_pick) and the filter's
+  /// first eligibility crossing; kNever for an idle bus with nothing
+  /// pending (only a master's request ends that).
   [[nodiscard]] Cycle next_event(Cycle now) const override;
 
   /// Count `cycles` busy or idle cycles, run the transfer's countdown and
@@ -271,6 +272,12 @@ class NonSplitBus final : public Interconnect {
 
   /// Completion path of tick_finish (cold relative to the advance path).
   void complete_transfer(Cycle now);
+
+  /// next_event for an idle bus with requests pending. Out of line so that
+  /// next_event's common exits, taken after every executed cycle, need no
+  /// stack frame: inlined, its two calls made every next_event save
+  /// registers.
+  [[gnu::noinline]] Cycle next_grant(Cycle now) const;
 
   BusConfig config_;
   Arbiter& arbiter_;

@@ -17,6 +17,16 @@ MasterId TdmaArbiter::pick(const ArbInput& input) {
   return kNoMaster;
 }
 
+Cycle TdmaArbiter::next_pick(std::uint32_t pending, Cycle now) const {
+  CBUS_EXPECTS(pending != 0);
+  Cycle start = (now + 2 + slot_ - 1) / slot_ * slot_;
+  // Every master owns one slot of each rotation.
+  for (std::uint32_t i = 0; i < n_masters(); ++i, start += slot_) {
+    if ((pending >> slot_owner(start)) & 1u) return start - 1;
+  }
+  return kNever;  // no pending master has a slot
+}
+
 void TdmaArbiter::on_grant(MasterId master, Cycle /*now*/) {
   CBUS_EXPECTS(master < n_masters());
 }

@@ -16,6 +16,10 @@ class TdmaArbiter final : public Arbiter {
   TdmaArbiter(std::uint32_t n_masters, Cycle slot_cycles);
 
   [[nodiscard]] MasterId pick(const ArbInput& input) override;
+  /// One cycle before the first slot start at or after now + 2 whose
+  /// owner is pending (arbitration at t grants at t + 1).
+  [[nodiscard]] Cycle next_pick(std::uint32_t pending,
+                                Cycle now) const override;
   void on_grant(MasterId master, Cycle now) override;
   void reset() override {}
 

@@ -77,7 +77,7 @@ void BatchCreditEngine::Proxy::on_latch(const bus::BusRequest& /*request*/,
                                         Cycle /*now*/) {
   // Arbitration consumed the pending request; until on_grant the lane is
   // neither pending nor holding, so the bank may legally re-request --
-  // exactly what the serial VirtualContender does in that window.
+  // exactly what VirtualContender does in that window.
   engine->banks_[bank].pend &= ~(std::uint64_t{1} << lane);
 }
 

@@ -22,8 +22,8 @@
 //      post-update eligibility, RNG drawn iff eligible candidates).
 //
 // on_cycle() below runs exactly these five phases, each phase across
-// all lanes before the next: the contender bank (phase 0) replaces the
-// per-lane VirtualContender components, NonSplitBus::tick_begin /
+// all lanes before the next: the contender bank (phase 0) replaces each
+// lane's VirtualContender component, NonSplitBus::tick_begin /
 // tick_finish split the bus tick around the vertical credit update, and
 // clamp events are routed back to each lane's CreditState so the
 // underflow accounting matches the scalar path to the count.
@@ -61,7 +61,7 @@ class BatchCreditEngine final : public sim::BatchStage {
   void set_lane(std::size_t lane, bus::NonSplitBus& bus, CreditState& state);
 
   /// Register a WCET-mode contender slot for lane `lane` -- the engine
-  /// drives the Table-I COMP latch for it instead of a per-lane
+  /// drives the Table-I COMP latch for it instead of the lane's
   /// VirtualContender component. Must be called in ascending master
   /// order per lane (the serial tick order), with the same config on
   /// every lane.

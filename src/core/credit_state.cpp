@@ -171,11 +171,6 @@ double CreditState::budget_cycles(MasterId m) const {
   return static_cast<double>(budget(m)) / static_cast<double>(config_.scale);
 }
 
-bool CreditState::saturated(MasterId m) const {
-  CBUS_EXPECTS(m < config_.n_masters);
-  return value(m) == config_.saturation[m];
-}
-
 void CreditState::set_budget(MasterId m, std::uint64_t units) {
   CBUS_EXPECTS(m < config_.n_masters);
   CBUS_EXPECTS(units <= config_.saturation[m]);

@@ -114,7 +114,12 @@ class CreditState {
   }
 
   /// True iff the counter is at its saturation cap (Table I's BUDGi == 228).
-  [[nodiscard]] bool saturated(MasterId m) const;
+  /// Inline: the Table-I contenders test it on every tick the TuA is
+  /// pending with a latch down.
+  [[nodiscard]] bool saturated(MasterId m) const {
+    CBUS_EXPECTS(m < config_.n_masters);
+    return value(m) == config_.saturation[m];
+  }
 
   /// Force a budget value (WCET mode zeroes the TuA's budget at run start).
   void set_budget(MasterId m, std::uint64_t units);

@@ -133,8 +133,10 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
         bank_));
   }
 
-  // WCET-estimation mode: the remaining masters become Table-I contenders.
+  // WCET-estimation mode: the remaining masters become Table-I contenders,
+  // all driven by one component.
   if (config_.mode == PlatformMode::kWcetEstimation) {
+    std::vector<core::VirtualContender::Contender> contenders;
     for (MasterId m = static_cast<MasterId>(cores_.size());
          m < config_.n_cores; ++m) {
       core::VirtualContenderConfig vc;
@@ -155,8 +157,11 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
       if (!filters_.empty()) {
         credits = &filters_[bus_->home_segment(m)]->state();
       }
-      virtual_contenders_.push_back(
-          std::make_unique<core::VirtualContender>(vc, *bus_, credits));
+      contenders.push_back({vc, credits});
+    }
+    if (!contenders.empty()) {
+      contenders_ =
+          std::make_unique<core::VirtualContender>(contenders, *bus_);
     }
   }
 
@@ -169,7 +174,7 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
         config_.controller, filters_.front()->state(), bus_->statistics());
   }
 
-  // Tick order: cores, then contenders, then the bus (see header), then
+  // Tick order: cores, then the contenders, then the bus (see header), then
   // the adaptive controller (it reads the bus statistics the cycle just
   // produced and retunes increments for the next one).
   //
@@ -182,7 +187,7 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
     engine_->set_lane(engine_lane, bus(), filters_.front()->state());
     return;
   }
-  for (auto& vc : virtual_contenders_) kernel_.add(*vc);
+  if (contenders_) kernel_.add(*contenders_);
   kernel_.add(*bus_);
   if (controller_ && config_.controller.adaptive()) {
     kernel_.add(*controller_);

@@ -6,10 +6,12 @@
 // consume independent randomness.
 //
 // Wiring and tick order (determinism contract):
-//   TuA core (master 0) -> other real cores -> WCET-mode virtual
-//   contenders -> the bus.
-// Cores raise requests during their tick; the bus arbitrates the same
-// cycle and starts transfers the next cycle (1-cycle arbitration).
+//   TuA core (master 0) -> other real cores -> the one component driving
+//   every WCET-mode virtual contender -> the bus.
+// Cores and contenders raise requests during their tick; the bus
+// arbitrates the same cycle and starts transfers the next cycle (1-cycle
+// arbitration). The contenders' horizon assumes they tick before the bus
+// (core/virtual_contender.hpp).
 //
 // A Multicore is cheap to build; campaigns construct one per run instead
 // of resetting state (no half-reset bugs by construction).
@@ -70,8 +72,8 @@ class Multicore {
   /// `engine` (optional; requires a non-empty `credit_lane`, CBA, the
   /// non-split protocol and the single-bus topology) hands this machine's
   /// Table-I work to a batch credit engine as lane `engine_lane`: no
-  /// per-lane VirtualContender components are built (the engine's
-  /// contender bank replaces them) and the bus is ticked by the engine,
+  /// VirtualContender component is built (the engine's contender bank
+  /// replaces it) and the bus is ticked by the engine,
   /// not the kernel. Such a machine runs ONLY as a lane of a staged
   /// BatchKernel that registers kernel().components() and, for an
   /// adaptive controller, controller() as a post-stage component -- run()
@@ -155,7 +157,8 @@ class Multicore {
   std::unique_ptr<mem::PartitionedL2> l2_;
   std::unique_ptr<bus::Interconnect> bus_;
   std::vector<std::unique_ptr<cpu::InOrderCore>> cores_;
-  std::vector<std::unique_ptr<core::VirtualContender>> virtual_contenders_;
+  /// Every Table-I contender of a WCET-mode machine (null without any).
+  std::unique_ptr<core::VirtualContender> contenders_;
   /// Non-null when this machine is a lane of a batch credit engine.
   core::BatchCreditEngine* engine_ = nullptr;
 };

@@ -254,16 +254,17 @@ struct WcetHarness {
       filter = std::make_unique<CreditFilter>(CbaConfig::paper_table1());
       b.set_filter(filter.get());
     }
+    std::vector<VirtualContender::Contender> cs;
     for (MasterId m = 1; m < 4; ++m) {
       VirtualContenderConfig cfg;
       cfg.self = m;
       cfg.tua = 0;
       cfg.hold = 56;
       cfg.policy = policy;
-      contenders.push_back(std::make_unique<VirtualContender>(
-          cfg, b, filter ? &filter->state() : nullptr));
+      cs.push_back({cfg, filter ? &filter->state() : nullptr});
     }
-    for (auto& c : contenders) kernel.add(*c);
+    contenders = std::make_unique<VirtualContender>(cs, b);
+    kernel.add(*contenders);
     kernel.add(b);
   }
 
@@ -271,7 +272,7 @@ struct WcetHarness {
   bus::RoundRobinArbiter arb{4};
   bus::NonSplitBus b{bus::BusConfig{4, true}, arb, slave};
   std::unique_ptr<CreditFilter> filter;
-  std::vector<std::unique_ptr<VirtualContender>> contenders;
+  std::unique_ptr<VirtualContender> contenders;
   sim::Kernel kernel;
 };
 
@@ -290,7 +291,7 @@ TEST(VirtualContender, CompLatchWaitsForTuaRequest) {
   h.kernel.run(500);
   // The TuA never raised a request, so no contender may compete.
   EXPECT_EQ(h.b.statistics().busy_cycles, 0u);
-  for (const auto& c : h.contenders) EXPECT_FALSE(c->comp());
+  for (MasterId m = 1; m < 4; ++m) EXPECT_FALSE(h.contenders->comp(m));
 }
 
 TEST(VirtualContender, CompLatchFiresOnTuaRequest) {
@@ -316,8 +317,8 @@ TEST(VirtualContender, CompResetOnGrant) {
   // Run long enough for at least one contender grant.
   h.kernel.run(80);
   int reset_count = 0;
-  for (const auto& c : h.contenders) {
-    if (c->grants() > 0 && !c->comp()) ++reset_count;
+  for (MasterId m = 1; m < 4; ++m) {
+    if (h.contenders->grants(m) > 0 && !h.contenders->comp(m)) ++reset_count;
   }
   EXPECT_GT(reset_count, 0);
 }
@@ -345,8 +346,8 @@ TEST(VirtualContender, BudgetGateDelaysRecompetition) {
   }
   // Each contender's 56-cycle grant costs 168 net budget (recovery 168
   // cycles), so per contender grants are bounded by ~ cycles / 224.
-  for (const auto& c : h.contenders) {
-    EXPECT_LE(c->grants(), 4000u / 224u + 2u);
+  for (MasterId m = 1; m < 4; ++m) {
+    EXPECT_LE(h.contenders->grants(m), 4000u / 224u + 2u);
   }
   // And the TuA is never starved out.
   EXPECT_GT(tua_completions, 0u);
@@ -359,7 +360,9 @@ TEST(VirtualContender, ConfigRejectsSelfEqualsTua) {
   VirtualContenderConfig cfg;
   cfg.self = 0;
   cfg.tua = 0;
-  EXPECT_THROW(VirtualContender(cfg, b, nullptr), std::invalid_argument);
+  cfg.policy = ContenderPolicy::kAlwaysCompete;
+  const VirtualContender::Contender c{cfg, nullptr};
+  EXPECT_THROW(VirtualContender({&c, 1}, b), std::invalid_argument);
 }
 
 TEST(VirtualContender, CompLatchRequiresCredits) {
@@ -370,7 +373,36 @@ TEST(VirtualContender, CompLatchRequiresCredits) {
   cfg.self = 1;
   cfg.tua = 0;
   cfg.policy = ContenderPolicy::kCompLatch;
-  EXPECT_THROW(VirtualContender(cfg, b, nullptr), std::invalid_argument);
+  const VirtualContender::Contender c{cfg, nullptr};
+  EXPECT_THROW(VirtualContender({&c, 1}, b), std::invalid_argument);
+}
+
+TEST(VirtualContender, RejectsAnEmptyUnorderedOrMixedTuaList) {
+  NullSlave slave;
+  bus::RoundRobinArbiter arb(4);
+  bus::NonSplitBus b(bus::BusConfig{4, true}, arb, slave);
+  const auto contender = [](MasterId self, MasterId tua) {
+    VirtualContenderConfig cfg;
+    cfg.self = self;
+    cfg.tua = tua;
+    cfg.policy = ContenderPolicy::kAlwaysCompete;
+    return VirtualContender::Contender{cfg, nullptr};
+  };
+  EXPECT_THROW(VirtualContender({}, b), std::invalid_argument);
+  const VirtualContender::Contender descending[] = {contender(2, 0),
+                                                    contender(1, 0)};
+  EXPECT_THROW(VirtualContender(descending, b), std::invalid_argument);
+  const VirtualContender::Contender twice[] = {contender(1, 0),
+                                               contender(1, 0)};
+  EXPECT_THROW(VirtualContender(twice, b), std::invalid_argument);
+  const VirtualContender::Contender mixed[] = {contender(2, 0),
+                                               contender(3, 1)};
+  EXPECT_THROW(VirtualContender(mixed, b), std::invalid_argument);
+  const VirtualContender::Contender ok[] = {contender(1, 0), contender(3, 0)};
+  const VirtualContender bank(ok, b);
+  EXPECT_EQ(bank.grants(3), 0u);
+  // Master 2 is not one of its contenders.
+  EXPECT_THROW((void)bank.comp(2), std::invalid_argument);
 }
 
 // --- analytical contention bounds (SIII-B companions) --------------------------------

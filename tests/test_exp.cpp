@@ -291,6 +291,52 @@ TEST(SweepExpansion, InvalidCombinationNamesTheSweepPoint) {
   return out.str();
 }
 
+TEST(Runner, SplitBusWcetCampaignBytesArePinned) {
+  // Captured from the machine that ticked one component per Table-I
+  // contender. The split bus never calls on_latch, so a contender's
+  // pending request ends at its grant there; the bytes pin that path
+  // under RP (always compete) and CBA/H-CBA (COMP latch).
+  const ExperimentSpec spec = parse(
+      "name = split-wcet-golden\n"
+      "kernel = canrdr\n"
+      "scenario = con\n"
+      "bus = split\n"
+      "sweep setup = rp cba hcba\n"
+      "cores = 4\n"
+      "runs = 2\n"
+      "metrics = tua.cycles,bus.requests,bus.grant_share,bus.max_wait,"
+      "credit.budget\n");
+  const char* golden_csv =
+      "job,kernel,scenario,setup,seed,run,cycles,tua.cycles,"
+      "bus.requests[0],bus.requests[1],bus.requests[2],bus.requests[3],"
+      "bus.grant_share[0],bus.grant_share[1],bus.grant_share[2],"
+      "bus.grant_share[3],bus.max_wait[0],bus.max_wait[1],bus.max_wait[2],"
+      "bus.max_wait[3],credit.budget[0],credit.budget[1],credit.budget[2],"
+      "credit.budget[3]\n"
+      "0,canrdr,con,rp,14592251008053203194,0,415681,415681,1983,27050,"
+      "27051,27051,0.023853343437624047,0.3253822188541253,"
+      "0.3253822188541253,0.3253822188541253,20,30,30,30,,,,\n"
+      "0,canrdr,con,rp,14592251008053203194,1,415796,415796,1862,27099,"
+      "27098,27099,0.02239164942998701,0.32586945019000435,"
+      "0.32586945019000435,0.32586945019000435,19,30,30,30,,,,\n"
+      "1,canrdr,con,cba,17069869281103512697,0,419589,419589,1968,1976,"
+      "1976,1976,0.24924012158054712,0.2502532928064843,"
+      "0.2502532928064843,0.2502532928064843,224,12,16,16,56,56,56,56\n"
+      "1,canrdr,con,cba,17069869281103512697,1,417500,417500,1985,1992,"
+      "1992,1992,0.2493405351086547,0.2502198216304484,0.2502198216304484,"
+      "0.2502198216304484,207,16,16,14,56,56,56,56\n"
+      "2,canrdr,con,hcba,9781417775987323851,0,417575,417575,1953,1817,"
+      "1817,1817,0.2637763371150729,0.24540788762830903,"
+      "0.24540788762830903,0.24540788762830903,90,22,21,20,56,56,56,56\n"
+      "2,canrdr,con,hcba,9781417775987323851,1,418087,418087,1975,1808,"
+      "1808,1808,0.26692796323827545,0.2443573455872415,"
+      "0.2443573455872415,0.2443573455872415,95,22,21,20,54,54.5,"
+      "53.666666666666664,52.833333333333336\n";
+  const ExperimentResult result = run_experiment(spec, /*threads=*/2);
+  ASSERT_EQ(result.failed_jobs(), 0u);
+  EXPECT_EQ(csv_of(spec, result), golden_csv);
+}
+
 TEST(Runner, SameCsvAtOneAndFourThreads) {
   const ExperimentSpec spec = parse(
       "scenario = con\n"

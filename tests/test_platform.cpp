@@ -117,8 +117,8 @@ TEST(Multicore, WcetModeSpawnsVirtualContenders) {
   auto tua = workloads::make_eembc("canrdr");
   tua->reset(3);
   Multicore machine(PlatformConfig::paper_wcet(BusSetup::kCba), 3, *tua);
-  // 1 TuA core + 3 contenders + bus = 5 components.
-  EXPECT_EQ(machine.kernel().component_count(), 5u);
+  // 1 TuA core + one component for the 3 contenders + bus.
+  EXPECT_EQ(machine.kernel().component_count(), 3u);
   ASSERT_NE(machine.credit_filter(), nullptr);
   // TuA budget zeroed per §III-B.
   EXPECT_EQ(machine.credit_filter()->state().budget(0), 0u);

@@ -391,16 +391,17 @@ struct Rig {
           m, cpu::CoreConfig{}, *streams.back(), *bus, bank));
       order.push_back(cores.back().get());
     }
-    if (cfg.contenders) {
+    if (cfg.contenders && cfg.cores < cfg.n_masters) {
+      std::vector<core::VirtualContender::Contender> cs;
       for (MasterId m = cfg.cores; m < cfg.n_masters; ++m) {
         core::VirtualContenderConfig vc;
         vc.self = m;
         vc.tua = 0;
         vc.policy = cfg.policy;
-        contenders.push_back(std::make_unique<core::VirtualContender>(
-            vc, *bus, filter ? &filter->state() : nullptr));
-        order.push_back(contenders.back().get());
+        cs.push_back({vc, filter ? &filter->state() : nullptr});
       }
+      contenders = std::make_unique<core::VirtualContender>(cs, *bus);
+      order.push_back(contenders.get());
     }
     if (!cfg.bus_first) order.push_back(bus.get());
   }
@@ -425,7 +426,7 @@ struct Rig {
   std::unique_ptr<core::CreditFilter> filter;
   std::vector<std::unique_ptr<workloads::FixedOpsStream>> streams;
   std::vector<std::unique_ptr<cpu::InOrderCore>> cores;
-  std::vector<std::unique_ptr<core::VirtualContender>> contenders;
+  std::unique_ptr<core::VirtualContender> contenders;
   std::vector<sim::Component*> order;
 };
 
@@ -477,9 +478,12 @@ void expect_same_rig(const Rig& a, const Rig& b, const std::string& where) {
   if (a.filter) {
     expect_same_credits(a.filter->state(), b.filter->state(), where);
   }
-  for (std::size_t i = 0; i < a.contenders.size(); ++i) {
-    EXPECT_EQ(a.contenders[i]->comp(), b.contenders[i]->comp()) << where;
-    EXPECT_EQ(a.contenders[i]->grants(), b.contenders[i]->grants()) << where;
+  ASSERT_EQ(a.contenders == nullptr, b.contenders == nullptr) << where;
+  if (a.contenders == nullptr) return;
+  for (auto m = static_cast<MasterId>(a.cores.size()); m < a.bus->n_masters();
+       ++m) {
+    EXPECT_EQ(a.contenders->comp(m), b.contenders->comp(m)) << where << m;
+    EXPECT_EQ(a.contenders->grants(m), b.contenders->grants(m)) << where << m;
   }
 }
 
@@ -614,7 +618,7 @@ TEST(FastForward, SaturationCrossingInTheCycleTheTuaRequests) {
       expect_same_rig(ticked, skipped, where);
       // An earlier TuA request is granted before the crossing; from
       // gap 10 on the TuA is pending when the budget fills.
-      EXPECT_EQ(skipped.contenders[0]->grants() > 0, gap >= 10) << where;
+      EXPECT_EQ(skipped.contenders->grants(1) > 0, gap >= 10) << where;
     }
   }
 }
@@ -944,6 +948,7 @@ struct SegRig {
         seg->set_filter(s, filters.back().get());
       }
     }
+    std::vector<core::VirtualContender::Contender> cs;
     for (MasterId m = 0; m < sc.n_masters; ++m) {
       const std::uint32_t home = seg->home_segment(m);
       if (cfg.filters == SegFilters::kContenders && m != 0 &&
@@ -952,9 +957,8 @@ struct SegRig {
         vc.self = m;
         vc.tua = 0;
         vc.credit_slot = seg->local_slot(m);
-        contenders.push_back(std::make_unique<core::VirtualContender>(
-            vc, *seg, &filters[home]->state()));
-        order.push_back(contenders.back().get());
+        cs.push_back({vc, &filters[home]->state()});
+        contender_ids.push_back(m);
         continue;
       }
       std::vector<cpu::MemOp> ops = m < cfg.scripts.size()
@@ -966,6 +970,10 @@ struct SegRig {
       cores.push_back(std::make_unique<cpu::InOrderCore>(
           m, cpu::CoreConfig{}, *streams.back(), *seg, bank));
       order.push_back(cores.back().get());
+    }
+    if (!cs.empty()) {
+      contenders = std::make_unique<core::VirtualContender>(cs, *seg);
+      order.push_back(contenders.get());
     }
     order.push_back(seg.get());
     if (cfg.budget_reader) {
@@ -1005,7 +1013,8 @@ struct SegRig {
   std::vector<std::unique_ptr<core::CreditFilter>> filters;
   std::vector<std::unique_ptr<workloads::FixedOpsStream>> streams;
   std::vector<std::unique_ptr<cpu::InOrderCore>> cores;
-  std::vector<std::unique_ptr<core::VirtualContender>> contenders;
+  std::unique_ptr<core::VirtualContender> contenders;
+  std::vector<MasterId> contender_ids;
   std::unique_ptr<BudgetReader> budgets;
   std::unique_ptr<StatsReader> reads;
   std::vector<sim::Component*> order;
@@ -1027,9 +1036,10 @@ void expect_same_seg_rig(const SegRig& a, const SegRig& b,
     expect_same_credits(a.filters[s]->state(), b.filters[s]->state(),
                         where + " segment " + std::to_string(s));
   }
-  for (std::size_t i = 0; i < a.contenders.size(); ++i) {
-    EXPECT_EQ(a.contenders[i]->comp(), b.contenders[i]->comp()) << where;
-    EXPECT_EQ(a.contenders[i]->grants(), b.contenders[i]->grants()) << where;
+  ASSERT_EQ(a.contenders == nullptr, b.contenders == nullptr) << where;
+  for (const MasterId m : a.contender_ids) {
+    EXPECT_EQ(a.contenders->comp(m), b.contenders->comp(m)) << where << m;
+    EXPECT_EQ(a.contenders->grants(m), b.contenders->grants(m)) << where << m;
   }
   if (a.budgets) {
     EXPECT_EQ(a.budgets->seen.reads, b.budgets->seen.reads) << where;
@@ -1585,6 +1595,221 @@ TEST(FastForward, NineParkedCoresOnTheMeshMatchTicked) {
                          "hcba depth 1 cut 2501");
   expect_same_mesh_corun(mesh_corun_config("rp", 1), 50'000'000, kStepping,
                          "rp depth 1 step");
+}
+
+// --- the contender component and the TDMA horizon ---------------------------
+
+/// Counts the executed cycles that end with a Table-I contender holding
+/// the bus AND pending again: it re-requested in the cycle between its
+/// latch and its grant, where the non-split bus lets it. Its horizon is
+/// kNever, so it adds no executed cycle.
+class LatchGapWatch final : public sim::Component {
+ public:
+  LatchGapWatch(const bus::NonSplitBus& bus, MasterId first)
+      : sim::Component("latch-gap-watch"), bus_(bus), first_(first) {}
+
+  void tick(Cycle /*now*/) override {
+    for (MasterId m = first_; m < bus_.n_masters(); ++m) {
+      if (bus_.is_holding(m) && bus_.has_pending(m)) ++seen;
+    }
+  }
+  [[nodiscard]] Cycle next_event(Cycle /*now*/) const override {
+    return kNever;
+  }
+
+  std::uint64_t seen = 0;
+
+ private:
+  const bus::NonSplitBus& bus_;
+  MasterId first_;
+};
+
+TEST(FastForward, ContendersReRequestingInTheLatchGapMatchTicked) {
+  // A latched contender stays latched until its grant, and the latch
+  // frees its port a cycle earlier: it raises a fresh request in that
+  // cycle, so its pending bit must end at on_latch and survive on_grant.
+  for (const ContenderPolicy policy :
+       {ContenderPolicy::kAlwaysCompete, ContenderPolicy::kCompLatch}) {
+    RigConfig cfg;
+    cfg.policy = policy;
+    if (policy == ContenderPolicy::kCompLatch) {
+      cfg.cba = CbaConfig::paper_table1();
+    }
+    cfg.seed = 41;
+    for (const Cycle max_cycles : {Cycle{200'000'000}, Cycle{3'001}}) {
+      for (const Cycle chunk : {kNever, Cycle{7}, kStepping}) {
+        const std::string where =
+            std::string(policy == ContenderPolicy::kCompLatch ? "latch"
+                                                              : "always") +
+            " max " + std::to_string(max_cycles) + " chunk " +
+            std::to_string(chunk);
+        Rig ticked(cfg);
+        Rig skipped(cfg);
+        LatchGapWatch ticked_watch(*ticked.bus, 1);
+        LatchGapWatch skipped_watch(*skipped.bus, 1);
+        ticked.order.push_back(&ticked_watch);
+        skipped.order.push_back(&skipped_watch);
+        const bool fired_ticked = ticked.run_ticked(max_cycles);
+        std::uint64_t simulated = 0;
+        std::uint64_t executed = 0;
+        const bool fired_skipped =
+            skipped.run_skipped(max_cycles, chunk, simulated, executed);
+        EXPECT_EQ(fired_ticked, fired_skipped) << where;
+        expect_same_rig(ticked, skipped, where);
+        EXPECT_GT(ticked_watch.seen, 0u) << where;
+        EXPECT_GT(skipped_watch.seen, 0u) << where;
+      }
+    }
+  }
+}
+
+TEST(FastForward, RigCutInsideAContenderTransferMatchesTicked) {
+  // Cuts at which the reference ends with a Table-I contender holding
+  // the bus mid-transfer; every contender's latch and grants must match
+  // too, under both policies and every way of driving the kernel.
+  for (const ContenderPolicy policy :
+       {ContenderPolicy::kAlwaysCompete, ContenderPolicy::kCompLatch}) {
+    RigConfig cfg;
+    cfg.policy = policy;
+    cfg.cba = CbaConfig::paper_table1();
+    cfg.seed = 43;
+    int found = 0;
+    for (Cycle cut = 2'000; cut < 6'000 && found < 3; cut += 41) {
+      Rig probe(cfg);
+      if (probe.run_ticked(cut)) continue;
+      const MasterId holder = probe.bus->holder();
+      if (holder == 0 || holder == kNoMaster) continue;
+      ++found;
+      const std::string name =
+          std::string(policy == ContenderPolicy::kCompLatch ? "latch"
+                                                            : "always") +
+          " contender " + std::to_string(holder) + " holding at the cut";
+      (void)check_rig(cfg, name, {cut}, {kNever, 7, kStepping});
+    }
+    EXPECT_EQ(found, 3);
+  }
+}
+
+/// Multicore runs of `config` (segmented, WCET mode, the TuA alone on
+/// master 0): the every-cycle reference against a skipping run in chunks
+/// of `chunk`; the TuA, every interconnect and credit statistic and the
+/// record must match.
+void expect_same_segmented_wcet(const platform::PlatformConfig& config,
+                                const std::vector<cpu::MemOp>& ops,
+                                Cycle max_cycles, Cycle chunk,
+                                const std::string& where) {
+  workloads::FixedOpsStream tua_a(ops);
+  workloads::FixedOpsStream tua_b(ops);
+  platform::Multicore ticked(config, 42, tua_a);
+  platform::Multicore skipped(config, 42, tua_b);
+  test::TickEveryCycle reference(ticked.kernel());
+  const platform::RunResult a = ticked.run(max_cycles);
+  sim::Kernel& kernel = skipped.kernel();
+  const bool fired = run_in_chunks(
+      kernel, [&] { return skipped.tua_done(); }, max_cycles, chunk);
+  const platform::RunResult b = skipped.harvest(fired, kernel.now());
+  EXPECT_EQ(a.tua_finished, b.tua_finished) << where;
+  EXPECT_EQ(a.tua_cycles, b.tua_cycles) << where;
+  expect_same_core(ticked.core(0), skipped.core(0), where);
+  const auto x = interconnect_stats(*ticked.segmented());
+  const auto y = interconnect_stats(*skipped.segmented());
+  ASSERT_EQ(x.size(), y.size()) << where;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(x[i].second, y[i].second) << where << ' ' << x[i].first;
+  }
+  for (std::uint32_t s = 0; s < skipped.interconnect().n_segments(); ++s) {
+    if (skipped.credit_filter(s) == nullptr) continue;
+    expect_same_credits(ticked.credit_filter(s)->state(),
+                        skipped.credit_filter(s)->state(),
+                        where + " segment " + std::to_string(s));
+  }
+  expect_same_records(a.record, b.record, where);
+  if (chunk != kStepping) {
+    EXPECT_LT(kernel.executed_cycles(), kernel.now()) << where;
+  }
+}
+
+TEST(FastForward, SegmentedWcetContendersOnEveryHomeSegmentMatchTicked) {
+  // One component drives the three contenders, each reading BUDGi from
+  // its own home segment's credit state; the segmented interconnect never
+  // calls on_latch, so their pending bits end at the grant.
+  const auto ops = random_ops(51, 300);
+  for (const std::string topology : {"ring:4", "mesh:2x2"}) {
+    for (const std::string setup : {"rp", "cba", "hcba"}) {
+      std::istringstream in("cores = 4\nmode = wcet\nbridge_depth = 2\n"
+                            "topology = " + topology + "\nsetup = " + setup +
+                            "\n");
+      const platform::PlatformConfig config = platform::parse_config(in);
+      {
+        workloads::FixedOpsStream stream(ops);
+        platform::Multicore machine(config, 42, stream);
+        std::vector<std::uint32_t> homes;
+        for (MasterId m = 0; m < 4; ++m) {
+          homes.push_back(machine.interconnect().home_segment(m));
+        }
+        std::sort(homes.begin(), homes.end());
+        ASSERT_EQ(std::unique(homes.begin(), homes.end()), homes.end())
+            << topology << ": one master per home segment";
+      }
+      for (const Cycle chunk : {kNever, Cycle{7}, kStepping}) {
+        const std::string where =
+            topology + ' ' + setup + " chunk " + std::to_string(chunk);
+        expect_same_segmented_wcet(config, ops, 50'000'000, chunk, where);
+        expect_same_segmented_wcet(config, ops, 4'001, chunk,
+                                   where + " cut 4001");
+      }
+    }
+  }
+}
+
+/// The TDMA rigs execute 13-15% of their cycles; without the arbiter's
+/// horizon (Arbiter::next_pick) they executed 80-99%.
+constexpr std::uint64_t kTdmaSkipFactor = 4;
+
+TEST(FastForward, TdmaWithRealCoresSkippedMatchesTicked) {
+  // TDMA declines every arbitration outside a pending owner's slot; the
+  // bus's horizon jumps to the cycle before that slot, with and without
+  // credits (the later of the slot and the eligibility crossing).
+  for (const std::optional<CbaConfig>& cba :
+       {std::optional<CbaConfig>{}, std::optional<CbaConfig>{
+                                        CbaConfig::homogeneous(4, 56)},
+        std::optional<CbaConfig>{CbaConfig::paper_hcba(56)}}) {
+    RigConfig cfg;
+    cfg.cores = 4;
+    cfg.contenders = false;
+    cfg.arbiter = bus::ArbiterKind::kTdma;
+    cfg.cba = cba;
+    cfg.seed = 61;
+    const std::string name =
+        cba.has_value() ? "tdma credits " + std::to_string(cba->increment[0])
+                        : "tdma";
+    const auto [executed, simulated] =
+        check_rig(cfg, name, {200'000'000, 3'001}, {kNever, 7});
+    // Requests wait for their owner's slot without executing each cycle.
+    EXPECT_LT(executed * kTdmaSkipFactor, simulated) << name;
+    (void)check_rig(cfg, name + " step", {3'001}, {kStepping});
+  }
+}
+
+TEST(FastForward, TdmaOnSegmentsSkippedMatchesTicked) {
+  for (const SegFilters filters : {SegFilters::kNone, SegFilters::kCredits}) {
+    for (const bus::Topology& topology :
+         {bus::Topology::chain(2), bus::Topology::mesh(2, 2)}) {
+      for (const std::uint32_t depth : {0u, 1u}) {
+        SegRigConfig cfg;
+        cfg.topology = topology;
+        cfg.depth = depth;
+        cfg.filters = filters;
+        cfg.arbiter = bus::ArbiterKind::kTdma;
+        cfg.seed = 71 + depth;
+        const std::string name =
+            std::string(filters == SegFilters::kNone ? "tdma" : "tdma cba") +
+            ' ' + topology.label() + " depth " + std::to_string(depth);
+        const auto [executed, simulated] = check_seg_rig(cfg, name);
+        EXPECT_LT(executed * kTdmaSkipFactor, simulated) << name;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include "stats/exact_sum.hpp"
 #include "stats/fairness.hpp"
-#include "stats/histogram.hpp"
 #include "stats/log_histogram.hpp"
 #include "stats/summary.hpp"
 
@@ -140,46 +139,6 @@ TEST(Autocorrelation, TrendPositive) {
   std::vector<double> v;
   for (int i = 0; i < 100; ++i) v.push_back(i);
   EXPECT_GT(autocorrelation(v, 1), 0.9);
-}
-
-// --- Histogram -------------------------------------------------------------------
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(10, 5);  // [0,10) [10,20) ... [40,50), overflow beyond
-  h.add(0);
-  h.add(9);
-  h.add(10);
-  h.add(49);
-  h.add(50);
-  h.add(1000);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count(), 6u);
-}
-
-TEST(Histogram, QuantileUpperBound) {
-  Histogram h(10, 10);
-  for (int i = 0; i < 90; ++i) h.add(5);   // bucket 0
-  for (int i = 0; i < 10; ++i) h.add(95);  // bucket 9
-  EXPECT_EQ(h.quantile_upper_bound(0.5), 10u);
-  EXPECT_EQ(h.quantile_upper_bound(0.99), 100u);
-}
-
-TEST(Histogram, ResetClears) {
-  Histogram h(10, 2);
-  h.add(1);
-  h.add(100);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-  EXPECT_EQ(h.bucket(0), 0u);
-}
-
-TEST(Histogram, RejectsBadConfig) {
-  EXPECT_THROW(Histogram(0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(5, 0), std::invalid_argument);
 }
 
 // --- fairness --------------------------------------------------------------------
