@@ -66,6 +66,9 @@ void print_hw_costs() {
                "(100 MHz) cycle budget.\n";
 }
 
+/// One cycle of the credit counters under a fixed holder: an O(1) tick
+/// (the counters settle when read) and a closed-form read of the
+/// holder's budget.
 void BM_CreditUpdatePerCycle(benchmark::State& state) {
   core::CreditState credits(core::CbaConfig::paper_table1());
   MasterId holder = 2;

@@ -122,7 +122,9 @@ void print_table1_trace() {
                "zeroed budget to saturate (228 cycles).\n";
 }
 
-/// Timing: raw cost of the credit-state update (the per-cycle hardware op).
+/// Timing: the credit-state update (the per-cycle hardware op) with a
+/// holder change on every tick, each settling two counters, and a
+/// closed-form budget read.
 void BM_CreditTick(benchmark::State& state) {
   core::CreditState credits(core::CbaConfig::paper_table1());
   MasterId holder = 0;
@@ -134,7 +136,8 @@ void BM_CreditTick(benchmark::State& state) {
 }
 BENCHMARK(BM_CreditTick);
 
-/// Timing: eligibility mask computation (the filter's combinational path).
+/// Timing: eligibility mask computation (the filter's combinational path),
+/// one closed-form read per pending master.
 void BM_EligibilityMask(benchmark::State& state) {
   core::CreditState credits(core::CbaConfig::paper_table1());
   for (auto _ : state) {

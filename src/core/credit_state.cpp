@@ -10,13 +10,7 @@ namespace cbus::core {
 CreditState::CreditState(CbaConfig config) : config_(std::move(config)) {
   config_.validate();
   owned_.resize(config_.n_masters);
-  values_ = owned_.data();
-  stride_ = 1;
-  underflows_by_master_.resize(config_.n_masters, 0);
-  for (MasterId m = 0; m < config_.n_masters; ++m) {
-    CBUS_EXPECTS(config_.initial[m] <= config_.saturation[m]);
-    value(m) = config_.initial[m];
-  }
+  attach(owned_.data(), nullptr, 1);
 }
 
 CreditState::CreditState(CbaConfig config, const CreditLaneView& view)
@@ -25,14 +19,23 @@ CreditState::CreditState(CbaConfig config, const CreditLaneView& view)
   CBUS_EXPECTS_MSG(view.slots >= config_.n_masters,
                    "credit view smaller than n_masters");
   CBUS_EXPECTS(view.values != nullptr && view.incs != nullptr);
-  values_ = view.values;
-  incs_ = view.incs;
-  stride_ = view.stride;
+  attach(view.values, view.incs, view.stride);
+}
+
+void CreditState::attach(std::uint64_t* values, std::uint64_t* incs,
+                         std::size_t stride) {
+  values_ = values;
+  incs_ = incs;
+  stride_ = stride;
+  synced_.resize(config_.n_masters, 0);
+  slots_mask_ = ~std::uint32_t{0} >> (kMaxMasters - config_.n_masters);
   underflows_by_master_.resize(config_.n_masters, 0);
   for (MasterId m = 0; m < config_.n_masters; ++m) {
     CBUS_EXPECTS(config_.initial[m] <= config_.saturation[m]);
     value(m) = config_.initial[m];
-    incs_[static_cast<std::size_t>(m) * stride_] = config_.increment[m];
+    if (incs_ != nullptr) {
+      incs_[static_cast<std::size_t>(m) * stride_] = config_.increment[m];
+    }
   }
 }
 
@@ -53,29 +56,28 @@ CreditLaneView CreditSoA::lane(std::size_t l) {
                         slots_};
 }
 
-void CreditState::tick(MasterId holder) {
-  for (MasterId m = 0; m < config_.n_masters; ++m) {
-    const std::uint64_t cap = config_.saturation[m];
-    const std::uint64_t up = value(m) + config_.increment[m];
-    if (m != holder) {
-      // Recovery only, saturating at the cap.
-      value(m) = std::min(up, cap);
-      continue;
-    }
-    // Combined net update (recovery and occupancy charge in one step --
-    // saturating the recovery before charging would silently lose one
-    // unit per transaction and break the exact (N-1)*hold recovery
-    // identity the fairness argument rests on). Clamp at zero like the
-    // hardware counter would -- only reachable when MaxL was
-    // under-estimated; tracked so experiments can detect it.
-    if (config_.scale <= up) {
-      value(m) = std::min(up - config_.scale, cap);
-    } else {
-      value(m) = 0;
-      ++underflow_clamps_;
-      ++underflows_by_master_[m];
-    }
+void CreditState::settle(MasterId m) {
+  if (m >= config_.n_masters) return;
+  const Cycle ticks = ticks_ - synced_[m];
+  if (ticks == 0) return;
+  synced_[m] = ticks_;
+  if (m != holder_) {
+    value(m) = recovered(m, ticks);
+    return;
   }
+  const Paid p = paid(m, ticks);
+  value(m) = p.value;
+  underflow_clamps_ += p.clamped;
+  underflows_by_master_[m] += p.clamped;
+}
+
+void CreditState::change_holder(MasterId holder) {
+  // Before the switch every other slot's unsettled ticks are recovery
+  // only and the old holder's charge only; after it, the same holds for
+  // the new holder.
+  settle(holder_);
+  settle(holder);
+  holder_ = holder;
 }
 
 namespace {
@@ -91,61 +93,25 @@ namespace {
 
 }  // namespace
 
-void CreditState::advance(MasterId holder, Cycle cycles) {
-  // Division-free: every closed form below compares a product with the
-  // distance to the bound. A product that overflows 64 bits (a jump to
-  // an unbounded budget's end) is past any bound.
-  for (MasterId m = 0; m < config_.n_masters; ++m) {
-    const std::uint64_t inc = config_.increment[m];
-    std::uint64_t& v = value(m);
-    std::uint64_t units = 0;
-    if (m != holder) {
-      // Saturating recovery composes: k steps of min(v + inc, cap) are
-      // min(v + k * inc, cap).
-      const std::uint64_t cap = config_.saturation[m];
-      v = v >= cap || __builtin_mul_overflow(cycles, inc, &units) ||
-                  units >= cap - v
-              ? cap
-              : v + units;
-      continue;
-    }
-    // The holder's counter never exceeds its cap and increment <= scale,
-    // so each tick subtracts net = scale - inc while v >= net and clamps
-    // to zero (counted) from the first tick it cannot pay -- after which
-    // every tick clamps again.
-    const std::uint64_t net = config_.scale - inc;
-    if (!__builtin_mul_overflow(cycles, net, &units) && units <= v) {
-      v -= units;
-      continue;
-    }
-    // The budget runs dry inside the jump (only with MaxL under-estimated):
-    // the first v / net ticks pay (net > 0 here, as units > v >= 0), the
-    // rest clamp.
-    const Cycle clamped = cycles - v / net;
-    v = 0;
-    underflow_clamps_ += clamped;
-    underflows_by_master_[m] += clamped;
-  }
-}
-
 Cycle CreditState::ticks_to_eligible(std::uint32_t mask) const {
   Cycle ticks = kNever;
-  for (MasterId m = 0; m < config_.n_masters; ++m) {
-    if (((mask >> m) & 1u) == 0) continue;
-    const std::uint64_t thr = config_.threshold[m];
-    const Cycle m_ticks = ticks_to_reach(value(m), config_.increment[m], thr);
-    ticks = std::min(ticks, m_ticks);
+  for (std::uint32_t p = mask & slots_mask_; p != 0; p &= p - 1) {
+    const auto m = static_cast<MasterId>(std::countr_zero(p));
+    ticks = std::min(ticks, ticks_to_reach(current(m), config_.increment[m],
+                                           config_.threshold[m]));
   }
   return ticks;
 }
 
 Cycle CreditState::ticks_to_saturation(MasterId m) const {
   CBUS_EXPECTS(m < config_.n_masters);
-  return ticks_to_reach(value(m), config_.increment[m], config_.saturation[m]);
+  return ticks_to_reach(current(m), config_.increment[m],
+                        config_.saturation[m]);
 }
 
 void CreditState::charge(MasterId m, Cycle occupancy) {
   CBUS_EXPECTS(m < config_.n_masters);
+  settle(m);
   const std::uint64_t units = config_.scale * occupancy;
   if (value(m) >= units) {
     value(m) -= units;
@@ -164,7 +130,7 @@ void CreditState::charge(MasterId m, Cycle occupancy) {
 
 std::uint64_t CreditState::budget(MasterId m) const {
   CBUS_EXPECTS(m < config_.n_masters);
-  return value(m);
+  return current(m);
 }
 
 double CreditState::budget_cycles(MasterId m) const {
@@ -174,6 +140,7 @@ double CreditState::budget_cycles(MasterId m) const {
 void CreditState::set_budget(MasterId m, std::uint64_t units) {
   CBUS_EXPECTS(m < config_.n_masters);
   CBUS_EXPECTS(units <= config_.saturation[m]);
+  settle(m);
   value(m) = units;
 }
 
@@ -181,6 +148,7 @@ void CreditState::set_increment(MasterId m, std::uint64_t units) {
   CBUS_EXPECTS(m < config_.n_masters);
   CBUS_EXPECTS_MSG(units >= 1 && units <= config_.scale,
                    "increment must be in [1, scale]");
+  settle(m);
   config_.increment[m] = units;
   if (incs_ != nullptr) {
     incs_[static_cast<std::size_t>(m) * stride_] = units;
@@ -190,6 +158,7 @@ void CreditState::set_increment(MasterId m, std::uint64_t units) {
 void CreditState::reset() {
   for (MasterId m = 0; m < config_.n_masters; ++m) {
     value(m) = config_.initial[m];
+    synced_[m] = ticks_;
   }
   underflow_clamps_ = 0;
   std::fill(underflows_by_master_.begin(), underflows_by_master_.end(), 0);

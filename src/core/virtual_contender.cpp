@@ -43,6 +43,7 @@ MasterId VirtualContender::checked(MasterId m) const {
 }
 
 void VirtualContender::tick(Cycle now) {
+  ticked_ = now;
   comp_ |= always_;
   if ((latch_ & ~comp_) == 0 && (comp_ & ~pending_ & ~holding_) == 0) return;
   latch_and_request(now);
@@ -104,8 +105,8 @@ void VirtualContender::skip(Cycle /*from*/, Cycle /*cycles*/) {
   comp_ |= always_;
 }
 
-void VirtualContender::on_latch(const bus::BusRequest& request,
-                                Cycle /*now*/) {
+void VirtualContender::on_latch(const bus::BusRequest& request, Cycle now) {
+  expect_ticked(now);
   // The non-split bus consumed the request; until on_grant the port is
   // neither pending nor holding, so the contender may re-request.
   const std::uint32_t b = bit(request.master);
@@ -113,8 +114,9 @@ void VirtualContender::on_latch(const bus::BusRequest& request,
   latched_ |= b;
 }
 
-void VirtualContender::on_grant(const bus::BusRequest& request, Cycle /*now*/,
+void VirtualContender::on_grant(const bus::BusRequest& request, Cycle now,
                                 Cycle /*hold*/) {
+  expect_ticked(now);
   const MasterId m = request.master;
   const std::uint32_t b = bit(m);
   // Without a latch (split bus, segmented interconnect) the grant ends
@@ -128,7 +130,8 @@ void VirtualContender::on_grant(const bus::BusRequest& request, Cycle /*now*/,
 }
 
 void VirtualContender::on_complete(const bus::BusRequest& request,
-                                   Cycle /*now*/) {
+                                   Cycle now) {
+  expect_ticked(now);
   holding_ &= ~bit(request.master);
 }
 

@@ -31,7 +31,9 @@
 // it drives (as Multicore does). A tick reads the budgets and the pending
 // flags the bus left at the end of the previous cycle, and the horizon's
 // closed forms count the credit updates from that order; with the bus
-// ticked first the skipping run and the every-cycle reference diverge.
+// ticked first the skipping run and the every-cycle reference would
+// diverge. The order is a checked precondition: every bus callback must
+// come in a cycle the component has already ticked.
 #pragma once
 
 #include <array>
@@ -39,6 +41,7 @@
 #include <span>
 
 #include "bus/interfaces.hpp"
+#include "common/contracts.hpp"
 #include "core/credit_state.hpp"
 #include "sim/component.hpp"
 
@@ -125,8 +128,18 @@ class VirtualContender final : public sim::Component, public bus::BusMaster {
     return slots_[m].credits->saturated(slots_[m].credit_slot);
   }
 
+  /// Throws unless the component ticked in cycle `now` (the contenders
+  /// tick before their bus).
+  void expect_ticked(Cycle now) const {
+    CBUS_EXPECTS_MSG(now == ticked_,
+                     "the contenders must tick before their bus: register "
+                     "the component before the interconnect");
+  }
+
   bus::BusPort& bus_;
   MasterId tua_;
+  /// The cycle of the last tick (kNever before the first).
+  Cycle ticked_ = kNever;
   std::uint32_t members_ = 0;  ///< every contender
   std::uint32_t always_ = 0;   ///< kAlwaysCompete contenders
   std::uint32_t latch_ = 0;    ///< kCompLatch contenders

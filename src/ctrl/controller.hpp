@@ -155,9 +155,9 @@ class StaticController final : public CreditController {
 
 /// Epoch-driven explicit-rate feedback over the credit increments.
 ///
-/// Ticks after the bus every cycle; every window/16 cycles it samples
-/// per-master demand (the delta of wait+hold cycles from `bus_stats`, a
-/// direct "cycles this master wanted the bus" signal) into its
+/// Ticks after the bus; every window/16 cycles it samples per-master
+/// demand (the delta of wait+hold cycles from `bus_stats`, a direct
+/// "cycles this master wanted the bus" signal) into its
 /// obs::DemandWindow, and every `window` cycles it runs one epoch:
 /// water-fill, mix, integerize, write the increments back through
 /// core::CreditState::set_increment.
@@ -171,6 +171,15 @@ class AdaptiveController final : public CreditController {
                      const bus::BusStatistics& bus_stats);
 
   void tick(Cycle now) override;
+
+  /// Event horizon: the next sampling point. Ticks between two of them
+  /// only count down.
+  [[nodiscard]] Cycle next_event(Cycle now) const override {
+    return now + sample_countdown_;
+  }
+  void skip(Cycle /*from*/, Cycle cycles) override {
+    sample_countdown_ -= cycles;
+  }
 
   [[nodiscard]] ControllerKind kind() const noexcept override {
     return ControllerKind::kAdaptive;

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "bus/bus.hpp"
 #include "bus/round_robin.hpp"
@@ -13,6 +17,8 @@
 #include "core/credit_filter.hpp"
 #include "core/credit_state.hpp"
 #include "core/virtual_contender.hpp"
+#include "eager_credits.hpp"
+#include "rng/splitmix64.hpp"
 #include "sim/kernel.hpp"
 
 namespace cbus::core {
@@ -166,6 +172,152 @@ TEST(CreditState, HcbaRecoveryRatesDiffer) {
 TEST(CreditState, BudgetCyclesConversion) {
   CreditState credits(CbaConfig::homogeneous(4, 56));
   EXPECT_DOUBLE_EQ(credits.budget_cycles(0), 56.0);
+}
+
+// --- CreditState against the eager per-cycle reference ------------------------
+
+/// The Table-I instance, H-CBA method 2, a cap-boosted master, a MaxL
+/// under-estimate whose holds clamp, and a segment's slot layout: two
+/// cores plus bridge-ingress ports (increment = scale, threshold 0,
+/// starting at the cap) and one slot that never recovers.
+[[nodiscard]] std::vector<std::pair<std::string, CbaConfig>> fuzz_configs() {
+  CbaConfig segment = CbaConfig::homogeneous(2, 56);
+  segment.n_masters = 6;
+  for (MasterId m = 2; m < segment.n_masters; ++m) {
+    segment.increment.push_back(segment.scale);
+    segment.saturation.push_back(segment.scale * segment.max_latency);
+    segment.threshold.push_back(0);
+    segment.initial.push_back(segment.scale * segment.max_latency);
+  }
+  segment.increment[5] = 0;
+  segment.initial[5] = 100;
+  segment.threshold[5] = 50;
+  segment.validate();
+  return {
+      {"table1", CbaConfig::paper_table1()},
+      {"hcba", CbaConfig::paper_hcba(56)},
+      {"cap_boost",
+       CbaConfig::with_cap_boost(CbaConfig::homogeneous(4, 56), 1, 3)},
+      {"maxl_under", CbaConfig::homogeneous(4, 8)},
+      {"segment", segment},
+  };
+}
+
+/// Every read of `lazy` against `eager`.
+void expect_same_reads(const CreditState& lazy, const test::EagerCredits& eager,
+                       std::uint32_t mask, const std::string& where) {
+  const std::uint32_t n = lazy.config().n_masters;
+  for (MasterId m = 0; m < n; ++m) {
+    ASSERT_EQ(lazy.budget(m), eager.budget(m)) << where << " budget " << m;
+    EXPECT_EQ(lazy.saturated(m), eager.saturated(m)) << where << ' ' << m;
+    EXPECT_EQ(lazy.ticks_to_saturation(m), eager.ticks_to_saturation(m))
+        << where << " saturation " << m;
+    EXPECT_EQ(lazy.underflow_clamps(m), eager.underflow_clamps(m))
+        << where << " clamps " << m;
+  }
+  EXPECT_EQ(lazy.underflow_clamps(), eager.underflow_clamps()) << where;
+  const std::uint32_t all = (1u << n) - 1;
+  EXPECT_EQ(lazy.eligible_mask(all), eager.eligible_mask(all)) << where;
+  EXPECT_EQ(lazy.eligible_mask(mask), eager.eligible_mask(mask)) << where;
+  EXPECT_EQ(lazy.ticks_to_eligible(mask), eager.ticks_to_eligible(mask))
+      << where << " mask " << mask;
+}
+
+/// Drives `lazy` and a fresh eager reference through the same random
+/// operations -- ticks and advances under a holder that changes (to
+/// kNoMaster too), burst charges, forced budgets, retuned increments and
+/// resets -- and compares every read after each one.
+void fuzz_against_eager(CreditState& lazy, const std::string& name,
+                        std::uint64_t seed) {
+  const CbaConfig& cfg = lazy.config();
+  test::EagerCredits eager(cfg);
+  rng::SplitMix64 rng(seed);
+  const auto draw = [&](std::uint64_t bound) { return rng.next() % bound; };
+  const auto any_master = [&] {
+    return static_cast<MasterId>(draw(cfg.n_masters));
+  };
+  MasterId holder = kNoMaster;
+  for (int op = 0; op < 1500; ++op) {
+    if (draw(4) == 0) {
+      // A holder change: a master (the same one again, sometimes) or an
+      // idle bus.
+      holder = draw(cfg.n_masters + 1) == 0 ? kNoMaster : any_master();
+    }
+    std::string what;
+    const std::uint64_t kind = draw(100);
+    if (kind < 40) {
+      lazy.tick(holder);
+      eager.tick(holder);
+      what = "tick";
+    } else if (kind < 65) {
+      // Mostly inside one transaction or recovery window, sometimes past
+      // every cap, and zero-length jumps.
+      Cycle k = draw(60);
+      if (draw(5) == 0) k = draw(1500);
+      lazy.advance(holder, k);
+      eager.advance(holder, k);
+      what = "advance " + std::to_string(k);
+    } else if (kind < 77) {
+      const MasterId m = any_master();
+      const Cycle occupancy = draw(90);
+      lazy.charge(m, occupancy);
+      eager.charge(m, occupancy);
+      what = "charge " + std::to_string(m) + " by " + std::to_string(occupancy);
+    } else if (kind < 86) {
+      const MasterId m = any_master();
+      std::uint64_t units = draw(cfg.saturation[m] + 1);
+      if (draw(3) == 0) units = cfg.threshold[m];
+      lazy.set_budget(m, units);
+      eager.set_budget(m, units);
+      what = "set_budget " + std::to_string(m);
+    } else if (kind < 97) {
+      const MasterId m = any_master();
+      const std::uint64_t units = 1 + draw(cfg.scale);
+      lazy.set_increment(m, units);
+      eager.set_increment(m, units);
+      what = "set_increment " + std::to_string(m) + " to " +
+             std::to_string(units);
+    } else {
+      lazy.reset();
+      eager.reset();
+      what = "reset";
+    }
+    const std::uint32_t mask =
+        static_cast<std::uint32_t>(draw(std::uint64_t{1} << cfg.n_masters));
+    expect_same_reads(lazy, eager, mask,
+                      name + " op " + std::to_string(op) + ' ' + what +
+                          " holder " + std::to_string(holder));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(CreditState, LazyCountersMatchEagerReferenceOnOwnedStorage) {
+  std::uint64_t seed = 1;
+  for (const auto& [name, cfg] : fuzz_configs()) {
+    for (int run = 0; run < 3; ++run) {
+      CreditState lazy(cfg);
+      fuzz_against_eager(lazy, name, seed++);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(CreditState, LazyCountersMatchEagerReferenceOnSoaViews) {
+  std::uint64_t seed = 100;
+  for (const auto& [name, cfg] : fuzz_configs()) {
+    // Three lanes of one arena, interleaved word by word: each state is
+    // fuzzed in turn while the others keep their own counters.
+    CreditSoA soa(3, cfg);
+    std::vector<std::unique_ptr<CreditState>> lanes;
+    for (std::size_t l = 0; l < soa.lanes(); ++l) {
+      lanes.push_back(std::make_unique<CreditState>(cfg, soa.lane(l)));
+    }
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      fuzz_against_eager(*lanes[l], name + " lane " + std::to_string(l),
+                         seed++);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 // Parameterized sweep: recovery time after a hold of H cycles at scale N

@@ -223,6 +223,71 @@ TEST(Multicore, CreditWiringIsOneCodePathOnEveryInterconnect) {
   }
 }
 
+// --- Table-I contender grants against a closed-form bound ----------------------------
+
+/// Runs `config` (WCET mode, always-competing contenders) on canrdr and
+/// checks every contender's grants against a floor computed from the run
+/// length alone -- not from a second run, so a contender that stops
+/// requesting fails it whichever path runs it. Under RP a port that is
+/// pending is served before every other port of its arbitration point
+/// has been served twice (the rest of the current permutation window,
+/// then the next one up to it), and on the split bus at most one data
+/// phase per other port, of a transaction granted earlier, comes in
+/// between as well. Every transfer occupies the bus for at most MaxL
+/// cycles plus two of arbitration, so with k ports a contender that
+/// always competes is granted at least once every (3(k - 1) + 1) *
+/// (MaxL + 2) cycles.
+void expect_contender_grants_above_the_round_bound(
+    const PlatformConfig& config, std::uint64_t seed) {
+  ASSERT_EQ(config.mode, PlatformMode::kWcetEstimation);
+  ASSERT_EQ(config.contender_policy, core::ContenderPolicy::kAlwaysCompete);
+  auto tua = workloads::make_eembc("canrdr");
+  tua->reset(seed);
+  Multicore machine(config, seed, *tua);
+  const RunResult r = machine.run();
+  ASSERT_TRUE(r.tua_finished);
+  const bus::Interconnect& ic = machine.interconnect();
+  const Cycle max_l =
+      std::max<Cycle>(config.timings.max_latency(), config.contender_hold);
+  for (MasterId m = 1; m < config.n_cores; ++m) {
+    const std::uint32_t ports = ic.n_local_masters(ic.home_segment(m));
+    const Cycle round = (3 * (ports - 1) + 1) * (max_l + 2);
+    const std::uint64_t floor = r.tua_cycles / round;
+    EXPECT_GE(floor, 100u) << "the run must be long enough to bind";
+    EXPECT_GE(r.bus_stats.master[m].grants, floor)
+        << "contender " << m << " over " << r.tua_cycles << " cycles";
+  }
+}
+
+TEST(ContenderGrants, AlwaysCompetingContendersMeetTheRoundBoundOnTheBus) {
+  for (const std::uint64_t seed : {3u, 4u}) {
+    SCOPED_TRACE(seed);
+    expect_contender_grants_above_the_round_bound(
+        PlatformConfig::paper_wcet(BusSetup::kRp), seed);
+  }
+}
+
+TEST(ContenderGrants, AlwaysCompetingContendersMeetTheRoundBoundOnTheSplitBus) {
+  PlatformConfig cfg = PlatformConfig::paper_wcet(BusSetup::kRp);
+  cfg.bus_protocol = BusProtocol::kSplit;
+  for (const std::uint64_t seed : {3u, 4u}) {
+    SCOPED_TRACE(seed);
+    expect_contender_grants_above_the_round_bound(cfg, seed);
+  }
+}
+
+TEST(ContenderGrants, AlwaysCompetingContendersMeetTheRoundBoundOnSegments) {
+  // Each contender competes on its home segment against the masters and
+  // the bridge-ingress ports homed there.
+  for (const std::string topology : {"mesh:2x2", "ring:4", "chain:2"}) {
+    SCOPED_TRACE(topology);
+    std::istringstream in("cores = 4\nmode = wcet\nsetup = rp\n"
+                          "bridge_depth = 2\ntopology = " +
+                          topology + "\n");
+    expect_contender_grants_above_the_round_bound(parse_config(in), 5);
+  }
+}
+
 // --- SyntheticMaster ---------------------------------------------------------------
 
 TEST(SyntheticMaster, IsolatedPeriodIsGapPlusArbPlusHold) {

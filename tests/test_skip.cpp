@@ -2,9 +2,10 @@
 // horizons of every skipping component, checked against the tick-by-tick
 // model they replace.
 //
-//  * CreditState::advance against k calls of tick(), and the eligibility
-//    and saturation crossings against ticking until they happen, on owned
-//    and CreditSoA-view storage;
+//  * CreditState::advance against k per-cycle updates of the eager
+//    reference (tests/eager_credits.hpp), and the eligibility and
+//    saturation crossings against ticking the reference until they
+//    happen, on owned and CreditSoA-view storage;
 //  * small platforms of InOrderCore, NonSplitBus (with and without a
 //    credit filter) and VirtualContender (both policies) run twice on
 //    sim::Kernel: once with the tick-every-cycle reference component
@@ -26,6 +27,9 @@
 //    one skip;
 //  * SyntheticMaster's gap countdown: gaps, initial delays, instant
 //    re-requests and unbounded masters, with and without credits;
+//  * the adaptive controller's sampling horizon, with epochs that retune
+//    the increments inside windows the rest of the machine skips, and
+//    the contenders' tick-before-the-bus precondition;
 //  * parking: cores blocked on the bus leave the kernel's passes until
 //    their completion wakes them -- a parked TuA on the single bus in
 //    ISO and WCET mode, with the bus registered after and before the
@@ -42,6 +46,7 @@
 #include <optional>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,6 +60,7 @@
 #include "core/credit_state.hpp"
 #include "core/virtual_contender.hpp"
 #include "cpu/in_order_core.hpp"
+#include "eager_credits.hpp"
 #include "metrics/record.hpp"
 #include "platform/config_file.hpp"
 #include "platform/multicore.hpp"
@@ -97,28 +103,10 @@ struct NamedConfig {
   };
 }
 
-/// Ticks `state` with no holder until a master of `mask` is eligible (or
-/// `limit` ticks pass); returns the ticks taken, kNever past the limit.
-[[nodiscard]] Cycle ticks_until_eligible(CreditState& state,
-                                         std::uint32_t mask, Cycle limit) {
-  for (Cycle t = 0; t <= limit; ++t) {
-    if (state.eligible_mask(mask) != 0) return t;
-    state.tick(kNoMaster);
-  }
-  return kNever;
-}
-
-[[nodiscard]] Cycle ticks_until_saturated(CreditState& state, MasterId m,
-                                          Cycle limit) {
-  for (Cycle t = 0; t <= limit; ++t) {
-    if (state.saturated(m)) return t;
-    state.tick(kNoMaster);
-  }
-  return kNever;
-}
-
-void expect_same_credits(const CreditState& a, const CreditState& b,
-                         const std::string& where) {
+/// Budgets and clamp counts of two credit states (or a state and the
+/// eager reference).
+template <typename A, typename B>
+void expect_same_credits(const A& a, const B& b, const std::string& where) {
   for (MasterId m = 0; m < a.config().n_masters; ++m) {
     EXPECT_EQ(a.budget(m), b.budget(m)) << where << " master " << m;
     EXPECT_EQ(a.underflow_clamps(m), b.underflow_clamps(m))
@@ -128,7 +116,8 @@ void expect_same_credits(const CreditState& a, const CreditState& b,
 }
 
 /// One fuzz pass over `config`: random budgets, a random holder (or
-/// none) and a random k; `make` builds the two states under test.
+/// none) and a random k; `make` builds the state under test, which one
+/// advance must bring where k eager ticks bring the reference.
 template <typename Make>
 void fuzz_advance(const NamedConfig& named, Make make, std::uint64_t seed) {
   const CbaConfig& cfg = named.config;
@@ -136,8 +125,8 @@ void fuzz_advance(const NamedConfig& named, Make make, std::uint64_t seed) {
   const auto draw = [&](std::uint64_t bound) { return rng.next() % bound; };
   const Cycle kLimit = 1'000'000;
   for (int trial = 0; trial < 400; ++trial) {
-    auto ticked = make(0);
-    auto advanced = make(1);
+    test::EagerCredits ticked(cfg);
+    auto advanced = make();
     for (MasterId m = 0; m < cfg.n_masters; ++m) {
       // Budgets anywhere in [0, cap], with the cap and the threshold
       // themselves drawn often.
@@ -145,7 +134,7 @@ void fuzz_advance(const NamedConfig& named, Make make, std::uint64_t seed) {
       const std::uint64_t pick = draw(4);
       if (pick == 0) units = cfg.saturation[m];
       if (pick == 1) units = cfg.threshold[m];
-      ticked->set_budget(m, units);
+      ticked.set_budget(m, units);
       advanced->set_budget(m, units);
     }
     const std::uint64_t h = draw(cfg.n_masters + 1);
@@ -162,39 +151,28 @@ void fuzz_advance(const NamedConfig& named, Make make, std::uint64_t seed) {
                               std::to_string(trial) + " holder " +
                               std::to_string(h) + " k " + std::to_string(k);
 
-    // Crossings first (they only read the state).
+    // Crossings first (they only read the state); the reference finds
+    // them by ticking a copy.
     const std::uint32_t mask =
         static_cast<std::uint32_t>(draw(1u << cfg.n_masters));
-    const Cycle eligible_in = advanced->ticks_to_eligible(mask);
-    {
-      auto probe = make(2);
-      for (MasterId m = 0; m < cfg.n_masters; ++m) {
-        probe->set_budget(m, advanced->budget(m));
-      }
-      EXPECT_EQ(eligible_in, ticks_until_eligible(*probe, mask, 4096))
-          << where << " mask " << mask;
-    }
+    EXPECT_EQ(advanced->ticks_to_eligible(mask),
+              ticked.ticks_to_eligible(mask))
+        << where << " mask " << mask;
     const MasterId watched = static_cast<MasterId>(draw(cfg.n_masters));
-    {
-      auto probe = make(2);
-      for (MasterId m = 0; m < cfg.n_masters; ++m) {
-        probe->set_budget(m, advanced->budget(m));
-      }
-      EXPECT_EQ(advanced->ticks_to_saturation(watched),
-                ticks_until_saturated(*probe, watched, 4096))
-          << where << " watched " << watched;
-    }
+    EXPECT_EQ(advanced->ticks_to_saturation(watched),
+              ticked.ticks_to_saturation(watched))
+        << where << " watched " << watched;
 
-    for (Cycle c = 0; c < k; ++c) ticked->tick(holder);
+    ticked.advance(holder, k);
     advanced->advance(holder, k);
-    expect_same_credits(*ticked, *advanced, where);
+    expect_same_credits(ticked, *advanced, where);
   }
 }
 
 TEST(FastForward, CreditAdvanceMatchesTicksOnOwnedStorage) {
   std::uint64_t seed = 1;
   for (const NamedConfig& named : credit_configs()) {
-    const auto owned = [&](int /*state*/) {
+    const auto owned = [&] {
       return std::make_unique<CreditState>(named.config);
     };
     fuzz_advance(named, owned, seed++);
@@ -204,12 +182,11 @@ TEST(FastForward, CreditAdvanceMatchesTicksOnOwnedStorage) {
 TEST(FastForward, CreditAdvanceMatchesTicksOnSoaViews) {
   std::uint64_t seed = 100;
   for (const NamedConfig& named : credit_configs()) {
-    // Three lanes of one arena: every state lives in its own strided
-    // lane, interleaved with the others'.
+    // The middle lane of three in one arena: the state's slots are
+    // strided, interleaved with the other lanes' words.
     core::CreditSoA soa(3, named.config);
-    const auto viewed = [&](int lane) {
-      return std::make_unique<CreditState>(
-          named.config, soa.lane(static_cast<std::size_t>(lane)));
+    const auto viewed = [&] {
+      return std::make_unique<CreditState>(named.config, soa.lane(1));
     };
     fuzz_advance(named, viewed, seed++);
   }
@@ -1687,6 +1664,73 @@ TEST(FastForward, RigCutInsideAContenderTransferMatchesTicked) {
       (void)check_rig(cfg, name, {cut}, {kNever, 7, kStepping});
     }
     EXPECT_EQ(found, 3);
+  }
+}
+
+TEST(FastForward, ContendersRegisteredAfterTheBusThrow) {
+  // The contenders' closed forms assume they tick before the bus. With
+  // the bus registered first, its first callback to a contender comes in
+  // a cycle the contender has not ticked yet: the run stops with a
+  // precondition failure instead of diverging from the every-cycle
+  // reference.
+  for (const ContenderPolicy policy :
+       {ContenderPolicy::kAlwaysCompete, ContenderPolicy::kCompLatch}) {
+    RigConfig cfg;
+    cfg.cores = 2;
+    cfg.cba = CbaConfig::paper_table1();
+    cfg.policy = policy;
+    cfg.bus_first = true;
+    cfg.seed = 31;
+    Rig ticked(cfg);
+    EXPECT_THROW((void)ticked.run_ticked(200'000'000), std::invalid_argument);
+    for (const Cycle chunk : {kNever, Cycle{7}, kStepping}) {
+      Rig skipped(cfg);
+      std::uint64_t simulated = 0;
+      std::uint64_t executed = 0;
+      EXPECT_THROW(
+          (void)skipped.run_skipped(200'000'000, chunk, simulated, executed),
+          std::invalid_argument)
+          << "chunk " << chunk;
+    }
+  }
+}
+
+TEST(FastForward, AdaptiveEpochsInsideQuietWindowsMatchTicked) {
+  // Every fourth load comes after 3000 compute cycles. While the TuA
+  // computes, the bus is idle (alone, or with COMP-latch contenders that
+  // wait for its next request), so the adaptive controller's sampling
+  // points are the only events there: its epochs (every 256 cycles,
+  // samples every 16) fall inside windows the rest of the machine
+  // skips, and each one that retunes the increments settles the budgets
+  // it changes. The ctrl.* metrics in the records pin the epoch cycles.
+  rng::SplitMix64 rng(5);
+  std::vector<cpu::MemOp> ops;
+  for (int i = 0; i < 48; ++i) {
+    const auto gap = static_cast<std::uint32_t>(i % 4 == 0 ? 3'000
+                                                           : rng.next() % 40);
+    ops.push_back(
+        {MemOpKind::kLoad, static_cast<Addr>((rng.next() % 4096) * 64), gap});
+  }
+  for (const std::string mode : {"operation", "wcet"}) {
+    std::istringstream in("cores = 4\nsetup = hcba\ncontroller = "
+                          "adaptive:256\nmode = " + mode + "\n");
+    const platform::PlatformConfig config = platform::parse_config(in);
+    {
+      workloads::FixedOpsStream stream(ops);
+      platform::Multicore probe(config, 42, stream);
+      ASSERT_TRUE(probe.run().tua_finished) << mode;
+      ASSERT_NE(probe.controller(), nullptr);
+      EXPECT_GT(probe.controller()->stats().epochs, 100u) << mode;
+      EXPECT_GT(probe.controller()->stats().updates, 0u) << mode;
+      // The quiet windows are skipped between sampling points.
+      EXPECT_LT(probe.kernel().executed_cycles() * 4, probe.kernel().now())
+          << mode;
+    }
+    for (const Cycle chunk : {kNever, Cycle{7}, kStepping}) {
+      const std::string where = mode + " chunk " + std::to_string(chunk);
+      expect_same_machine_runs(config, ops, 50'000'000, chunk, where);
+      expect_same_machine_runs(config, ops, 20'011, chunk, where + " cut");
+    }
   }
 }
 

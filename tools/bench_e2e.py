@@ -9,10 +9,14 @@ TuA's execution times (the per-run ``cycles`` column of the experiment's
 CSV), the quantity perfbench reports as sim_mcycles_per_s.
 
 The result is one JSON row; --append adds it to a trajectory file
-(BENCH_e2e.json at the repo root, recipe in docs/BASELINES.md).
+(BENCH_e2e.json at the repo root, recipe in docs/BASELINES.md). With
+--parent-sim the parent's binary is measured in the same sitting: at
+every point the two binaries run alternately, the parent first on odd
+repeats, and the parent's row is written before the change's.
 
 Usage:
   bench_e2e.py --sim build/tools/cbus_sim --label NAME [--commit HASH]
+               [--parent-sim PATH [--parent-commit HASH]]
                [--repeats 3] [--threads 1 4] [--batch 1 8]
                [--append BENCH_e2e.json]
 """
@@ -77,23 +81,33 @@ def run_once(sim, exp_path, args):
         shutil.rmtree(work, ignore_errors=True)
 
 
-def measure(sim, exp_path, args, repeats):
-    walls = []
-    runs = cycles = None
-    for _ in range(repeats):
-        wall, r, c = run_once(sim, exp_path, args)
-        walls.append(wall)
-        if runs is None:
-            runs, cycles = r, c
-        elif (r, c) != (runs, cycles):
-            raise RuntimeError(f"{exp_path} {args}: output changed between "
-                               "repeats")
-    wall = statistics.median(walls)
-    return {"wall_s": round(wall, 3),
-            "runs": runs,
-            "runs_per_s": round(runs / wall, 1),
-            "sim_cycles": cycles,
-            "sim_mcycles_per_s": round(cycles / wall / 1e6, 2)}
+def measure(sims, exp_path, args, repeats):
+    """One point per binary of `sims`, their runs alternating: the first
+    binary leads on odd repeats, the last on even ones."""
+    walls = [[] for _ in sims]
+    outputs = [None for _ in sims]
+    for repeat in range(repeats):
+        order = list(range(len(sims)))
+        if repeat % 2 == 1:
+            order.reverse()
+        for i in order:
+            wall, runs, cycles = run_once(sims[i], exp_path, args)
+            walls[i].append(wall)
+            if outputs[i] is None:
+                outputs[i] = (runs, cycles)
+            elif outputs[i] != (runs, cycles):
+                raise RuntimeError(f"{sims[i]} {exp_path} {args}: output "
+                                   "changed between repeats")
+    points = []
+    for i in range(len(sims)):
+        wall = statistics.median(walls[i])
+        runs, cycles = outputs[i]
+        points.append({"wall_s": round(wall, 3),
+                       "runs": runs,
+                       "runs_per_s": round(runs / wall, 1),
+                       "sim_cycles": cycles,
+                       "sim_mcycles_per_s": round(cycles / wall / 1e6, 2)})
+    return points
 
 
 def main():
@@ -101,31 +115,43 @@ def main():
     ap.add_argument("--sim", required=True, help="cbus_sim binary")
     ap.add_argument("--label", required=True)
     ap.add_argument("--commit", default="")
+    ap.add_argument("--parent-sim",
+                    help="the parent's cbus_sim, measured alternately with "
+                         "--sim in the same sitting")
+    ap.add_argument("--parent-commit", default="")
     ap.add_argument("--experiments-dir",
                     default=os.path.join(os.path.dirname(__file__), "..",
                                          "examples", "experiments"))
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--threads", type=int, nargs="+", default=[1, 4])
     ap.add_argument("--batch", type=int, nargs="+", default=[1, 8])
-    ap.add_argument("--append", help="trajectory file to append the row to")
+    ap.add_argument("--append", help="trajectory file to append the rows to")
     opt = ap.parse_args()
 
-    sim = os.path.abspath(opt.sim)
-    row = {"label": opt.label, "commit": opt.commit,
-           "date": datetime.date.today().isoformat(), "host": host(),
-           "repeats": opt.repeats, "results": []}
+    sims = [os.path.abspath(opt.sim)]
+    rows = [{"label": opt.label, "commit": opt.commit}]
+    if opt.parent_sim:
+        sims.insert(0, os.path.abspath(opt.parent_sim))
+        rows.insert(0, {"label": f"parent of: {opt.label}",
+                        "commit": opt.parent_commit})
+    for row in rows:
+        row.update({"date": datetime.date.today().isoformat(),
+                    "host": host(), "repeats": opt.repeats, "results": []})
+        if len(rows) > 1:
+            row["sitting"] = "alternating"
     for name in EXPERIMENTS:
         exp_path = os.path.abspath(
             os.path.join(opt.experiments_dir, name + ".exp"))
         for threads in opt.threads:
             for batch in opt.batch:
-                point = measure(sim, exp_path,
-                                ["--threads", str(threads),
-                                 "--batch", str(batch)], opt.repeats)
-                point = {"experiment": name, "threads": threads,
-                         "batch": batch, **point}
-                row["results"].append(point)
-                print(json.dumps(point), file=sys.stderr)
+                points = measure(sims, exp_path,
+                                 ["--threads", str(threads),
+                                  "--batch", str(batch)], opt.repeats)
+                for row, point in zip(rows, points):
+                    point = {"experiment": name, "threads": threads,
+                             "batch": batch, **point}
+                    row["results"].append(point)
+                    print(row["label"], json.dumps(point), file=sys.stderr)
 
     if opt.append:
         trajectory = {
@@ -136,12 +162,12 @@ def main():
         if os.path.exists(opt.append):
             with open(opt.append) as f:
                 trajectory = json.load(f)
-        trajectory["rows"].append(row)
+        trajectory["rows"].extend(rows)
         with open(opt.append, "w") as f:
             json.dump(trajectory, f, indent=1)
             f.write("\n")
     else:
-        print(json.dumps(row, indent=1))
+        print(json.dumps(rows if len(rows) > 1 else rows[0], indent=1))
 
 
 if __name__ == "__main__":
