@@ -1,10 +1,7 @@
 #include "bus/deficit_age.hpp"
 
 #include <algorithm>
-#include <array>
 #include <limits>
-
-#include "vec/vec.hpp"
 
 namespace cbus::bus {
 
@@ -34,25 +31,26 @@ MasterId DeficitAgeArbiter::pick(const ArbInput& input) {
   }
 
   // Pass 2: rebase the candidate set to that floor (capping the spread),
-  // score deficit + weighted age, and grant the maximum. Non-candidates
-  // score the INT64_MIN sentinel; rebased scores are >= 0, so the vector
-  // argmax (first-index-wins, matching the strict `>` scan it replaces)
-  // can never pick one.
-  std::array<std::int64_t, kMaxMasters> scores;
+  // score deficit + weighted age, and grant the maximum. Rebased scores
+  // are >= 0, and the strict `>` keeps the first maximum of the
+  // ascending scan: ties go to the lowest master.
+  MasterId winner = kNoMaster;
+  std::int64_t best = -1;
   for (MasterId m = 0; m < n; ++m) {
-    if (((input.candidates >> m) & 1u) == 0) {
-      scores[m] = std::numeric_limits<std::int64_t>::min();
-      continue;
-    }
+    if (((input.candidates >> m) & 1u) == 0) continue;
     deficit_[m] = std::min(deficit_[m] - floor, bank_cap_);
     CBUS_ASSERT(input.grant_cycle >= input.arrival[m]);
     const auto age =
         static_cast<std::int64_t>(input.grant_cycle - input.arrival[m]);
-    scores[m] = deficit_[m] + static_cast<std::int64_t>(age_weight_) * age;
+    const std::int64_t score =
+        deficit_[m] + static_cast<std::int64_t>(age_weight_) * age;
+    if (score > best) {
+      winner = m;
+      best = score;
+    }
   }
-  const int winner = vec::argmax_i64(scores.data(), n);
-  CBUS_ASSERT(winner >= 0);
-  return static_cast<MasterId>(winner);
+  CBUS_ASSERT(winner != kNoMaster);
+  return winner;
 }
 
 void DeficitAgeArbiter::on_grant(MasterId master, Cycle /*now*/) {

@@ -21,8 +21,9 @@ class BusMaster {
   /// Arbitration latched the request at cycle `now`; the transfer starts
   /// next cycle. Between the latch and on_grant the master is neither
   /// pending nor holding, so it may legally raise a fresh request.
-  /// Default no-op: only masters mirroring the bus's pending state (the
-  /// batch credit engine's contender banks) care.
+  /// Only the non-split bus calls it. Default no-op: only masters that
+  /// mirror the bus's pending state care -- core::VirtualContender, whose
+  /// pending bit ends here, and the batch credit engine's contender banks.
   virtual void on_latch(const BusRequest& /*request*/, Cycle /*now*/) {}
 
   /// The transfer finished at the end of cycle `now`; the master may use the

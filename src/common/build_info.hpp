@@ -21,8 +21,8 @@ namespace cbus::common {
 inline constexpr std::uint32_t kTraceSchemaVersion = 1;
 /// Version of the telemetry JSON document obs::write_telemetry_json emits
 /// (2 added `slice_paths` and `lane_cycles`; 3 dropped
-/// `slice_paths.engine`).
-inline constexpr std::uint32_t kTelemetrySchemaVersion = 3;
+/// `slice_paths.engine`; 4 dropped `slice_paths`).
+inline constexpr std::uint32_t kTelemetrySchemaVersion = 4;
 /// Version of the CBUSCKPT checkpoint container (exp/checkpoint.cpp
 /// reads and writes exactly this version).
 inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
@@ -33,7 +33,7 @@ struct BuildInfo {
   std::string_view compiler;    ///< e.g. "GNU 12.2.0"
   std::string_view build_type;  ///< e.g. "Release"
   std::string_view flags;       ///< CMAKE_CXX_FLAGS for the build type
-  std::string_view simd;        ///< resolved CBUS_SIMD dispatch, e.g. "avx2"
+  std::string_view simd;        ///< vec kernel implementation: "scalar"
 };
 
 [[nodiscard]] const BuildInfo& build_info() noexcept;

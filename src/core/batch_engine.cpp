@@ -190,9 +190,9 @@ void BatchCreditEngine::on_cycle(Cycle now, std::span<const std::size_t> live) {
   }
 
   // Phase 2: the Table-I update -- every counter slot's vertical row in
-  // one dispatched call. Retired lanes are masked out (their machines
-  // stopped ticking, so their counters must freeze exactly where the
-  // serial run left them).
+  // one call. Retired lanes are masked out (their machines stopped
+  // ticking, so their counters must freeze exactly where the serial run
+  // left them).
   const vec::CreditCycle cycle{
       soa_.values_row(0),
       soa_.incs_row(0),

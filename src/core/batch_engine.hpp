@@ -114,9 +114,9 @@ class BatchCreditEngine final : public sim::BatchStage {
   std::vector<Bank> banks_;
   std::vector<std::unique_ptr<Proxy>> proxies_;
   // Per-cycle descriptors, built once: only the mask words and outputs
-  // mutate per cycle, so the hot loop issues exactly one dispatched vec
-  // call for the saturation words (when any latch can change) and one
-  // for the whole Table-I update.
+  // mutate per cycle, so the hot loop issues exactly one vec call for
+  // the saturation words (when any latch can change) and one for the
+  // whole Table-I update.
   std::vector<std::uint64_t> caps_;     ///< per-slot saturation caps
   std::vector<std::uint64_t> charge_;   ///< per-slot holder masks (scratch)
   std::vector<std::uint64_t> clamped_;  ///< per-slot clamp masks (out)

@@ -47,7 +47,7 @@ namespace cbus::core {
 /// The COUNTER-MAJOR layout puts slot i of consecutive lanes at
 /// consecutive addresses (stride == padded lane count), so the batch
 /// credit engine updates one slot across every lane as one vertical
-/// vector operation; a CreditState over the view reads and writes the
+/// row operation; a CreditState over the view reads and writes the
 /// very same words scalar-wise, which is what keeps the engine and
 /// classic paths bit-identical by construction.
 struct CreditLaneView {

@@ -376,14 +376,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec,
     telemetry.runs_done += report.slice.run_count;
     telemetry.slice_wall_ms.add(report.wall_ms);
     telemetry.thread_busy_seconds[report.worker] += report.wall_ms / 1e3;
-    switch (report.execution.path) {
-      case platform::SliceExecution::Path::kClassic:
-        ++telemetry.classic_slices;
-        break;
-      case platform::SliceExecution::Path::kInstrumented:
-        ++telemetry.instrumented_slices;
-        break;
-    }
     telemetry.simulated_lane_cycles += report.execution.simulated_lane_cycles;
     telemetry.executed_lane_cycles += report.execution.executed_lane_cycles;
     if (meter.has_value()) {

@@ -41,8 +41,6 @@ void write_telemetry_json(std::ostream& out, const Telemetry& t,
         << ", \"p99\": " << t.slice_wall_ms.quantile(0.99);
   }
   out << "}";
-  out << ",\n  \"slice_paths\": {\"classic\": " << t.classic_slices
-      << ", \"instrumented\": " << t.instrumented_slices << "}";
   double executed_fraction = 0.0;
   if (t.simulated_lane_cycles > 0) {
     executed_fraction = static_cast<double>(t.executed_lane_cycles) /

@@ -31,10 +31,6 @@ struct Telemetry {
   stats::LogHistogram slice_wall_ms;
   /// Peak resident set size of the process, in KiB (getrusage).
   long peak_rss_kb = 0;
-  /// Completed slices per execution path (platform::SliceExecution):
-  /// bare runs or runs under the instrument hook.
-  std::uint64_t classic_slices = 0;
-  std::uint64_t instrumented_slices = 0;
   /// Lane-cycles the completed slices simulated, and the share of them
   /// they executed (ticked) rather than skipped in closed form.
   std::uint64_t simulated_lane_cycles = 0;

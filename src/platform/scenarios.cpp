@@ -97,8 +97,6 @@ SliceExecution run_campaign_slice(const CampaignSpec& spec,
   const PlatformConfig config = resolve_campaign_config(spec);
   CBUS_EXPECTS(first_run + outcomes.size() <= spec.runs);
   SliceExecution execution;
-  execution.path = spec.instrument ? SliceExecution::Path::kInstrumented
-                                   : SliceExecution::Path::kClassic;
 
   // Per-run seeds: the run_seed(base_seed, i) sequence, i.e. exactly the
   // draws the serial loop takes -- skip to this slice's window.

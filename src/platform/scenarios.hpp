@@ -138,11 +138,6 @@ struct CampaignResult {
 /// How a slice was executed (telemetry only; outcomes never depend on
 /// it).
 struct SliceExecution {
-  enum class Path : std::uint8_t {
-    kClassic,       ///< bare runs, fast-forwarding over quiet cycles
-    kInstrumented,  ///< runs with the instrument hook applied
-  };
-  Path path = Path::kClassic;
   /// Cycles the slice's runs simulated, summed over runs.
   std::uint64_t simulated_lane_cycles = 0;
   /// The share of those the runs executed; the rest were skipped in
@@ -193,7 +188,7 @@ struct SliceReport {
   Slice slice;
   std::uint32_t worker = 0;  ///< pool worker that ran it, < threads
   double wall_ms = 0.0;      ///< time to run and fold the slice
-  SliceExecution execution;  ///< path taken, simulated/executed cycles
+  SliceExecution execution;  ///< simulated/executed cycles
   /// The slice's own streaming digest and unfinished count, already
   /// merged into its campaign's total, so the hook may move from it;
   /// null for campaigns that retain raw series (those fold in run order

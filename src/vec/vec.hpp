@@ -1,29 +1,14 @@
-// cbus::vec -- vertical (across-lane) kernels behind a configure-time
-// ISA dispatch.
+// cbus::vec -- the Table-I row kernels of the batch credit engine.
 //
 // The batch credit engine (core::BatchCreditEngine) lays slot m's
 // Table-I counters contiguously across lanes (counter-major CreditSoA
 // rows, padded to kLaneAlign), so the per-cycle credit update and the
-// saturation test feeding the COMP latch become one vertical operation
-// per slot across 4-16 lanes. Campaigns no longer run the engine (each
-// run skips quiet cycles on its own lane; docs/VECTORIZATION.md); it is
-// kept for perfbench's traced replay. The shipped caller of this layer
-// is the deficit-age arbiter's argmax_i64. Every kernel has a portable
-// scalar implementation (always compiled, the reference semantics) plus
-// at most one guarded ISA implementation selected at configure time via
-// the CBUS_SIMD=auto|off|avx2|avx512|neon CMake option:
-//
-//   off    -- the portable kernels, and engine_enabled() is false.
-//   scalar -- the portable kernels (auto resolves here when the build
-//             host has no supported ISA).
-//   avx2 / avx512 / neon -- vertical kernels.
-//
-// Bit-identity contract: for every input, every ISA implementation
-// returns exactly the scalar result -- the kernel units and engine
-// batteries (tests/test_vec.cpp) and the CI dispatch-parity leg pin
-// this.
-// force_scalar() routes all calls through the scalar kernels at runtime
-// so one binary can check itself.
+// saturation test feeding the COMP latch are one loop per slot across
+// the lanes. Campaigns no longer run the engine (each run skips quiet
+// cycles on its own lane; docs/VECTORIZATION.md); it is kept for
+// perfbench's traced replay. Each kernel has one portable
+// implementation, checked against an independent Table-I reference by
+// tests/test_vec.cpp.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +17,7 @@
 namespace cbus::vec {
 
 /// Lane counts are padded to a multiple of this in counter-major
-/// arenas: kernels may load (and blend-store back unchanged) a full
-/// block, so rows must be allocated in kLaneAlign units. 8 covers the
-/// widest path (AVX-512, 8x64-bit).
+/// arenas, so rows are allocated in kLaneAlign units.
 inline constexpr std::size_t kLaneAlign = 8;
 
 /// One counter-major row (slot m across all lanes) for the Table-I
@@ -42,10 +25,9 @@ inline constexpr std::size_t kLaneAlign = 8;
 /// never reach the engine (the campaign driver falls back to the
 /// classic path).
 ///
-/// `n` is the LIVE lane count; rows are allocated in kLaneAlign units,
-/// and vector kernels may load (and blend-store back unchanged) the
-/// whole padded block, so the padding lanes must exist but their
-/// content never matters (mask bits >= n are zero by contract).
+/// `n` is the LIVE lane count; rows are allocated in kLaneAlign units
+/// and the padding lanes' content never matters (mask bits >= n are
+/// zero by contract).
 struct CreditRow {
   std::uint64_t* values;        ///< row base (padded to kLaneAlign)
   const std::uint64_t* incs;    ///< per-lane recovery increments
@@ -57,11 +39,9 @@ struct CreditRow {
 };
 
 /// A whole engine cycle's Table-I updates -- every slot row of the
-/// arena -- as ONE dispatched call. The descriptor is built once per
-/// campaign slice; only `charge`, `update_mask` and the `clamped`
-/// outputs change per cycle. Keeping the per-row loop inside the
-/// dispatched kernel matters: at one indirect call per ROW the dispatch
-/// overhead rivals the vector work itself for small batches.
+/// arena -- as ONE call. The descriptor is built once per campaign
+/// slice; only `charge`, `update_mask` and the `clamped` outputs change
+/// per cycle.
 struct CreditCycle {
   std::uint64_t* values;        ///< arena base: slot-major padded rows
   const std::uint64_t* incs;    ///< increment arena, same geometry
@@ -77,7 +57,7 @@ struct CreditCycle {
 
 /// The saturation words feeding the virtual-contender COMP latches --
 /// bit l of out[i] set iff slot slots[i]'s counter equals caps[i] on
-/// lane l -- for every contender slot in one dispatched call.
+/// lane l -- for every contender slot in one call.
 struct SatQuery {
   const std::uint64_t* values;  ///< arena base: slot-major padded rows
   const std::uint32_t* slots;   ///< slot ids to test [n]
@@ -88,22 +68,10 @@ struct SatQuery {
   std::uint32_t n;              ///< queries
 };
 
-/// The compile-time configured dispatch ("off", "scalar", "avx2",
-/// "avx512" or "neon").
-[[nodiscard]] const char* configured_isa() noexcept;
-
-/// The dispatch actually answering calls right now: configured_isa(),
-/// or "scalar" while force_scalar(true) is in effect.
-[[nodiscard]] const char* active_isa() noexcept;
-
-/// True iff the build configures the batched credit engine (anything
-/// but "off"). Campaigns no longer run the engine; perfbench's traced
-/// replay is the last reader, which keeps it engaged on con_wcet.
+/// True: every build has the batched credit engine. Campaigns no longer
+/// run it; perfbench's traced replay is the last reader, which keeps it
+/// engaged on con_wcet.
 [[nodiscard]] bool engine_enabled() noexcept;
-
-/// Test hook: route every kernel through the portable scalar
-/// implementation (true) or the configured ISA (false, default).
-void force_scalar(bool on) noexcept;
 
 /// Table-I tick for one slot row across lanes. Per lane l < n with
 /// update bit set:
@@ -116,7 +84,7 @@ void force_scalar(bool on) noexcept;
 /// tiny; CbaConfig::validate bounds them).
 std::uint64_t credit_tick_row(const CreditRow& row) noexcept;
 
-/// credit_tick_row over every slot row of an arena, one dispatch.
+/// credit_tick_row over every slot row of an arena.
 void credit_tick_cycle(const CreditCycle& cycle) noexcept;
 
 /// Bit l set iff row[l] == target, for l < n (the BUDGi == cap
@@ -124,12 +92,7 @@ void credit_tick_cycle(const CreditCycle& cycle) noexcept;
 std::uint64_t eq_mask_row(const std::uint64_t* row, std::uint64_t target,
                           std::uint32_t n) noexcept;
 
-/// eq_mask_row over a list of slot rows, one dispatch.
+/// eq_mask_row over a list of slot rows.
 void sat_words(const SatQuery& query) noexcept;
-
-/// Index of the maximum of scores[0..n), ties broken towards the FIRST
-/// index (exactly the strict-greater scan the deficit-age arbiter
-/// runs); -1 iff every score is INT64_MIN (the "absent" sentinel).
-int argmax_i64(const std::int64_t* scores, std::size_t n) noexcept;
 
 }  // namespace cbus::vec

@@ -341,9 +341,9 @@ TEST(Telemetry, RunnerFillsProgressCounters) {
 }
 
 TEST(Telemetry, IsolationSlicesSkipQuietCycles) {
-  // Batch-1 isolation slices take the classic path, which executes only
-  // the cycles that carry an event; a finished lane simulates its
-  // cycles 0..finish, i.e. tua.cycles + 1 of them.
+  // Batch-1 isolation slices execute only the cycles that carry an
+  // event; a finished lane simulates its cycles 0..finish, i.e.
+  // tua.cycles + 1 of them.
   const ExperimentSpec spec = parse(
       "name = skip\n"
       "scenario = iso\n"
@@ -356,8 +356,7 @@ TEST(Telemetry, IsolationSlicesSkipQuietCycles) {
   const ExperimentResult result = exp::run_experiment(spec, 1u);
   ASSERT_EQ(result.failed_jobs(), 0u);
   const obs::Telemetry& t = result.telemetry;
-  EXPECT_EQ(t.classic_slices, 3u);
-  EXPECT_EQ(t.instrumented_slices, 0u);
+  EXPECT_EQ(t.slices_done, 3u);
   const auto& aggregate = result.jobs.front().campaign.aggregate;
   EXPECT_EQ(t.simulated_lane_cycles,
             static_cast<std::uint64_t>(aggregate.element_sum("tua.cycles")) +
@@ -382,7 +381,7 @@ TEST(Telemetry, IsolationSlicesSkipQuietCycles) {
   }
   const ExperimentResult mesh = exp::run_experiment(parse(mesh_text), 1u);
   ASSERT_EQ(mesh.failed_jobs(), 0u);
-  EXPECT_EQ(mesh.telemetry.classic_slices, 1u);
+  EXPECT_EQ(mesh.telemetry.slices_done, 1u);
   EXPECT_GT(mesh.telemetry.executed_lane_cycles, 0u);
   EXPECT_LT(mesh.telemetry.executed_lane_cycles,
             mesh.telemetry.simulated_lane_cycles);
@@ -397,8 +396,7 @@ TEST(Telemetry, TracedSlicesTickEveryCycle) {
   const ExperimentResult result = exp::run_experiment(spec, 1u);
   ASSERT_EQ(result.failed_jobs(), 0u);
   const obs::Telemetry& t = result.telemetry;
-  EXPECT_EQ(t.instrumented_slices, 1u);
-  EXPECT_EQ(t.classic_slices, 0u);
+  EXPECT_EQ(t.slices_done, 1u);
   EXPECT_GT(t.simulated_lane_cycles, 0u);
   EXPECT_EQ(t.executed_lane_cycles, t.simulated_lane_cycles);
   std::remove(spec.trace_path.c_str());
@@ -421,8 +419,7 @@ TEST(Telemetry, BatchedCbaContentionTakesTheSkippingPath) {
   const ExperimentResult result = exp::run_experiment(spec, 1u);
   ASSERT_EQ(result.failed_jobs(), 0u);
   const obs::Telemetry& t = result.telemetry;
-  EXPECT_EQ(t.classic_slices, 2u);
-  EXPECT_EQ(t.instrumented_slices, 0u);
+  EXPECT_EQ(t.slices_done, 2u);
   EXPECT_GT(t.executed_lane_cycles, 0u);
   EXPECT_LT(t.executed_lane_cycles, t.simulated_lane_cycles);
 }
@@ -440,8 +437,8 @@ TEST(Telemetry, JsonDocumentCarriesSchemaAndPhase) {
   EXPECT_NE(doc.find("\"runs_per_sec\""), std::string::npos);
   EXPECT_NE(doc.find("\"thread_busy_fraction\""), std::string::npos);
   EXPECT_NE(doc.find("\"provenance\""), std::string::npos);
-  EXPECT_NE(doc.find("\"slice_paths\": {\"classic\": 0"), std::string::npos);
-  EXPECT_NE(doc.find("\"instrumented\": 0}"), std::string::npos);
+  EXPECT_NE(doc.find("\"telemetry_schema\": 4"), std::string::npos);
+  EXPECT_EQ(doc.find("\"slice_paths\""), std::string::npos);
   EXPECT_NE(doc.find("\"lane_cycles\": {\"simulated\": 0"), std::string::npos);
   EXPECT_NE(doc.find("\"executed_fraction\": 0}"), std::string::npos);
 }

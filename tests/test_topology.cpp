@@ -689,60 +689,67 @@ TEST(TopologyGolden, ChainCampaignBytesAndSpecHashArePinned) {
 
 // --- golden pins: bounded segmented bytes ------------------------------------
 
-TEST(TopologyGolden, MeshCorunBytesArePinned) {
-  // Captured from the interconnect that ticked every segment every
-  // cycle. The congested mesh:3x3 co-run, unbounded and depth-1
-  // bridges, under RP and H-CBA: backpressure masks, bridge queues, the
-  // hop histogram and per-segment credit budgets all reach the bytes.
-  const std::string spec_text = corun_spec(
+/// The congested mesh:3x3 co-run under one inner arbiter, unbounded and
+/// depth-1 bridges, under RP and H-CBA: backpressure masks, bridge
+/// queues, the hop histogram and per-segment credit budgets all reach
+/// the bytes.
+[[nodiscard]] exp::ExperimentSpec mesh_golden_exp(const std::string& arbiter) {
+  return parse_exp(corun_spec(
       "name = mesh-golden\n"
       "topology = mesh:3x3\n"
       "sweep bridge_depth = unbounded 1\n"
       "sweep setup = rp hcba\n"
-      "arbiter = drr\n"
+      "arbiter = " + arbiter + "\n"
       "cores = 9\n"
       "runs = 1\n"
       "max_cycles = 3000000\n"
       "metrics = tua.cycles,seg.occupancy,seg.grants,"
       "seg.backpressure_stalls,seg.queue_depth_max,seg.queue_depth_mean,"
-      "seg.hop_histogram,credit.budget\n");
-  const char* golden_csv =
-      "job,kernel,scenario,bridge_depth,setup,seed,run,cycles,tua.cycles,"
-      "seg.occupancy[0],seg.occupancy[1],seg.occupancy[2],seg.occupancy[3],"
-      "seg.occupancy[4],seg.occupancy[5],seg.occupancy[6],seg.occupancy[7],"
-      "seg.occupancy[8],seg.grants[0],seg.grants[1],seg.grants[2],"
-      "seg.grants[3],seg.grants[4],seg.grants[5],seg.grants[6],seg.grants[7],"
-      "seg.grants[8],seg.backpressure_stalls[0],seg.backpressure_stalls[1],"
-      "seg.backpressure_stalls[2],seg.backpressure_stalls[3],"
-      "seg.backpressure_stalls[4],seg.backpressure_stalls[5],"
-      "seg.backpressure_stalls[6],seg.backpressure_stalls[7],"
-      "seg.backpressure_stalls[8],seg.queue_depth_max[0],"
-      "seg.queue_depth_max[1],seg.queue_depth_max[2],seg.queue_depth_max[3],"
-      "seg.queue_depth_max[4],seg.queue_depth_max[5],seg.queue_depth_max[6],"
-      "seg.queue_depth_max[7],seg.queue_depth_max[8],seg.queue_depth_max[9],"
-      "seg.queue_depth_max[10],seg.queue_depth_max[11],"
-      "seg.queue_depth_max[12],seg.queue_depth_max[13],"
-      "seg.queue_depth_max[14],seg.queue_depth_max[15],"
-      "seg.queue_depth_max[16],seg.queue_depth_max[17],"
-      "seg.queue_depth_max[18],seg.queue_depth_max[19],"
-      "seg.queue_depth_max[20],seg.queue_depth_max[21],"
-      "seg.queue_depth_max[22],seg.queue_depth_max[23],"
-      "seg.queue_depth_mean[0],seg.queue_depth_mean[1],"
-      "seg.queue_depth_mean[2],seg.queue_depth_mean[3],"
-      "seg.queue_depth_mean[4],seg.queue_depth_mean[5],"
-      "seg.queue_depth_mean[6],seg.queue_depth_mean[7],"
-      "seg.queue_depth_mean[8],seg.queue_depth_mean[9],"
-      "seg.queue_depth_mean[10],seg.queue_depth_mean[11],"
-      "seg.queue_depth_mean[12],seg.queue_depth_mean[13],"
-      "seg.queue_depth_mean[14],seg.queue_depth_mean[15],"
-      "seg.queue_depth_mean[16],seg.queue_depth_mean[17],"
-      "seg.queue_depth_mean[18],seg.queue_depth_mean[19],"
-      "seg.queue_depth_mean[20],seg.queue_depth_mean[21],"
-      "seg.queue_depth_mean[22],seg.queue_depth_mean[23],"
-      "seg.hop_histogram[0],seg.hop_histogram[1],seg.hop_histogram[2],"
-      "seg.hop_histogram[3],seg.hop_histogram[4],credit.budget[0],"
-      "credit.budget[1],credit.budget[2],credit.budget[3],credit.budget[4],"
-      "credit.budget[5],credit.budget[6],credit.budget[7],credit.budget[8]\n"
+      "seg.hop_histogram,credit.budget\n"));
+}
+
+constexpr const char* kMeshGoldenHeader =
+    "job,kernel,scenario,bridge_depth,setup,seed,run,cycles,tua.cycles,"
+    "seg.occupancy[0],seg.occupancy[1],seg.occupancy[2],seg.occupancy[3],"
+    "seg.occupancy[4],seg.occupancy[5],seg.occupancy[6],seg.occupancy[7],"
+    "seg.occupancy[8],seg.grants[0],seg.grants[1],seg.grants[2],"
+    "seg.grants[3],seg.grants[4],seg.grants[5],seg.grants[6],seg.grants[7],"
+    "seg.grants[8],seg.backpressure_stalls[0],seg.backpressure_stalls[1],"
+    "seg.backpressure_stalls[2],seg.backpressure_stalls[3],"
+    "seg.backpressure_stalls[4],seg.backpressure_stalls[5],"
+    "seg.backpressure_stalls[6],seg.backpressure_stalls[7],"
+    "seg.backpressure_stalls[8],seg.queue_depth_max[0],"
+    "seg.queue_depth_max[1],seg.queue_depth_max[2],seg.queue_depth_max[3],"
+    "seg.queue_depth_max[4],seg.queue_depth_max[5],seg.queue_depth_max[6],"
+    "seg.queue_depth_max[7],seg.queue_depth_max[8],seg.queue_depth_max[9],"
+    "seg.queue_depth_max[10],seg.queue_depth_max[11],"
+    "seg.queue_depth_max[12],seg.queue_depth_max[13],"
+    "seg.queue_depth_max[14],seg.queue_depth_max[15],"
+    "seg.queue_depth_max[16],seg.queue_depth_max[17],"
+    "seg.queue_depth_max[18],seg.queue_depth_max[19],"
+    "seg.queue_depth_max[20],seg.queue_depth_max[21],"
+    "seg.queue_depth_max[22],seg.queue_depth_max[23],"
+    "seg.queue_depth_mean[0],seg.queue_depth_mean[1],"
+    "seg.queue_depth_mean[2],seg.queue_depth_mean[3],"
+    "seg.queue_depth_mean[4],seg.queue_depth_mean[5],"
+    "seg.queue_depth_mean[6],seg.queue_depth_mean[7],"
+    "seg.queue_depth_mean[8],seg.queue_depth_mean[9],"
+    "seg.queue_depth_mean[10],seg.queue_depth_mean[11],"
+    "seg.queue_depth_mean[12],seg.queue_depth_mean[13],"
+    "seg.queue_depth_mean[14],seg.queue_depth_mean[15],"
+    "seg.queue_depth_mean[16],seg.queue_depth_mean[17],"
+    "seg.queue_depth_mean[18],seg.queue_depth_mean[19],"
+    "seg.queue_depth_mean[20],seg.queue_depth_mean[21],"
+    "seg.queue_depth_mean[22],seg.queue_depth_mean[23],"
+    "seg.hop_histogram[0],seg.hop_histogram[1],seg.hop_histogram[2],"
+    "seg.hop_histogram[3],seg.hop_histogram[4],credit.budget[0],"
+    "credit.budget[1],credit.budget[2],credit.budget[3],credit.budget[4],"
+    "credit.budget[5],credit.budget[6],credit.budget[7],credit.budget[8]\n";
+
+TEST(TopologyGolden, MeshCorunBytesArePinned) {
+  // Captured from the interconnect that ticked every segment every
+  // cycle.
+  const std::string golden_csv = std::string(kMeshGoldenHeader) +
       "0,canrdr,corun,unbounded,rp,14592251008053203194,0,422037,422037,"
       "0.373279183391069,0.4383870646719016,0.44527980892715824,"
       "0.4902378458811766,0.5214791085162948,0.4764523573706633,"
@@ -804,7 +811,79 @@ TEST(TopologyGolden, MeshCorunBytesArePinned) {
       "0.0021196163872841942,737,3745,2245,944,256,56,47.125,36.1875,48.125,"
       "42.4375,26.0625,33.6875,46.5,39.375\n";
 
-  const exp::ExperimentSpec spec = parse_exp(spec_text);
+  const exp::ExperimentSpec spec = mesh_golden_exp("drr");
+  const auto result = exp::run_experiment(spec, /*threads=*/2);
+  ASSERT_EQ(result.failed_jobs(), 0u);
+  EXPECT_EQ(csv_of(spec, result), golden_csv);
+}
+
+TEST(TopologyGolden, MeshCorunDeficitAgeBytesArePinned) {
+  // Captured from the deficit-age arbiter that scored every master into
+  // an array and took a vector argmax. The pick's tie rule (the lowest
+  // master wins) reaches these bytes.
+  const std::string golden_csv = std::string(kMeshGoldenHeader) +
+      "0,canrdr,corun,unbounded,rp,14592251008053203194,0,422722,422722,"
+      "0.35022934640414644,0.41224868294367706,0.42939702831404963,"
+      "0.4694894765603007,0.5031190637840856,0.4440307246116251,"
+      "0.3840789358516097,0.41639087534863256,0.3788059793292534,9002,14565,"
+      "11868,15552,18600,15166,11366,14596,11418,0,0,0,0,0,0,0,0,0,1,1,1,2,1,1,"
+      "1,2,1,5,1,1,3,2,1,1,3,2,3,2,1,1,1,1,0.00928267447004303,"
+      "0.06325418773049964,0.045947346134466306,0.10226554978082575,"
+      "0.019923212127090317,0.017841470655724907,0.07828057616926451,"
+      "0.1343906056684874,0.05562271274569872,0.4559605226117339,"
+      "0.019284495993830475,0.09885906373677325,0.07696765967311928,"
+      "0.1548460812399609,0.032200755577529494,0.01603887179074713,"
+      "0.12379501470229914,0.142973058007253,0.11829022787972265,"
+      "0.055476044596579795,0.015712416878192102,0.03225989596023874,"
+      "0.06813208649635813,0.015868547488544507,4736,14878,15048,8381,1792,,,,,"
+      ",,,,\n"
+      "1,canrdr,corun,unbounded,hcba,17069869281103512697,0,420265,420265,"
+      "0.0287437004183065,0.04318455454402688,0.08299267606706229,"
+      "0.08160783884492202,0.08575997106594395,0.08321396448915687,"
+      "0.07805056797361672,0.06019045080972527,0.014873913188314068,2416,3041,"
+      "1971,2149,2498,2284,1850,2060,1218,0,0,0,0,0,0,0,0,0,1,1,1,0,1,1,1,0,1,"
+      "5,1,1,3,2,1,1,2,1,1,2,1,1,1,1,0.009060928078883373,"
+      "0.0024413109792369592,0.002957650630790975,0,0.0027887100074714586,"
+      "0.0020415641522273987,0.0022176431117435147,0,0.0017274773595770299,"
+      "0.027699123888204138,0.0023080620369004393,0.0028910261596227153,"
+      "0.011828223077765035,0.0031289706995093584,0.0028267811338533217,"
+      "0.0023080620369004393,0.00804966378436514,0.0032360457424583477,"
+      "3.331223558413005e-05,0.0049302108664512475,0.002103429732597926,"
+      "0.0028981644958193144,0.0024413109792369592,0.002108188623395659,732,"
+      "3551,2203,941,256,56,44.4375,22.5625,45.0625,26.125,38.25,42.8125,"
+      "36.5625,53.5\n"
+      "2,canrdr,corun,1,rp,9781417775987323851,0,423145,423145,"
+      "0.36509384467772354,0.41843713517320263,0.43619696275044545,"
+      "0.4803495720153328,0.5295500843680432,0.47802649676471004,"
+      "0.4118980210140235,0.4546444962258889,0.41847494718135114,9279,14643,"
+      "11891,15922,20234,16903,11893,15513,12452,72,1987,1154,18712,33266,"
+      "80349,18764,16029,11948,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,"
+      "0.009542805556474597,0.07103458380795281,0.03692815245801685,"
+      "0.07781947602009709,0.01818048616789477,0.017374617744230124,"
+      "0.07700415459439532,0.07513009694053589,0.06687998941263772,"
+      "0.11755753333364843,0.01754477178089832,0.044478737835168,"
+      "0.07870805821158655,0.09748408350782,0.060525208793182496,"
+      "0.020602817939907266,0.0950121234751126,0.09721939945078058,"
+      "0.07552475977558573,0.12254871840924882,0.015673077377548174,"
+      "0.036148279789954295,0.06648060007656932,0.017714925817566514,4972,"
+      "15686,16101,8617,1920,,,,,,,,,\n"
+      "3,canrdr,corun,1,hcba,6517201831895305540,0,422950,422950,"
+      "0.031067428614662218,0.045523003846781304,0.0828441119656887,"
+      "0.08113705842993633,0.08546380077124774,0.08278027478360378,"
+      "0.0776260134152656,0.06187477982083031,0.015103404413277188,2628,3262,"
+      "2003,2153,2519,2292,1856,2092,1227,0,2963,634,3018,4417,10984,1349,5060,"
+      "2630,1,1,1,0,1,1,1,0,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,"
+      "0.010005887206792276,0.002421084239072611,0.0030499986996129574,0,"
+      "0.003128021922161196,0.0020475185068719545,0.0023832547978371015,0,"
+      "0.0018087201590728005,0.02052247187026393,0.0023123245955205215,"
+      "0.00307600644046237,0.006270229884785708,0.003019262278609106,"
+      "0.003345541209265376,0.0023123245955205215,0.0043976725436279855,"
+      "0.006345888767256727,5.201548169882563e-05,0.005234648930963634,"
+      "0.002118448709188535,0.0028703088537442873,0.002421084239072611,"
+      "0.002118448709188535,737,3745,2247,945,256,56,47.25,16.9375,41.1875,"
+      "40.3125,54.6875,51.375,55.25,52.4375\n";
+
+  const exp::ExperimentSpec spec = mesh_golden_exp("da");
   const auto result = exp::run_experiment(spec, /*threads=*/2);
   ASSERT_EQ(result.failed_jobs(), 0u);
   EXPECT_EQ(csv_of(spec, result), golden_csv);

@@ -1,21 +1,20 @@
-// cbus::vec kernel semantics and the scalar-vs-SIMD identity contract.
+// cbus::vec kernel semantics and the batch credit engine's identity
+// with production campaigns.
 //
 // Two layers:
 //  * kernel units -- every vec entry point checked against an
 //    independent re-implementation of the Table-I formula, on random
-//    inputs, under both the configured ISA and force_scalar(true); the
-//    two dispatches must agree to the bit, including the padding lanes
-//    (which must come back untouched) and the tail mask of eq_mask_row.
+//    inputs, including the padding lanes (which must come back
+//    untouched) and the tail mask of eq_mask_row.
 //  * engine batteries -- the lockstep batch credit engine, which
 //    campaigns no longer run but perfbench's traced replay still builds,
 //    driven directly on stripes of lanes and compared byte for byte with
 //    the production campaign path: batch {1,3,8} x threads {1,4}, tail
-//    stripes (runs % batch != 0), lane counts below/above the vector
-//    width, a wide (8-core) machine, and both kernel dispatches.
+//    stripes (runs % batch != 0), a stripe wider than kLaneAlign and a
+//    wide (8-core) machine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -70,17 +69,10 @@ std::uint64_t reference_tick(std::uint64_t value, std::uint64_t inc,
   return std::min(up - charge, cap);
 }
 
-/// RAII guard: force the scalar dispatch for one scope.
-struct ScalarGuard {
-  ScalarGuard() { vec::force_scalar(true); }
-  ~ScalarGuard() { vec::force_scalar(false); }
-};
-
 constexpr std::size_t kPad = vec::kLaneAlign;
 
 /// A padded row of `n` live lanes plus poison padding whose survival the
-/// tests assert (kernels may read and blend-store the padding, but its
-/// value must never change).
+/// tests assert (the kernels must never change a padding lane).
 struct PaddedRow {
   std::vector<std::uint64_t> data;
   explicit PaddedRow(std::uint32_t n, Mix& mix, std::uint64_t bound) {
@@ -92,7 +84,7 @@ struct PaddedRow {
 
 TEST(VecKernels, CreditTickRowMatchesReference) {
   Mix mix;
-  for (const std::uint32_t n : {1u, 3u, 7u, 8u, 9u, 24u, 63u}) {
+  for (const std::uint32_t n : {1u, 3u, 7u, 8u, 9u, 24u, 63u, 64u}) {
     for (int iter = 0; iter < 50; ++iter) {
       const std::uint64_t cap = 1 + mix.below(300);
       const std::uint64_t scale = 1 + mix.below(8);
@@ -127,41 +119,6 @@ TEST(VecKernels, CreditTickRowMatchesReference) {
       for (std::size_t l = 0; l < values.data.size(); ++l) {
         EXPECT_EQ(values.data[l], want[l]) << "n=" << n << " lane " << l;
       }
-    }
-  }
-}
-
-TEST(VecKernels, IsaMatchesScalarOnRandomRows) {
-  Mix mix;
-  for (const std::uint32_t n : {1u, 5u, 8u, 13u, 24u, 40u, 64u}) {
-    for (int iter = 0; iter < 50; ++iter) {
-      const std::uint64_t cap = 1 + mix.below(300);
-      const std::uint64_t scale = 1 + mix.below(8);
-      PaddedRow values(n, mix, cap + 10);
-      PaddedRow incs(n, mix, 4);
-      const std::uint64_t charge_mask = mix.mask(n);
-      const std::uint64_t update_mask = mix.mask(n);
-
-      std::vector<std::uint64_t> isa_values = values.data;
-      std::vector<std::uint64_t> sca_values = values.data;
-      vec::CreditRow row{
-          isa_values.data(),
-          incs.data.data(),
-          scale,
-          cap,
-          charge_mask,
-          update_mask,
-          n,
-      };
-      const std::uint64_t isa_clamp = vec::credit_tick_row(row);
-      std::uint64_t sca_clamp = 0;
-      {
-        ScalarGuard scalar;
-        row.values = sca_values.data();
-        sca_clamp = vec::credit_tick_row(row);
-      }
-      EXPECT_EQ(isa_clamp, sca_clamp) << "n=" << n;
-      EXPECT_EQ(isa_values, sca_values) << "n=" << n;
     }
   }
 }
@@ -263,25 +220,6 @@ TEST(VecKernels, SatWordsMatchesEqMaskPerRow) {
                                        caps[i], lanes))
         << "query " << i;
   }
-}
-
-TEST(VecKernels, ArgmaxTiesBreakTowardsFirstIndex) {
-  const std::array<std::int64_t, 5> scores = {3, 7, 7, -1, 7};
-  EXPECT_EQ(vec::argmax_i64(scores.data(), scores.size()), 1);
-  const std::array<std::int64_t, 3> absent = {INT64_MIN, INT64_MIN,
-                                              INT64_MIN};
-  EXPECT_EQ(vec::argmax_i64(absent.data(), absent.size()), -1);
-  EXPECT_EQ(vec::argmax_i64(scores.data(), 1), 0);
-}
-
-TEST(VecKernels, DispatchReportsAreConsistent) {
-  const std::string configured = vec::configured_isa();
-  EXPECT_EQ(std::string(vec::active_isa()), configured);
-  {
-    ScalarGuard scalar;
-    EXPECT_EQ(std::string(vec::active_isa()), "scalar");
-  }
-  EXPECT_EQ(std::string(vec::active_isa()), configured);
 }
 
 // --- engine batteries: lockstep engine vs production, byte for byte ---
@@ -388,8 +326,7 @@ void expect_identical_campaigns(const platform::CampaignResult& a,
 
 TEST(EngineParity, BatchThreadMatrixMatchesClassicPath) {
   // runs = 7 leaves a tail stripe for batch 3 (7 % 3 == 1: a one-lane
-  // engine) and 8 (7 % 8 == 7: one under-full stripe, below the vector
-  // width).
+  // engine) and 8 (7 % 8 == 7: one under-full stripe).
   for (const std::uint32_t batch : {1u, 3u, 8u}) {
     const platform::CampaignResult engine =
         run_on_engine(engine_spec(7, batch, 1));
@@ -406,8 +343,8 @@ TEST(EngineParity, BatchThreadMatrixMatchesClassicPath) {
 }
 
 TEST(EngineParity, WideStripeAboveVectorWidthMatches) {
-  // One 12-lane stripe: above the widest 8-lane block, with a 4-lane
-  // vector tail inside the row.
+  // One 12-lane stripe: wider than kLaneAlign, so each row spans two
+  // padded blocks and ends in a 4-lane tail.
   expect_identical_campaigns(run_on_engine(engine_spec(12, 12, 1)),
                              platform::run_campaign(engine_spec(12, 12, 1)),
                              "12-lane stripe");
@@ -419,18 +356,6 @@ TEST(EngineParity, EightCoreMachineMatches) {
   expect_identical_campaigns(run_on_engine(engine_spec(6, 6, 1, 8)),
                              platform::run_campaign(engine_spec(6, 6, 1, 8)),
                              "8-core machine");
-}
-
-TEST(EngineParity, ScalarKernelsMatchIsaKernelsOnCampaigns) {
-  // The same engine stripes under both dispatches: pins the kernels (not
-  // the engine's phase ordering, covered above) on a real workload.
-  const platform::CampaignResult isa = run_on_engine(engine_spec(5, 5, 1));
-  platform::CampaignResult scalar;
-  {
-    ScalarGuard guard;
-    scalar = run_on_engine(engine_spec(5, 5, 1));
-  }
-  expect_identical_campaigns(isa, scalar, "isa-vs-scalar");
 }
 
 }  // namespace

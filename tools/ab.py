@@ -22,7 +22,10 @@ benchmark.
 1. Byte identity: every shipped examples/experiments/*.exp at --threads
    {1,4} x --batch {1,8}, each side in a fresh directory. stdout,
    stderr, exit code, every output file (CSV, JSON) and the telemetry's
-   simulated and executed lane-cycles must match.
+   simulated lane-cycles must match. Executed lane-cycles are reported
+   in their own block, each point that moved as parent -> change with
+   the ratio: a change that adds a horizon lowers them on purpose, so
+   they do not decide identity.
 2. Timing: --pairs alternating pairs per perfbench workload and seed
    (the parent runs first on odd pairs), and per named experiment
    (one cbus_sim process at --threads 1 --batch 1, wall and CPU
@@ -198,11 +201,12 @@ def run_experiment(sim, exp, workdir, args):
 
 
 def identity(dirs, sims, workdir):
-    """Returns the list of mismatches over the whole matrix."""
+    """Returns the mismatches over the whole matrix and the points whose
+    executed lane-cycles moved, as (point, parent, change)."""
     exps = {side: sorted(p.name for p in (dirs[side] / "examples" /
                                           "experiments").glob("*.exp"))
             for side in SIDES}
-    failures = []
+    failures, moved = [], []
     if exps["parent"] != exps["change"]:
         failures.append(f"experiment sets differ: {exps['parent']} vs "
                         f"{exps['change']}")
@@ -218,11 +222,15 @@ def identity(dirs, sims, workdir):
                         sims[side], exp,
                         workdir / side / f"{name}-t{threads}-b{batch}", args)
                 a, b = seen["parent"], seen["change"]
+                executed = (a.pop("executed lane-cycles"),
+                            b.pop("executed lane-cycles"))
+                if executed[0] != executed[1]:
+                    moved.append((point,) + executed)
                 bad = []
                 for key in a:
                     if a[key] == b[key]:
                         continue
-                    small = key == "exit" or key.endswith("lane-cycles")
+                    small = key in ("exit", "simulated lane-cycles")
                     bad.append(f"{key} {a[key]} -> {b[key]}" if small
                                else key)
                 if a["exit"] != 0:
@@ -231,7 +239,7 @@ def identity(dirs, sims, workdir):
                 log(f"identity {point}: {status}")
                 if bad:
                     failures.append(f"{point}: {', '.join(bad)}")
-    return failures
+    return failures, moved
 
 
 # --- timing -------------------------------------------------------------------
@@ -370,14 +378,21 @@ def main():
             sims[side] = build_side(dirs[side], need_sim, bool(workloads))
 
         if not opt.skip_identity:
-            failures = identity(dirs, sims, workdir / "identity")
+            failures, moved = identity(dirs, sims, workdir / "identity")
             report["identity"] = failures
+            report["executed_lane_cycles"] = [
+                {"point": point, "parent": a, "change": b}
+                for point, a, b in moved]
             print(f"identity: {'PASS' if not failures else 'FAIL'} "
                   f"({len(failures)} mismatches)")
             for f in failures:
                 print(f"  {f}")
             if failures:
                 status = 1
+            print(f"executed lane-cycles: {len(moved)} points moved")
+            for point, a, b in moved:
+                ratio = f"{b / a:.3f}x" if a and b is not None else "n/a"
+                print(f"  {point}: {a} -> {b}  {ratio}")
 
         for workload in workloads:
             for seed in opt.seeds:
