@@ -43,7 +43,7 @@ void print_ablation() {
          bench::fmt(s.occupancy_share(2)),
          bench::fmt(static_cast<double>(s.busy_cycles) /
                     static_cast<double>(s.total_cycles)),
-         std::to_string(rig.filter()->state().underflow_clamps())});
+         std::to_string(rig.filter()->underflow_clamps())});
   }
   table.print();
   std::cout

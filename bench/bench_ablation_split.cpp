@@ -20,7 +20,7 @@
 #include "bench_common.hpp"
 #include "bus/round_robin.hpp"
 #include "bus/split_bus.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "sim/kernel.hpp"
 
 namespace {
@@ -77,9 +77,9 @@ Measured run_protocol(bool with_cba, bool atomics) {
   SlaveT slave;
   bus::RoundRobinArbiter arbiter(4);
   BusT b(bus::BusConfig{4, true}, arbiter, slave);
-  std::unique_ptr<core::CreditFilter> filter;
+  std::unique_ptr<core::CreditState> filter;
   if (with_cba) {
-    filter = std::make_unique<core::CreditFilter>(
+    filter = std::make_unique<core::CreditState>(
         core::CbaConfig::homogeneous(4, 56));
     b.set_filter(filter.get());
   }

@@ -27,7 +27,7 @@ SyntheticRig::SyntheticRig(bus::ArbiterKind kind,
   bus_ = std::make_unique<bus::NonSplitBus>(bus::BusConfig{4, true},
                                             *arbiter_, *slave_);
   if (cba.has_value()) {
-    filter_ = std::make_unique<core::CreditFilter>(*cba);
+    filter_ = std::make_unique<core::CreditState>(*cba);
     bus_->set_filter(filter_.get());
   }
 }

@@ -18,7 +18,7 @@
 
 #include "bus/arbiter_factory.hpp"
 #include "bus/bus.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "platform/synthetic_master.hpp"
 #include "rng/rand_bank.hpp"
 #include "sim/kernel.hpp"
@@ -51,7 +51,7 @@ class SyntheticRig {
   [[nodiscard]] const bus::BusStatistics& stats() const {
     return bus_->statistics();
   }
-  [[nodiscard]] core::CreditFilter* filter() noexcept {
+  [[nodiscard]] core::CreditState* filter() noexcept {
     return filter_.get();
   }
 
@@ -62,7 +62,7 @@ class SyntheticRig {
   std::unique_ptr<ForcedHoldOnlySlave> slave_;
   std::unique_ptr<bus::Arbiter> arbiter_;
   std::unique_ptr<bus::NonSplitBus> bus_;
-  std::unique_ptr<core::CreditFilter> filter_;
+  std::unique_ptr<core::CreditState> filter_;
   std::vector<std::unique_ptr<platform::SyntheticMaster>> masters_;
   sim::Kernel kernel_;
   bool finalized_ = false;

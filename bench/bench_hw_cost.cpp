@@ -21,7 +21,7 @@
 
 #include "bench_common.hpp"
 #include "bus/arbiter_factory.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "rng/rand_bank.hpp"
 
 namespace {
@@ -50,7 +50,7 @@ void print_hw_costs() {
                    std::to_string(cost.state_bits),
                    std::to_string(cost.lut_equivalents), cost.notes});
   }
-  const core::CreditFilter filter(core::CbaConfig::paper_table1());
+  const core::CreditState filter(core::CbaConfig::paper_table1());
   const bus::HwCost cba = filter.hw_cost();
   table.add_row({"CBA filter (the addition)", std::to_string(cba.state_bits),
                  std::to_string(cba.lut_equivalents), cba.notes});
@@ -104,7 +104,7 @@ void BM_FilteredDecision(benchmark::State& state) {
   rng::RandBank bank(9);
   const auto arbiter =
       bus::make_arbiter(bus::ArbiterKind::kRandomPermutation, 4, bank);
-  core::CreditFilter filter(core::CbaConfig::paper_table1());
+  core::CreditState filter(core::CbaConfig::paper_table1());
   const std::array<Cycle, 4> arrival{0, 0, 0, 0};
   Cycle now = 0;
   for (auto _ : state) {

@@ -25,7 +25,7 @@
 #include "bus/bus.hpp"
 #include "bus/round_robin.hpp"
 #include "common/contracts.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "platform/synthetic_master.hpp"
 #include "sim/kernel.hpp"
 
@@ -52,9 +52,9 @@ Outcome run_example(std::optional<core::CbaConfig> cba, int n_contenders,
   UnusedSlave slave;
   bus::RoundRobinArbiter arbiter(4);
   bus::NonSplitBus b(bus::BusConfig{4, true}, arbiter, slave);
-  std::unique_ptr<core::CreditFilter> filter;
+  std::unique_ptr<core::CreditState> filter;
   if (cba.has_value()) {
-    filter = std::make_unique<core::CreditFilter>(*cba);
+    filter = std::make_unique<core::CreditState>(*cba);
     b.set_filter(filter.get());
   }
   sim::Kernel kernel;

@@ -23,8 +23,7 @@
 #include "bench_common.hpp"
 #include "bus/arbiter_factory.hpp"
 #include "bus/bus.hpp"
-#include "core/contention_bounds.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "platform/scenarios.hpp"
 #include "platform/synthetic_master.hpp"
 #include "sim/kernel.hpp"
@@ -50,9 +49,9 @@ double run_case(std::uint32_t n_cores, Cycle tua_hold, std::uint32_t tua_gap,
   const auto arbiter =
       bus::make_arbiter(bus::ArbiterKind::kRandomPermutation, n_cores, bank);
   bus::NonSplitBus b(bus::BusConfig{n_cores, true}, *arbiter, slave);
-  std::unique_ptr<core::CreditFilter> filter;
+  std::unique_ptr<core::CreditState> filter;
   if (with_cba) {
-    filter = std::make_unique<core::CreditFilter>(
+    filter = std::make_unique<core::CreditState>(
         core::CbaConfig::homogeneous(n_cores, 56));
     b.set_filter(filter.get());
   }

@@ -22,7 +22,7 @@
 #include "bus/bus.hpp"
 #include "bus/round_robin.hpp"
 #include "common/contracts.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "core/virtual_contender.hpp"
 #include "platform/synthetic_master.hpp"
 #include "sim/kernel.hpp"
@@ -49,9 +49,9 @@ void print_table1_trace() {
   UnusedSlave slave;
   bus::RoundRobinArbiter arbiter(4);
   bus::NonSplitBus b(bus::BusConfig{4, true}, arbiter, slave);
-  core::CreditFilter filter(core::CbaConfig::paper_table1());
+  core::CreditState filter(core::CbaConfig::paper_table1());
   b.set_filter(&filter);
-  filter.state().set_budget(0, 0);  // TuA zero initial budget (SIII-B)
+  filter.set_budget(0, 0);  // TuA zero initial budget (SIII-B)
 
   sim::Kernel kernel;
   platform::SyntheticMasterConfig tua_cfg;
@@ -69,7 +69,7 @@ void print_table1_trace() {
     vc.tua = 0;
     vc.hold = 56;
     vc.policy = core::ContenderPolicy::kCompLatch;
-    cs.push_back({vc, &filter.state()});
+    cs.push_back({vc, &filter});
   }
   core::VirtualContender contenders(cs, b);
   kernel.add(contenders);
@@ -82,13 +82,12 @@ void print_table1_trace() {
   MasterId prev_holder = kNoMaster;
   for (Cycle t = 0; t < 800; ++t) {
     kernel.step();
-    const auto& cs = filter.state();
     const MasterId holder = b.holder();
 
     // Record only the interesting cycles to keep the trace readable.
     std::string event;
     if (t == 0) event = "TuA budget zeroed at analysis start";
-    if (cs.budget(0) == 228 && prev_budg0 < 228) {
+    if (filter.budget(0) == 228 && prev_budg0 < 228) {
       event = "BUDG0 saturates at 228 -> TuA eligible";
     }
     if (holder != prev_holder && holder != kNoMaster) {
@@ -100,16 +99,16 @@ void print_table1_trace() {
     }
     if (!event.empty() || t % 100 == 99) {
       table.add_row(
-          {std::to_string(t), std::to_string(cs.budget(0)),
-           std::to_string(cs.budget(1)), std::to_string(cs.budget(2)),
-           std::to_string(cs.budget(3)),
+          {std::to_string(t), std::to_string(filter.budget(0)),
+           std::to_string(filter.budget(1)), std::to_string(filter.budget(2)),
+           std::to_string(filter.budget(3)),
            contenders.comp(1) ? "1" : "0",
            contenders.comp(2) ? "1" : "0",
            contenders.comp(3) ? "1" : "0",
            b.has_pending(0) ? "1" : "0",
            holder == kNoMaster ? "-" : std::to_string(holder), event});
     }
-    prev_budg0 = cs.budget(0);
+    prev_budg0 = filter.budget(0);
     prev_holder = holder;
     if (tua.done() && t > 600) break;
   }

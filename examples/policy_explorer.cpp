@@ -16,7 +16,7 @@
 
 #include "bus/arbiter_factory.hpp"
 #include "bus/bus.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "platform/synthetic_master.hpp"
 #include "sim/kernel.hpp"
 #include "stats/fairness.hpp"
@@ -40,9 +40,9 @@ void explore(cbus::bus::ArbiterKind kind, bool with_cba,
   NoSlave slave;
   const auto arbiter = bus::make_arbiter(kind, 4, bank, /*tdma_slot=*/56);
   bus::NonSplitBus b(bus::BusConfig{4, true}, *arbiter, slave);
-  std::unique_ptr<core::CreditFilter> filter;
+  std::unique_ptr<core::CreditState> filter;
   if (with_cba) {
-    filter = std::make_unique<core::CreditFilter>(
+    filter = std::make_unique<core::CreditState>(
         core::CbaConfig::homogeneous(4, 56));
     b.set_filter(filter.get());
   }

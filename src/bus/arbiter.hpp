@@ -65,19 +65,10 @@ class Arbiter {
   /// no-op.
   virtual void on_complete(MasterId /*master*/, Cycle /*hold*/) {}
 
-  virtual void reset() = 0;
-
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
   [[nodiscard]] virtual HwCost hw_cost() const = 0;
 
   [[nodiscard]] std::uint32_t n_masters() const noexcept { return n_masters_; }
-
- protected:
-  /// Lowest set-bit helper shared by the deterministic policies.
-  [[nodiscard]] static MasterId lowest_set(std::uint32_t mask) noexcept {
-    CBUS_ASSERT(mask != 0);
-    return static_cast<MasterId>(__builtin_ctz(mask));
-  }
 
  private:
   std::uint32_t n_masters_;

@@ -50,7 +50,6 @@ void NonSplitBus::arbitrate(Cycle now, Cycle start) {
   CBUS_ASSERT((candidates >> winner) & 1u);
 
   arbiter_.on_grant(winner, now);
-  if (filter_ != nullptr) filter_->on_grant(winner, now);
 
   latched_grant_ = *pending_[winner];
   pending_[winner].reset();
@@ -131,7 +130,6 @@ void NonSplitBus::complete_transfer(Cycle now) {
   const Cycle done_hold = transfer_->hold;
   transfer_.reset();
   arbiter_.on_complete(done.master, done_hold);
-  if (done.forced_hold == 0) slave_.complete_transaction(done, now);
   ++stats_.master[done.master].completions;
   if (observer_ != nullptr) observer_->on_transfer_complete(done, now);
   if (masters_[done.master] != nullptr) {
@@ -142,11 +140,6 @@ void NonSplitBus::complete_transfer(Cycle now) {
   if (config_.overlapped_arbitration && pending_bits_ != 0) {
     arbitrate(now, now + 1);
   }
-}
-
-void NonSplitBus::reset_statistics() {
-  stats_ = BusStatistics{};
-  stats_.master.resize(config_.n_masters);
 }
 
 }  // namespace cbus::bus

@@ -245,7 +245,6 @@ class NonSplitBus final : public Interconnect {
   [[nodiscard]] const BusStatistics& statistics() const noexcept override {
     return stats_;
   }
-  void reset_statistics();
 
   [[nodiscard]] std::uint32_t n_masters() const noexcept {
     return config_.n_masters;

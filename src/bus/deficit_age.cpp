@@ -65,10 +65,6 @@ void DeficitAgeArbiter::on_complete(MasterId master, Cycle hold) {
   deficit_[master] -= static_cast<std::int64_t>(hold);
 }
 
-void DeficitAgeArbiter::reset() {
-  for (auto& d : deficit_) d = 0;
-}
-
 std::int64_t DeficitAgeArbiter::deficit(MasterId master) const {
   CBUS_EXPECTS(master < n_masters());
   return deficit_[master];

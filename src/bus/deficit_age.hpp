@@ -50,7 +50,6 @@ class DeficitAgeArbiter final : public Arbiter {
   [[nodiscard]] MasterId pick(const ArbInput& input) override;
   void on_grant(MasterId master, Cycle now) override;
   void on_complete(MasterId master, Cycle hold) override;
-  void reset() override;
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "deficit-age";

@@ -50,11 +50,6 @@ void DeficitRoundRobinArbiter::on_complete(MasterId master, Cycle hold) {
   if (deficit_[master] <= 0) cursor_ = (master + 1) % n_masters();
 }
 
-void DeficitRoundRobinArbiter::reset() {
-  for (auto& d : deficit_) d = 0;
-  cursor_ = 0;
-}
-
 std::int64_t DeficitRoundRobinArbiter::deficit(MasterId master) const {
   CBUS_EXPECTS(master < n_masters());
   return deficit_[master];

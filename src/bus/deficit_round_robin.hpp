@@ -35,7 +35,6 @@ class DeficitRoundRobinArbiter final : public Arbiter {
 
   [[nodiscard]] MasterId pick(const ArbInput& input) override;
   void on_grant(MasterId master, Cycle now) override;
-  void reset() override;
 
   /// Post-paid charge: the bus reports the actual hold after completion.
   void on_complete(MasterId master, Cycle hold) override;

@@ -34,8 +34,6 @@ void FifoArbiter::on_grant(MasterId master, Cycle /*now*/) {
   last_granted_ = master;
 }
 
-void FifoArbiter::reset() { last_granted_ = n_masters() - 1; }
-
 HwCost FifoArbiter::hw_cost() const {
   // State: an order queue of log2(N)-bit entries. Logic: comparator tree.
   const unsigned n = n_masters();

@@ -40,10 +40,6 @@ class BusSlave {
   /// Transaction starts now; returns the total bus hold time in cycles
   /// (>= 1). State changes (cache fills, dirty evictions) happen here.
   virtual Cycle begin_transaction(const BusRequest& request, Cycle now) = 0;
-
-  /// Transaction completed (bus released at end of cycle `now`).
-  virtual void complete_transaction(const BusRequest& /*request*/,
-                                    Cycle /*now*/) {}
 };
 
 /// The master-side port shared by every bus protocol (non-split and
@@ -98,9 +94,6 @@ class EligibilityFilter {
   /// lives here.
   virtual void on_cycle(MasterId holder, Cycle now) = 0;
 
-  /// Called when a master wins arbitration.
-  virtual void on_grant(MasterId master, Cycle now) = 0;
-
   /// Burst charge for occupancy this filter's bus never saw: the
   /// segmented interconnect reports the cycles a LOCAL master's
   /// transaction occupied FOREIGN segments, so its home budget pays for
@@ -125,8 +118,6 @@ class EligibilityFilter {
   virtual void skip(MasterId holder, Cycle from, Cycle cycles) {
     for (Cycle c = from; c < from + cycles; ++c) on_cycle(holder, c);
   }
-
-  virtual void reset() = 0;
 };
 
 }  // namespace cbus::bus

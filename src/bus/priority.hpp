@@ -21,7 +21,6 @@ class FixedPriorityArbiter final : public Arbiter {
 
   [[nodiscard]] MasterId pick(const ArbInput& input) override;
   void on_grant(MasterId master, Cycle now) override;
-  void reset() override {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "fixed-priority";

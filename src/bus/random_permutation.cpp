@@ -43,8 +43,6 @@ void RandomPermutationArbiter::on_grant(MasterId master, Cycle /*now*/) {
   }
 }
 
-void RandomPermutationArbiter::reset() { redraw(); }
-
 HwCost RandomPermutationArbiter::hw_cost() const {
   const unsigned n = n_masters();
   unsigned bits = 0;

@@ -31,8 +31,6 @@ void RoundRobinArbiter::on_grant(MasterId master, Cycle /*now*/) {
   last_granted_ = master;
 }
 
-void RoundRobinArbiter::reset() { last_granted_ = n_masters() - 1; }
-
 HwCost RoundRobinArbiter::hw_cost() const {
   // State: log2(N) pointer bits. Logic: rotate + priority encoder.
   const unsigned n = n_masters();

@@ -12,7 +12,6 @@ class RoundRobinArbiter final : public Arbiter {
 
   [[nodiscard]] MasterId pick(const ArbInput& input) override;
   void on_grant(MasterId master, Cycle now) override;
-  void reset() override;
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "round-robin";

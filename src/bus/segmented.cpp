@@ -412,15 +412,6 @@ Cycle SegmentedInterconnect::hop_begin(std::uint32_t segment,
   return config_.bridge_hold;  // forward beat into the bridge
 }
 
-void SegmentedInterconnect::hop_slave_complete(
-    std::uint32_t segment, const BusRequest& local_request, Cycle now) {
-  const MasterId master = owner_of(segment, local_request.master);
-  const InFlight& entry = flight_[master];
-  if (segment == entry.target) {
-    slave_.complete_transaction(entry.original, now);
-  }
-}
-
 void SegmentedInterconnect::hop_granted(std::uint32_t segment,
                                         MasterId local,
                                         const BusRequest& local_request,

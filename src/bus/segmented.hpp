@@ -289,9 +289,6 @@ class SegmentedInterconnect final : public Interconnect {
     Cycle begin_transaction(const BusRequest& request, Cycle now) override {
       return owner->hop_begin(segment, request, now);
     }
-    void complete_transaction(const BusRequest& request, Cycle now) override {
-      owner->hop_slave_complete(segment, request, now);
-    }
   };
 
   // Per-segment eligibility adapter: applies the installed (credit)
@@ -331,17 +328,6 @@ class SegmentedInterconnect final : public Interconnect {
       return f != nullptr ? f->next_eligible(open, now) : now + 1;
     }
     void skip(MasterId, Cycle, Cycle) override {}
-    void on_grant(MasterId master, Cycle now) override {
-      if (EligibilityFilter* const f = user()) f->on_grant(master, now);
-    }
-    void on_remote_occupancy(MasterId master, Cycle occupancy) override {
-      if (EligibilityFilter* const f = user()) {
-        f->on_remote_occupancy(master, occupancy);
-      }
-    }
-    void reset() override {
-      if (EligibilityFilter* const f = user()) f->reset();
-    }
   };
 
   struct Segment {
@@ -458,8 +444,6 @@ class SegmentedInterconnect final : public Interconnect {
   // NonSplitBus callback targets (see PortRelay / SegmentSlave).
   Cycle hop_begin(std::uint32_t segment, const BusRequest& local_request,
                   Cycle now);
-  void hop_slave_complete(std::uint32_t segment,
-                          const BusRequest& local_request, Cycle now);
   void hop_granted(std::uint32_t segment, MasterId local,
                    const BusRequest& local_request, Cycle now, Cycle hold);
   void hop_completed(std::uint32_t segment, MasterId local,

@@ -86,7 +86,6 @@ void SplitBus::start_next_phase(Cycle now) {
   if (winner == kNoMaster) return;
   CBUS_ASSERT((candidates >> winner) & 1u);
   arbiter_.on_grant(winner, now);
-  if (filter_ != nullptr) filter_->on_grant(winner, now);
 
   const BusRequest req = *pending_[winner];
   pending_[winner].reset();

@@ -21,7 +21,6 @@ class TdmaArbiter final : public Arbiter {
   [[nodiscard]] Cycle next_pick(std::uint32_t pending,
                                 Cycle now) const override;
   void on_grant(MasterId master, Cycle now) override;
-  void reset() override {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "tdma";

@@ -102,20 +102,4 @@ bool SetAssocCache::probe(Addr addr) const {
   return find(row_of(line), line + 1) < config_.ways;
 }
 
-bool SetAssocCache::invalidate(Addr addr) {
-  const Addr line = line_of(addr);
-  const std::size_t row = row_of(line);
-  const std::uint32_t w = find(row, line + 1);
-  if (w == config_.ways) return false;
-  tags_[row + w] = 0;
-  dirty_[row + w] = 0;
-  return true;
-}
-
-void SetAssocCache::reset(std::uint64_t placement_seed) {
-  std::fill(tags_.begin(), tags_.end(), 0u);
-  std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
-  placement_seed_ = placement_seed;
-}
-
 }  // namespace cbus::cache

@@ -57,13 +57,6 @@ class SetAssocCache {
   /// Lookup without any state change (no LRU update, no allocation).
   [[nodiscard]] bool probe(Addr addr) const;
 
-  /// Drop a line if resident (e.g. invalidation traffic). Returns true if
-  /// the line was present.
-  bool invalidate(Addr addr);
-
-  /// Invalidate everything and re-randomize placement for a new run.
-  void reset(std::uint64_t placement_seed);
-
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
 
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
@@ -86,9 +79,9 @@ class SetAssocCache {
   std::uint64_t placement_seed_;
   std::vector<std::uint32_t> tags_;  ///< line + 1 per way; 0 = invalid
   std::vector<std::uint8_t> dirty_;
-  /// LRU only: the access stamp per way. Invalidation and reset leave it
-  /// stale; it is never read then, because invalid ways fill before a
-  /// victim is chosen and every fill stamps its way.
+  /// LRU only: the access stamp per way. An invalid way's stamp is never
+  /// read, because invalid ways fill before a victim is chosen and every
+  /// fill stamps its way.
   std::vector<std::uint64_t> last_use_;
   std::uint64_t use_stamp_ = 0;
   std::optional<rng::RandChannel> repl_;  ///< random replacement only

@@ -64,8 +64,6 @@ class StoreBuffer {
     return false;
   }
 
-  void clear() noexcept { size_ = 0; }
-
  private:
   static constexpr std::uint32_t kInitialSlots = 4;
 

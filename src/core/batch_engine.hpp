@@ -17,7 +17,7 @@
 //   cores tick (read pre-update counters, raise requests)
 //   -> virtual contenders tick (read pre-update BUDGi, raise requests)
 //   -> bus: begin latched grant (this cycle's holder becomes known)
-//   -> bus: credit tick sees that holder (CreditFilter::on_cycle)
+//   -> bus: credit tick sees that holder (CreditState::on_cycle)
 //   -> bus: transfer advance / completion / arbitration (reads
 //      post-update eligibility, RNG drawn iff eligible candidates).
 //

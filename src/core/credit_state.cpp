@@ -155,13 +155,19 @@ void CreditState::set_increment(MasterId m, std::uint64_t units) {
   }
 }
 
-void CreditState::reset() {
+bus::HwCost CreditState::hw_cost() const {
+  unsigned total_bits = 0;
   for (MasterId m = 0; m < config_.n_masters; ++m) {
-    value(m) = config_.initial[m];
-    synced_[m] = ticks_;
+    unsigned bits = 0;
+    for (std::uint64_t v = config_.saturation[m]; v != 0; v >>= 1) ++bits;
+    total_bits += std::max(bits, 1u);
   }
-  underflow_clamps_ = 0;
-  std::fill(underflows_by_master_.begin(), underflows_by_master_.end(), 0);
+  // Per master: saturating adder + threshold comparator ~ 2 LUTs per bit
+  // on 4-LUT fabric, plus the AND into the request lines.
+  const unsigned luts = 2 * total_bits + config_.n_masters;
+  return bus::HwCost{total_bits, luts,
+                     "per-master saturating budget counter + threshold "
+                     "comparator + request gating"};
 }
 
 }  // namespace cbus::core

@@ -1,4 +1,8 @@
-// The per-master budget counters (BUDGi of Table I) and their update rules.
+// The per-master budget counters (BUDGi of Table I) and their update rules,
+// installed on the bus as its eligibility filter (paper §III-A: "CBA acts
+// as a filter to determine the pending requests that are eligible to be
+// arbitrated: only those whose core has MaxL budget can be arbitrated.
+// Then, any arbitration policy can be applied.").
 //
 // Every cycle each counter gains increment[i] units, saturating at its cap;
 // the master holding the bus additionally pays `scale` units in the same
@@ -21,8 +25,8 @@
 // Settle points (the only writes to a slot's stored level):
 //  * a holder change settles the outgoing and the incoming holder before
 //    the new ticks count;
-//  * charge, set_budget and set_increment settle the slot they write, and
-//    reset the whole state, before writing.
+//  * charge, set_budget and set_increment settle the slot they write
+//    before writing.
 // underflow_clamps() adds the holder's unsettled clamped ticks to the
 // settled count.
 //
@@ -32,10 +36,13 @@
 // and every read returns the arena word the engine wrote.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
 
+#include "bus/arbiter.hpp"
+#include "bus/interfaces.hpp"
 #include "common/contracts.hpp"
 #include "common/types.hpp"
 #include "core/cba_config.hpp"
@@ -68,7 +75,7 @@ struct CreditLaneView {
   }
 };
 
-class CreditState {
+class CreditState final : public bus::EligibilityFilter {
  public:
   explicit CreditState(CbaConfig config);
 
@@ -81,8 +88,6 @@ class CreditState {
 
   CreditState(const CreditState&) = delete;
   CreditState& operator=(const CreditState&) = delete;
-  CreditState(CreditState&&) = default;
-  CreditState& operator=(CreditState&&) = default;
 
   /// One clock edge: recovery for everyone, occupancy charge for `holder`
   /// (pass kNoMaster when the bus is idle or arbitrating).
@@ -157,9 +162,6 @@ class CreditState {
   /// master below threshold forever).
   void set_increment(MasterId m, std::uint64_t units);
 
-  /// Restore every counter to its configured initial value.
-  void reset();
-
   /// Attribute one clamped cycle of master m to this state. The batch
   /// credit engine performs the Table-I update vertically in the SoA
   /// arena and routes the (cold) clamp events back here, so
@@ -186,6 +188,41 @@ class CreditState {
   }
 
   [[nodiscard]] const CbaConfig& config() const noexcept { return config_; }
+
+  // --- bus::EligibilityFilter --------------------------------------------
+
+  [[nodiscard]] std::uint32_t eligible(std::uint32_t pending,
+                                       Cycle /*now*/) override {
+    return eligible_mask(pending);
+  }
+
+  void on_cycle(MasterId holder, Cycle /*now*/) override { tick(holder); }
+
+  /// Foreign-segment occupancy of a local master's transaction, charged
+  /// against its home budget as a burst debit -- the per-cycle recovery
+  /// already ran while the transaction was away, so the Table-I equation
+  /// covers the whole path (see charge).
+  void on_remote_occupancy(MasterId master, Cycle occupancy) override {
+    charge(master, occupancy);
+  }
+
+  /// The first cycle whose idle-bus recovery makes a pending master
+  /// eligible (the bus arbitrates after the cycle's credit update).
+  [[nodiscard]] Cycle next_eligible(std::uint32_t pending,
+                                    Cycle now) const override {
+    const Cycle ticks = ticks_to_eligible(pending);
+    return ticks == kNever ? kNever : now + std::max<Cycle>(ticks, 1);
+  }
+
+  void skip(MasterId holder, Cycle /*from*/, Cycle cycles) override {
+    advance(holder, cycles);
+  }
+
+  /// Hardware-cost model of the CBA addition (paper §IV-B: "far less than
+  /// 0.1%" FPGA area growth): per master one budget counter of
+  /// ceil(log2(saturation)) bits, an adder, a comparator against the
+  /// threshold and the eligibility AND gate.
+  [[nodiscard]] bus::HwCost hw_cost() const;
 
  private:
   /// A holder's level after `ticks` charge ticks, and the ticks of those
@@ -289,8 +326,8 @@ class CreditState {
 /// one slot's counters across all lanes form a contiguous, vector-width
 /// row. The batch credit engine ticks whole rows vertically; the classic
 /// path hands lane(l) (a strided CreditLaneView) to each replica's
-/// CreditState/CreditFilter and runs exactly the scalar update it always
-/// has -- over the same words. The arena must outlive its users.
+/// CreditState and runs exactly the scalar update it always has -- over
+/// the same words. The arena must outlive its users.
 class CreditSoA {
  public:
   /// `slots_per_lane` widens a lane beyond n_masters counters -- the

@@ -19,6 +19,10 @@ constexpr Cycle kMaxWindow = 1u << 30;
 /// rate): an idle master must stay able to raise demand the window can
 /// then see.
 constexpr std::uint64_t kMcr = 1;
+/// Relative hysteresis: a new target moves the rates only when some
+/// master's gap exceeds kDeadband * scale units (a stability constant,
+/// not a knob -- see docs/CONTROLLERS.md).
+constexpr double kDeadband = 0.05;
 
 // User-facing value errors throw plain invalid_argument (no contract
 // macro prefix) so CLI and config-file diagnostics render verbatim.
@@ -93,9 +97,6 @@ void ControllerConfig::validate() const {
   }
   if (!(gain > 0.0 && gain <= 1.0)) {
     throw std::invalid_argument("controller gain must be in (0, 1]");
-  }
-  if (!(deadband >= 0.0 && deadband < 1.0)) {
-    throw std::invalid_argument("controller deadband must be in [0, 1)");
   }
 }
 
@@ -196,7 +197,7 @@ std::vector<double> fair_shares(std::span<const double> demand,
 AdaptiveController::AdaptiveController(const ControllerConfig& config,
                                        core::CreditState& credits,
                                        const bus::BusStatistics& bus_stats)
-    : CreditController("ctrl.adaptive"),
+    : sim::Component("ctrl.adaptive"),
       config_(config),
       credits_(&credits),
       bus_stats_(&bus_stats),
@@ -217,10 +218,6 @@ AdaptiveController::AdaptiveController(const ControllerConfig& config,
   busy_snapshot_.assign(cba.n_masters, 0);
   rates_.assign(cba.increment.begin(), cba.increment.end());
   applied_ = cba.increment;
-}
-
-std::vector<std::uint64_t> AdaptiveController::increments() const {
-  return applied_;
 }
 
 void AdaptiveController::tick(Cycle now) {
@@ -276,7 +273,7 @@ void AdaptiveController::epoch(Cycle now) {
   for (std::size_t m = 0; m < n; ++m) {
     gap = std::max(gap, std::abs(targets_[m] - rates_[m]));
   }
-  if (gap > config_.deadband * scale) {
+  if (gap > kDeadband * scale) {
     for (std::size_t m = 0; m < n; ++m) {
       rates_[m] += config_.gain * (targets_[m] - rates_[m]);
     }
@@ -341,15 +338,6 @@ void AdaptiveController::epoch(Cycle now) {
     }
   }
   ++epoch_index_;
-}
-
-std::unique_ptr<CreditController> make_controller(
-    const ControllerConfig& config, core::CreditState& credits,
-    const bus::BusStatistics& bus_stats) {
-  if (config.adaptive()) {
-    return std::make_unique<AdaptiveController>(config, credits, bus_stats);
-  }
-  return std::make_unique<StaticController>(credits);
 }
 
 }  // namespace cbus::ctrl

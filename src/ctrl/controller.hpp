@@ -27,12 +27,11 @@
 // its machine -- every batched lane constructs an identical replica, all
 // state is per-instance, and no wall-clock or global state is read, so
 // lockstep campaigns stay bit-identical to serial at any batch/thread
-// count. The static controller is today's behavior behind the same
-// interface: it never touches the credit state and is never ticked.
+// count. `controller = static` builds no controller at all: the Table-I
+// increments stay as configured.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -75,16 +74,11 @@ struct ControllerConfig {
   /// Fraction of the rate-to-target gap closed per epoch, in (0, 1].
   double gain = 0.5;
 
-  /// Relative hysteresis: a new target moves the rates only when some
-  /// master's gap exceeds deadband * scale units (stability knob; fixed
-  /// rather than parsed -- see docs/CONTROLLERS.md).
-  double deadband = 0.05;
-
   [[nodiscard]] bool adaptive() const noexcept {
     return kind == ControllerKind::kAdaptive;
   }
 
-  /// Throws std::invalid_argument on out-of-range window/gain/deadband.
+  /// Throws std::invalid_argument on an out-of-range window or gain.
   void validate() const;
 
   friend bool operator==(const ControllerConfig&,
@@ -101,7 +95,7 @@ struct ControllerConfig {
 /// parse_controller accepts (config-file round-tripping).
 [[nodiscard]] std::string to_config_string(const ControllerConfig& config);
 
-/// Counters every controller exposes to the ctrl.* metric probes.
+/// Counters the adaptive controller exposes to the ctrl.* metric probes.
 struct ControllerStats {
   std::uint64_t epochs = 0;   ///< epoch boundaries processed
   std::uint64_t updates = 0;  ///< epochs whose rate vector changed
@@ -110,47 +104,9 @@ struct ControllerStats {
   Cycle convergence_cycles = 0;
   /// Final distance between the mixed rates and the latest computed
   /// target, summed over masters, as a fraction of the scale (0 at a
-  /// fully converged fixed point, bounded by the deadband).
+  /// fully converged fixed point, bounded by the deadband; see
+  /// AdaptiveController).
   double steady_error = 0.0;
-};
-
-/// The controller interface the platform wires per machine instance.
-class CreditController : public sim::Component {
- public:
-  explicit CreditController(std::string name)
-      : sim::Component(std::move(name)) {}
-
-  [[nodiscard]] virtual ControllerKind kind() const noexcept = 0;
-  [[nodiscard]] virtual const ControllerStats& stats() const noexcept = 0;
-
-  /// The per-master Table-I increments currently applied, in budget
-  /// units per cycle (the configured values for the static controller).
-  [[nodiscard]] virtual std::vector<std::uint64_t> increments() const = 0;
-};
-
-/// Today's behavior behind the interface: the configured increments are
-/// never touched, the component is never registered with a kernel, and
-/// campaigns with `controller = static` stay byte-identical to ones that
-/// never mention the key.
-class StaticController final : public CreditController {
- public:
-  explicit StaticController(const core::CreditState& credits)
-      : CreditController("ctrl.static"), credits_(&credits) {}
-
-  void tick(Cycle /*now*/) override {}
-  [[nodiscard]] ControllerKind kind() const noexcept override {
-    return ControllerKind::kStatic;
-  }
-  [[nodiscard]] const ControllerStats& stats() const noexcept override {
-    return stats_;
-  }
-  [[nodiscard]] std::vector<std::uint64_t> increments() const override {
-    return credits_->config().increment;
-  }
-
- private:
-  const core::CreditState* credits_;
-  ControllerStats stats_;  ///< all-zero: no epochs, no updates
 };
 
 /// Epoch-driven explicit-rate feedback over the credit increments.
@@ -160,8 +116,10 @@ class StaticController final : public CreditController {
 /// "cycles this master wanted the bus" signal) into its
 /// obs::DemandWindow, and every `window` cycles it runs one epoch:
 /// water-fill, mix, integerize, write the increments back through
-/// core::CreditState::set_increment.
-class AdaptiveController final : public CreditController {
+/// core::CreditState::set_increment. A new target moves the rates only
+/// when some master's gap exceeds a fixed 5% of the scale (the deadband,
+/// a stability constant -- see docs/CONTROLLERS.md).
+class AdaptiveController final : public sim::Component {
  public:
   /// `credits` and `bus_stats` must outlive the controller; `config`
   /// must satisfy config.adaptive(). Requires scale >= n_masters (each
@@ -181,13 +139,14 @@ class AdaptiveController final : public CreditController {
     sample_countdown_ -= cycles;
   }
 
-  [[nodiscard]] ControllerKind kind() const noexcept override {
-    return ControllerKind::kAdaptive;
-  }
-  [[nodiscard]] const ControllerStats& stats() const noexcept override {
+  [[nodiscard]] const ControllerStats& stats() const noexcept {
     return stats_;
   }
-  [[nodiscard]] std::vector<std::uint64_t> increments() const override;
+  /// The per-master Table-I increments currently applied, in budget
+  /// units per cycle.
+  [[nodiscard]] const std::vector<std::uint64_t>& increments() const noexcept {
+    return applied_;
+  }
 
   // --- introspection (tests, benches) -----------------------------------
   [[nodiscard]] const obs::DemandWindow& demand() const noexcept {
@@ -234,11 +193,5 @@ class AdaptiveController final : public CreditController {
 [[nodiscard]] std::vector<double> fair_shares(std::span<const double> demand,
                                               std::span<const double> weight,
                                               double capacity);
-
-/// Build the configured controller over a machine's credit state and bus
-/// statistics (both must outlive the controller).
-[[nodiscard]] std::unique_ptr<CreditController> make_controller(
-    const ControllerConfig& config, core::CreditState& credits,
-    const bus::BusStatistics& bus_stats);
 
 }  // namespace cbus::ctrl

@@ -27,9 +27,4 @@ Cycle DramModel::access(Addr addr) {
   return config_.row_miss;
 }
 
-void DramModel::reset() {
-  for (auto& bank : banks_) bank = Bank{};
-  stats_ = DramStats{};
-}
-
 }  // namespace cbus::mem

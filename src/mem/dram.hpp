@@ -44,9 +44,6 @@ class DramModel {
   /// Latency of one memory access; updates the bank's open row.
   [[nodiscard]] Cycle access(Addr addr);
 
-  /// Close every row (rank-level precharge; new run).
-  void reset();
-
   [[nodiscard]] const DramStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const DramConfig& config() const noexcept { return config_; }
 

@@ -104,16 +104,6 @@ bus::SplitResponse PartitionedL2::begin_split_transaction(
   return response;
 }
 
-void PartitionedL2::complete_transaction(const bus::BusRequest& /*request*/,
-                                         Cycle /*now*/) {}
-
-void PartitionedL2::reset_partition(MasterId master,
-                                    std::uint64_t placement_seed) {
-  CBUS_EXPECTS(master < partitions_.size());
-  partitions_[master]->reset(placement_seed);
-  stats_[master] = L2Stats{};
-}
-
 const L2Stats& PartitionedL2::stats(MasterId master) const {
   CBUS_EXPECTS(master < stats_.size());
   return stats_[master];

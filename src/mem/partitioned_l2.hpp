@@ -45,8 +45,6 @@ class PartitionedL2 final : public bus::BusSlave, public bus::SplitSlave {
 
   // Non-split protocol (paper baseline).
   Cycle begin_transaction(const bus::BusRequest& request, Cycle now) override;
-  void complete_transaction(const bus::BusRequest& request,
-                            Cycle now) override;
 
   // Split protocol (§III-C variant).
   bus::SplitResponse begin_split_transaction(const bus::BusRequest& request,
@@ -54,9 +52,6 @@ class PartitionedL2 final : public bus::BusSlave, public bus::SplitSlave {
 
   /// Classify the outcome a request *would* have (no state change).
   [[nodiscard]] AccessOutcome classify(const bus::BusRequest& request) const;
-
-  /// Invalidate a partition and re-randomize its placement (new run).
-  void reset_partition(MasterId master, std::uint64_t placement_seed);
 
   [[nodiscard]] const L2Stats& stats(MasterId master) const;
   [[nodiscard]] const cache::SetAssocCache& partition(MasterId master) const;

@@ -154,12 +154,9 @@ void probe_segments(const bus::SegmentedInterconnect* segmented,
   out.set("seg.hop_histogram", std::move(hops));
 }
 
-void probe_ctrl(const ctrl::CreditController* controller, Record& out) {
-  if (controller == nullptr ||
-      controller->kind() != ctrl::ControllerKind::kAdaptive) {
-    return;
-  }
-  const std::vector<std::uint64_t> increments = controller->increments();
+void probe_ctrl(const ctrl::AdaptiveController* controller, Record& out) {
+  if (controller == nullptr) return;
+  const std::vector<std::uint64_t>& increments = controller->increments();
   std::vector<double> applied(increments.size());
   for (std::size_t m = 0; m < increments.size(); ++m) {
     applied[m] = static_cast<double>(increments[m]);

@@ -26,7 +26,7 @@ class SegmentedInterconnect;  // probes take it as an opaque pointer
 }  // namespace cbus::bus
 
 namespace cbus::ctrl {
-class CreditController;  // probes take it as an opaque pointer
+class AdaptiveController;  // probes take it as an opaque pointer
 }  // namespace cbus::ctrl
 
 namespace cbus::metrics {
@@ -63,14 +63,13 @@ void probe_credit(std::uint64_t underflows, std::span<const double> budgets,
 void probe_segments(const bus::SegmentedInterconnect* segmented,
                     const bus::BusStatistics& flat, Record& out);
 
-/// Credit-controller accounting, ADAPTIVE controllers only: the
-/// per-master ctrl.increment vector (Table-I increments in force at run
-/// end) plus ctrl.epochs, ctrl.updates, ctrl.convergence_cycles and
-/// ctrl.steady_error. Emits nothing for a null or static controller, so
-/// `controller = static` records keep the pre-controller shape
-/// byte-for-byte (sinks render the absent keys as empty/null in mixed
-/// sweeps).
-void probe_ctrl(const ctrl::CreditController* controller, Record& out);
+/// Adaptive-controller accounting: the per-master ctrl.increment vector
+/// (Table-I increments in force at run end) plus ctrl.epochs,
+/// ctrl.updates, ctrl.convergence_cycles and ctrl.steady_error. Emits
+/// nothing for a null controller -- `controller = static` machines build
+/// none -- so their records keep the pre-controller shape byte-for-byte
+/// (sinks render the absent keys as empty/null in mixed sweeps).
+void probe_ctrl(const ctrl::AdaptiveController* controller, Record& out);
 
 /// One catalog entry per standard probe key.
 struct MetricInfo {

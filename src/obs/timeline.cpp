@@ -6,7 +6,7 @@
 #include "bus/segmented.hpp"
 #include "common/build_info.hpp"
 #include "common/contracts.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "platform/multicore.hpp"
 
 namespace cbus::obs {
@@ -41,8 +41,6 @@ Timeline::Timeline(const Config& config)
     : Component("timeline"), config_(config) {
   CBUS_EXPECTS_MSG(config.window_begin < config.window_end,
                    "trace window is empty");
-  CBUS_EXPECTS_MSG(config.counter_stride >= 1,
-                   "counter stride must be >= 1 cycle");
 }
 
 void Timeline::attach(platform::Multicore& machine) {
@@ -51,21 +49,20 @@ void Timeline::attach(platform::Multicore& machine) {
 
   n_masters_ = machine.config().n_cores;
   masters_.resize(n_masters_);
-  demand_.emplace(n_masters_, config_.demand_window);
+  demand_.emplace(n_masters_, kDemandWindow);
 
   bus::Interconnect& interconnect = machine.interconnect();
   interconnect.set_observer(this);
   seg_ = machine.segmented();
 
   // Per-master credit readers: a master's budget lives in its home
-  // segment's filter at its local slot (on the single bus, filter 0 at
-  // the master id). Non-CBA setups have no credit state and simply get
+  // segment's credit state at its local slot (on the single bus, state 0
+  // at the master id). Non-CBA setups have no credit state and simply get
   // no credit tracks.
   if (machine.credit_filter() != nullptr) {
     for (MasterId m = 0; m < n_masters_; ++m) {
-      const core::CreditFilter* filter =
-          machine.credit_filter(interconnect.home_segment(m));
-      credit_.push_back({&filter->state(), interconnect.local_slot(m)});
+      credit_.push_back({machine.credit_filter(interconnect.home_segment(m)),
+                         interconnect.local_slot(m)});
     }
   }
 
@@ -149,7 +146,7 @@ void Timeline::tick(Cycle now) {
       instants_.push_back({now, m});
     }
   }
-  if (now % config_.counter_stride == 0) poll_counters(now);
+  if (now % kCounterStride == 0) poll_counters(now);
 }
 
 void Timeline::poll_counters(Cycle now) {

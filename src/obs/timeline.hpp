@@ -56,12 +56,13 @@ class Timeline final : public bus::BusObserver, public sim::Component {
     /// (`--trace-window a:b`); counters are sampled inside it only.
     Cycle window_begin = 0;
     Cycle window_end = std::numeric_limits<Cycle>::max();
-    /// Counter tracks are sampled every `counter_stride` cycles (and
-    /// emitted only on change), bounding trace volume for long runs.
-    Cycle counter_stride = 64;
-    /// Sliding window of the per-master demand probe, in cycles.
-    Cycle demand_window = 4096;
   };
+
+  /// Counter tracks are sampled every kCounterStride cycles (and emitted
+  /// only on change), bounding trace volume for long runs.
+  static constexpr Cycle kCounterStride = 64;
+  /// Sliding window of the per-master demand probe, in cycles.
+  static constexpr Cycle kDemandWindow = 4096;
 
   Timeline();  ///< default Config
   explicit Timeline(const Config& config);

@@ -92,7 +92,7 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
   }
 
   if (config_.cba.has_value()) {
-    // Per-segment credit accounting: one CreditFilter per segment over
+    // Per-segment credit accounting: one CreditState per segment over
     // that segment's local slots, carved out of the (optional) external
     // SoA lane in segment order.
     CBUS_EXPECTS_MSG(credit_lane.empty() ||
@@ -103,22 +103,21 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
     for (std::uint32_t s = 0; s < bus_->n_segments(); ++s) {
       const std::uint32_t n_local = bus_->n_local_masters(s);
       core::CbaConfig seg_cfg = segment_cba(*config_.cba, *bus_, s);
-      auto filter =
+      auto credits =
           credit_lane.empty()
-              ? std::make_unique<core::CreditFilter>(std::move(seg_cfg))
-              : std::make_unique<core::CreditFilter>(
+              ? std::make_unique<core::CreditState>(std::move(seg_cfg))
+              : std::make_unique<core::CreditState>(
                     std::move(seg_cfg),
                     credit_lane.subview(offset, n_local));
       offset += n_local;
-      bus_->set_filter(s, filter.get());
-      filters_.push_back(std::move(filter));
+      bus_->set_filter(s, credits.get());
+      credits_.push_back(std::move(credits));
     }
     if (config_.mode == PlatformMode::kWcetEstimation &&
         config_.tua_zero_initial_budget) {
       // Measurements for the TuA are collected under worst conditions,
       // "setting its initial budget to zero" (paper §III-B).
-      core::CreditState& home = filters_[bus_->home_segment(0)]->state();
-      home.set_budget(bus_->local_slot(0), 0);
+      credits_[bus_->home_segment(0)]->set_budget(bus_->local_slot(0), 0);
     }
   }
 
@@ -154,9 +153,7 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
       // at its local slot.
       vc.credit_slot = bus_->local_slot(m);
       const core::CreditState* credits = nullptr;
-      if (!filters_.empty()) {
-        credits = &filters_[bus_->home_segment(m)]->state();
-      }
+      if (!credits_.empty()) credits = credits_[bus_->home_segment(m)].get();
       contenders.push_back({vc, credits});
     }
     if (!contenders.empty()) {
@@ -165,13 +162,13 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
     }
   }
 
-  // Credit controller over the single-bus credit state. The STATIC
-  // controller exists for introspection but is never registered with the
-  // kernel: `controller = static` machines tick the exact component list
+  // The adaptive controller over the single-bus credit state. `controller
+  // = static` builds none: those machines tick the exact component list
   // they always have, keeping pre-controller campaigns byte-identical.
-  if (config_.cba.has_value() && !config_.topology.segmented()) {
-    controller_ = ctrl::make_controller(
-        config_.controller, filters_.front()->state(), bus_->statistics());
+  if (config_.cba.has_value() && !config_.topology.segmented() &&
+      config_.controller.adaptive()) {
+    controller_ = std::make_unique<ctrl::AdaptiveController>(
+        config_.controller, *credits_.front(), bus_->statistics());
   }
 
   // Tick order: cores, then the contenders, then the bus (see header), then
@@ -184,14 +181,12 @@ Multicore::Multicore(const PlatformConfig& config, std::uint64_t seed,
   // adaptive controller as a post-stage component.
   for (auto& core_ptr : cores_) kernel_.add(*core_ptr);
   if (engine_ != nullptr) {
-    engine_->set_lane(engine_lane, bus(), filters_.front()->state());
+    engine_->set_lane(engine_lane, bus(), *credits_.front());
     return;
   }
   if (contenders_) kernel_.add(*contenders_);
   kernel_.add(*bus_);
-  if (controller_ && config_.controller.adaptive()) {
-    kernel_.add(*controller_);
-  }
+  if (controller_) kernel_.add(*controller_);
 }
 
 RunResult Multicore::run(Cycle max_cycles) {
@@ -216,23 +211,23 @@ RunResult Multicore::collect(bool finished, Cycle executed) const {
   metrics::probe_tua(result.tua_cycles, result.tua_stats, result.record);
   metrics::probe_bus(result.bus_stats, result.record);
   metrics::probe_fairness(result.bus_stats, result.record);
-  // Credits: underflows summed over the segment filters, each master's
-  // budget read from its home segment's filter at its local slot.
+  // Credits: underflows summed over the segments, each master's budget
+  // read from its home segment's counters at its local slot.
   std::vector<double> budgets;
-  for (const auto& f : filters_) {
-    result.credit_underflows += f->state().underflow_clamps();
+  for (const auto& c : credits_) {
+    result.credit_underflows += c->underflow_clamps();
   }
-  if (!filters_.empty()) {
+  if (!credits_.empty()) {
     budgets.resize(config_.n_cores);
     for (MasterId m = 0; m < config_.n_cores; ++m) {
-      const core::CreditState& home = filters_[bus_->home_segment(m)]->state();
-      budgets[m] = home.budget_cycles(bus_->local_slot(m));
+      budgets[m] = credits_[bus_->home_segment(m)]->budget_cycles(
+          bus_->local_slot(m));
     }
   }
   metrics::probe_credit(result.credit_underflows, budgets, result.record);
   metrics::probe_segments(segmented(), result.bus_stats, result.record);
-  // ctrl.* keys appear only for adaptive machines (probe_ctrl skips the
-  // static controller), so static records keep the pre-controller shape.
+  // ctrl.* keys appear only for adaptive machines (static ones have no
+  // controller), so static records keep the pre-controller shape.
   metrics::probe_ctrl(controller_.get(), result.record);
   return result;
 }

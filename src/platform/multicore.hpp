@@ -13,8 +13,9 @@
 // arbitration). The contenders' horizon assumes they tick before the bus
 // (core/virtual_contender.hpp).
 //
-// A Multicore is cheap to build; campaigns construct one per run instead
-// of resetting state (no half-reset bugs by construction).
+// A Multicore is cheap to build, and it and every part it owns are built
+// for one run and never reset: campaigns construct a fresh machine per
+// run.
 #pragma once
 
 #include <memory>
@@ -25,7 +26,7 @@
 #include "bus/bus.hpp"
 #include "bus/segmented.hpp"
 #include "core/batch_engine.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "core/virtual_contender.hpp"
 #include "ctrl/controller.hpp"
 #include "cpu/in_order_core.hpp"
@@ -119,21 +120,21 @@ class Multicore {
   [[nodiscard]] bus::SegmentedInterconnect* segmented() const {
     return dynamic_cast<bus::SegmentedInterconnect*>(bus_.get());
   }
-  /// Segment `segment`'s credit filter; its master ids are the segment's
-  /// local slots (interconnect().local_slot). Null without a CBA config.
-  [[nodiscard]] core::CreditFilter* credit_filter(
+  /// Segment `segment`'s Table-I credit counters, installed as its bus
+  /// filter; their master ids are the segment's local slots
+  /// (interconnect().local_slot). Null without a CBA config.
+  [[nodiscard]] core::CreditState* credit_filter(
       std::uint32_t segment = 0) noexcept {
-    return segment < filters_.size() ? filters_[segment].get() : nullptr;
+    return segment < credits_.size() ? credits_[segment].get() : nullptr;
   }
   [[nodiscard]] mem::PartitionedL2& l2() noexcept { return *l2_; }
   [[nodiscard]] cpu::InOrderCore& core(std::size_t i) { return *cores_.at(i); }
   [[nodiscard]] std::size_t real_cores() const noexcept {
     return cores_.size();
   }
-  /// The credit controller over the Table-I increments (null without a
-  /// CBA config or on the segmented topology). Static for
-  /// `controller = static` -- present but never ticked.
-  [[nodiscard]] ctrl::CreditController* controller() noexcept {
+  /// The adaptive controller over the Table-I increments: null unless
+  /// `controller = adaptive` on a single-bus CBA machine.
+  [[nodiscard]] ctrl::AdaptiveController* controller() noexcept {
     return controller_.get();
   }
   [[nodiscard]] sim::Kernel& kernel() noexcept { return kernel_; }
@@ -151,9 +152,10 @@ class Multicore {
   /// The single-bus arbiter (null on the segmented topology, whose
   /// segments own theirs).
   std::unique_ptr<bus::Arbiter> arbiter_;
-  /// One CBA filter per interconnect segment (empty without CBA).
-  std::vector<std::unique_ptr<core::CreditFilter>> filters_;
-  std::unique_ptr<ctrl::CreditController> controller_;
+  /// One set of credit counters per interconnect segment, each its
+  /// segment's bus filter (empty without CBA).
+  std::vector<std::unique_ptr<core::CreditState>> credits_;
+  std::unique_ptr<ctrl::AdaptiveController> controller_;
   std::unique_ptr<mem::PartitionedL2> l2_;
   std::unique_ptr<bus::Interconnect> bus_;
   std::vector<std::unique_ptr<cpu::InOrderCore>> cores_;

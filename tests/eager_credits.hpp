@@ -62,11 +62,6 @@ class EagerCredits {
   void set_increment(MasterId m, std::uint64_t units) {
     config_.increment[m] = units;
   }
-  void reset() {
-    values_ = config_.initial;
-    std::fill(clamps_.begin(), clamps_.end(), 0);
-  }
-
   [[nodiscard]] std::uint64_t budget(MasterId m) const { return values_[m]; }
   [[nodiscard]] bool eligible(MasterId m) const {
     return values_[m] >= config_.threshold[m];

@@ -56,13 +56,6 @@ TEST(RoundRobin, SameMasterAgainIfOnlyCandidate) {
   EXPECT_EQ(arb.pick(input_of(0b0100, kZeroArrival)), 2u);
 }
 
-TEST(RoundRobin, ResetRestoresInitialRotation) {
-  RoundRobinArbiter arb(4);
-  arb.on_grant(1, 0);
-  arb.reset();
-  EXPECT_EQ(arb.pick(input_of(0b1111, kZeroArrival)), 0u);
-}
-
 TEST(RoundRobin, EmptyCandidatesRejected) {
   RoundRobinArbiter arb(4);
   EXPECT_THROW((void)arb.pick(input_of(0, kZeroArrival)),
@@ -299,14 +292,6 @@ TEST(DeficitRoundRobin, CycleFairWithMixedHolds) {
   EXPECT_NEAR(share0, 0.5, 0.03);
 }
 
-TEST(DeficitRoundRobin, ResetClearsState) {
-  DeficitRoundRobinArbiter arb(4, 56);
-  arb.on_complete(0, 30);
-  arb.reset();
-  EXPECT_EQ(arb.deficit(0), 0);
-  EXPECT_EQ(arb.pick(input_of(0b1111, kZeroArrival)), 0u);
-}
-
 TEST(DeficitRoundRobin, RejectsZeroQuantum) {
   EXPECT_THROW(DeficitRoundRobinArbiter(4, 0), std::invalid_argument);
 }
@@ -393,13 +378,6 @@ TEST(DeficitAge, CycleFairWithMixedHolds) {
   const double share0 = static_cast<double>(used[0]) /
                         static_cast<double>(used[0] + used[1]);
   EXPECT_NEAR(share0, 0.5, 0.03);
-}
-
-TEST(DeficitAge, ResetClearsState) {
-  DeficitAgeArbiter arb(4, 56);
-  arb.on_complete(0, 30);
-  arb.reset();
-  EXPECT_EQ(arb.deficit(0), 0);
 }
 
 TEST(DeficitAge, RejectsZeroQuantum) {

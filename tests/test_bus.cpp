@@ -24,13 +24,9 @@ class FakeSlave final : public BusSlave {
     begins.push_back({request.master, now});
     return hold_;
   }
-  void complete_transaction(const BusRequest& request, Cycle now) override {
-    completes.push_back({request.master, now});
-  }
 
   Cycle hold_;
   std::vector<std::pair<MasterId, Cycle>> begins;
-  std::vector<std::pair<MasterId, Cycle>> completes;
 };
 
 /// Master recording grant/complete callbacks.
@@ -56,15 +52,10 @@ class SpyFilter final : public EligibilityFilter {
   void on_cycle(MasterId holder, Cycle) override {
     holders.push_back(holder);
   }
-  void on_grant(MasterId master, Cycle) override {
-    grants.push_back(master);
-  }
-  void reset() override {}
 
   std::uint32_t allow_mask = ~0u;
   int eligible_calls = 0;
   std::vector<MasterId> holders;
-  std::vector<MasterId> grants;
 };
 
 struct BusHarness {
@@ -304,18 +295,6 @@ TEST(BusFilter, IneligibleRequestWaits) {
   EXPECT_EQ(h.slave.begins.size(), 1u);
 }
 
-TEST(BusFilter, GrantNotification) {
-  BusHarness h(5);
-  SpyFilter filter;
-  h.bus.set_filter(&filter);
-  BusRequest req;
-  req.master = 2;
-  h.bus.request(req, 0);
-  h.kernel.run(3);
-  ASSERT_EQ(filter.grants.size(), 1u);
-  EXPECT_EQ(filter.grants[0], 2u);
-}
-
 TEST(BusFilter, FilterSelectsAmongPending) {
   BusHarness h(5);
   SpyFilter filter;
@@ -330,20 +309,6 @@ TEST(BusFilter, FilterSelectsAmongPending) {
   h.kernel.run(7);
   ASSERT_FALSE(h.slave.begins.empty());
   EXPECT_EQ(h.slave.begins[0].first, 1u);  // master 1 went first
-}
-
-// --- statistics reset -------------------------------------------------------------
-
-TEST(BusProtocol, ResetStatisticsZeroes) {
-  BusHarness h(5);
-  BusRequest req;
-  req.master = 0;
-  h.bus.request(req, 0);
-  h.kernel.run(10);
-  h.bus.reset_statistics();
-  const auto& s = h.bus.statistics();
-  EXPECT_EQ(s.total_cycles, 0u);
-  EXPECT_EQ(s.master[0].grants, 0u);
 }
 
 // --- holder/pending introspection ---------------------------------------------------

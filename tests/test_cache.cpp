@@ -210,25 +210,6 @@ TEST(Cache, HitMarksDirty) {
   EXPECT_TRUE(r.victim_dirty);
 }
 
-TEST(Cache, InvalidateRemovesLine) {
-  rng::RandBank bank(1);
-  SetAssocCache cache(small_cache(), bank, "t");
-  (void)cache.access(0x100, true, false);
-  EXPECT_TRUE(cache.invalidate(0x100));
-  EXPECT_FALSE(cache.probe(0x100));
-  EXPECT_FALSE(cache.invalidate(0x100));  // already gone
-}
-
-TEST(Cache, ResetClearsAndReseeds) {
-  rng::RandBank bank(1);
-  SetAssocCache cache(
-      small_cache(PlacementKind::kRandomHash, ReplacementKind::kLru), bank,
-      "t");
-  (void)cache.access(0x100, true, false);
-  cache.reset(999);
-  EXPECT_FALSE(cache.probe(0x100));
-}
-
 TEST(Cache, ProbeDoesNotDisturbLru) {
   rng::RandBank bank(1);
   SetAssocCache cache(small_cache(), bank, "t");
@@ -322,13 +303,6 @@ TEST(StoreBuffer, ContainsLineMatchesSameLine) {
   sb.push(0x104);
   EXPECT_TRUE(sb.contains_line(0x11F, 32));   // same 32B line
   EXPECT_FALSE(sb.contains_line(0x120, 32));  // adjacent line
-}
-
-TEST(StoreBuffer, ClearEmpties) {
-  StoreBuffer sb(4);
-  sb.push(1);
-  sb.clear();
-  EXPECT_TRUE(sb.empty());
 }
 
 // The ring against a std::deque over random pushes and pops: FIFO order,
@@ -465,20 +439,6 @@ class RecordCache {
     return find(set_of(line), line) != nullptr;
   }
 
-  bool invalidate(Addr addr) {
-    const Addr line = addr / config_.line_bytes;
-    Way* way = find(set_of(line), line);
-    if (way == nullptr) return false;
-    *way = Way{};
-    return true;
-  }
-
-  void reset(std::uint64_t placement_seed) {
-    for (auto& way : ways_) way = Way{};
-    placement_seed_ = placement_seed;
-    use_stamp_ = 0;
-  }
-
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
 
  private:
@@ -546,10 +506,10 @@ testing::AssertionResult same_stats(const CacheStats& got,
 
 // Random op sequences over {LRU, random} x {modulo, random-hash} x five
 // geometries (direct-mapped to a single 8-way set). Each access draws its
-// (allocate, dirty) pair from all four combinations; probes, invalidations
-// and resets interleave. The packed cache and the reference are built from
-// RandBanks with the same seed, and after every op every AccessResult
-// field, every probe/invalidate answer and every CacheStats field agree.
+// (allocate, dirty) pair from all four combinations; probes interleave.
+// The packed cache and the reference are built from RandBanks with the
+// same seed, and after every op every AccessResult field, every probe
+// answer and every CacheStats field agree.
 // Lines come from a pool four times the cache's capacity, half of it at
 // the top of the 32-bit address space (the largest `line + 1` tags).
 TEST(CacheDifferential, PackedRowsMatchRecordReference) {
@@ -592,8 +552,6 @@ TEST(CacheDifferential, PackedRowsMatchRecordReference) {
         };
 
         std::uint64_t probe_hits = 0;
-        std::uint64_t invalidated = 0;
-        std::uint64_t resets = 0;
         for (int i = 0; i < 6000; ++i) {
           const std::uint32_t kind = rng::uniform_below(ops, 100);
           if (kind < 80) {
@@ -604,32 +562,19 @@ TEST(CacheDifferential, PackedRowsMatchRecordReference) {
             ASSERT_TRUE(same_result(packed.access(addr, allocate, dirty),
                                     record.access(addr, allocate, dirty)))
                 << "access " << addr << " op " << i;
-          } else if (kind < 90) {
+          } else {
             const Addr addr = draw_addr();
             const bool want = record.probe(addr);
             ASSERT_EQ(packed.probe(addr), want) << "probe op " << i;
             probe_hits += want ? 1 : 0;
-          } else if (kind < 99) {
-            const Addr addr = draw_addr();
-            const bool want = record.invalidate(addr);
-            ASSERT_EQ(packed.invalidate(addr), want) << "invalidate op " << i;
-            invalidated += want ? 1 : 0;
-          } else {
-            const std::uint64_t placement_seed = ops.word();
-            packed.reset(placement_seed);
-            record.reset(placement_seed);
-            ++resets;
           }
           ASSERT_TRUE(same_stats(packed.stats(), record.stats())) << "op " << i;
         }
-        // Every path ran: hits, evictions of dirty lines, resident probes,
-        // invalidations and resets.
+        // Every path ran: hits, evictions of dirty lines, resident probes.
         EXPECT_GT(record.stats().hits, 0u);
         EXPECT_GT(record.stats().dirty_evictions, 0u);
         EXPECT_GT(record.stats().evictions, record.stats().dirty_evictions);
         EXPECT_GT(probe_hits, 0u);
-        EXPECT_GT(invalidated, 0u);
-        EXPECT_GT(resets, 0u);
       }
     }
   }

@@ -14,7 +14,6 @@
 #include "bus/round_robin.hpp"
 #include "core/cba_config.hpp"
 #include "core/contention_bounds.hpp"
-#include "core/credit_filter.hpp"
 #include "core/credit_state.hpp"
 #include "core/virtual_contender.hpp"
 #include "eager_credits.hpp"
@@ -152,14 +151,6 @@ TEST(CreditState, UnderflowClampsWhenMaxLUnderestimated) {
   EXPECT_GT(credits.underflow_clamps(), 0u);
 }
 
-TEST(CreditState, ResetRestoresInitialBudgets) {
-  CreditState credits(CbaConfig::paper_table1());
-  for (int i = 0; i < 20; ++i) credits.tick(1);
-  credits.reset();
-  EXPECT_EQ(credits.budget(1), 228u);
-  EXPECT_EQ(credits.underflow_clamps(), 0u);
-}
-
 TEST(CreditState, HcbaRecoveryRatesDiffer) {
   CreditState credits(CbaConfig::paper_hcba(56));
   credits.set_budget(0, 0);
@@ -225,8 +216,8 @@ void expect_same_reads(const CreditState& lazy, const test::EagerCredits& eager,
 
 /// Drives `lazy` and a fresh eager reference through the same random
 /// operations -- ticks and advances under a holder that changes (to
-/// kNoMaster too), burst charges, forced budgets, retuned increments and
-/// resets -- and compares every read after each one.
+/// kNoMaster too), burst charges, forced budgets and retuned increments
+/// -- and compares every read after each one.
 void fuzz_against_eager(CreditState& lazy, const std::string& name,
                         std::uint64_t seed) {
   const CbaConfig& cfg = lazy.config();
@@ -270,17 +261,13 @@ void fuzz_against_eager(CreditState& lazy, const std::string& name,
       lazy.set_budget(m, units);
       eager.set_budget(m, units);
       what = "set_budget " + std::to_string(m);
-    } else if (kind < 97) {
+    } else {
       const MasterId m = any_master();
       const std::uint64_t units = 1 + draw(cfg.scale);
       lazy.set_increment(m, units);
       eager.set_increment(m, units);
       what = "set_increment " + std::to_string(m) + " to " +
              std::to_string(units);
-    } else {
-      lazy.reset();
-      eager.reset();
-      what = "reset";
     }
     const std::uint32_t mask =
         static_cast<std::uint32_t>(draw(std::uint64_t{1} << cfg.n_masters));
@@ -346,7 +333,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(2, 3, 4, 8),
                        ::testing::Values(1, 5, 28, 56, 64)));
 
-// --- CreditFilter on a live bus -------------------------------------------------------
+// --- CreditState as the bus filter -------------------------------------------------------
 
 class NullSlave final : public bus::BusSlave {
  public:
@@ -361,7 +348,7 @@ TEST(CreditFilter, ThrottlesShortRequestsToQuarterBandwidth) {
   NullSlave slave;
   bus::RoundRobinArbiter arb(4);
   bus::NonSplitBus b(bus::BusConfig{4, true}, arb, slave);
-  CreditFilter filter(CbaConfig::homogeneous(4, 56));
+  CreditState filter(CbaConfig::homogeneous(4, 56));
   b.set_filter(&filter);
   sim::Kernel kernel;
   kernel.add(b);
@@ -392,7 +379,7 @@ TEST(CreditFilter, ThrottlesShortRequestsToQuarterBandwidth) {
 }
 
 TEST(CreditFilter, HwCostIsSmall) {
-  const CreditFilter filter(CbaConfig::paper_table1());
+  const CreditState filter(CbaConfig::paper_table1());
   const bus::HwCost cost = filter.hw_cost();
   EXPECT_EQ(cost.state_bits, 4u * 8u);  // four 8-bit counters
   EXPECT_LT(cost.lut_equivalents, 100u);
@@ -403,7 +390,7 @@ TEST(CreditFilter, HwCostIsSmall) {
 struct WcetHarness {
   WcetHarness(ContenderPolicy policy, bool with_credits) {
     if (with_credits) {
-      filter = std::make_unique<CreditFilter>(CbaConfig::paper_table1());
+      filter = std::make_unique<CreditState>(CbaConfig::paper_table1());
       b.set_filter(filter.get());
     }
     std::vector<VirtualContender::Contender> cs;
@@ -413,7 +400,7 @@ struct WcetHarness {
       cfg.tua = 0;
       cfg.hold = 56;
       cfg.policy = policy;
-      cs.push_back({cfg, filter ? &filter->state() : nullptr});
+      cs.push_back({cfg, filter.get()});
     }
     contenders = std::make_unique<VirtualContender>(cs, b);
     kernel.add(*contenders);
@@ -423,7 +410,7 @@ struct WcetHarness {
   NullSlave slave;
   bus::RoundRobinArbiter arb{4};
   bus::NonSplitBus b{bus::BusConfig{4, true}, arb, slave};
-  std::unique_ptr<CreditFilter> filter;
+  std::unique_ptr<CreditState> filter;
   std::unique_ptr<VirtualContender> contenders;
   sim::Kernel kernel;
 };

@@ -334,7 +334,6 @@ TEST(PlatformWiring, MachineExposesTheConfiguredController) {
   tua->reset(7);
   platform::Multicore machine(cfg, 7, *tua);
   ASSERT_NE(machine.controller(), nullptr);
-  EXPECT_EQ(machine.controller()->kind(), ControllerKind::kAdaptive);
   const auto result = machine.run(200'000);
   // The adaptive machine ran epochs and emitted the ctrl.* record keys.
   EXPECT_GT(machine.controller()->stats().epochs, 0u);
@@ -345,8 +344,8 @@ TEST(PlatformWiring, MachineExposesTheConfiguredController) {
   const platform::PlatformConfig plain = platform::parse_config(in2);
   tua->reset(7);
   platform::Multicore static_machine(plain, 7, *tua);
-  ASSERT_NE(static_machine.controller(), nullptr);
-  EXPECT_EQ(static_machine.controller()->kind(), ControllerKind::kStatic);
+  // `controller = static` builds no controller.
+  EXPECT_EQ(static_machine.controller(), nullptr);
   EXPECT_FALSE(static_machine.run(200'000).record.has("ctrl.epochs"));
 }
 

@@ -9,7 +9,7 @@
 
 #include "bus/bus.hpp"
 #include "bus/round_robin.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "mbpta/pwcet.hpp"
 #include "platform/multicore.hpp"
 #include "platform/scenarios.hpp"
@@ -53,7 +53,7 @@ struct RawRig {
   explicit RawRig(std::optional<core::CbaConfig> cba = std::nullopt)
       : arbiter(4), bus(bus::BusConfig{4, true}, arbiter, null_slave) {
     if (cba.has_value()) {
-      filter = std::make_unique<core::CreditFilter>(*cba);
+      filter = std::make_unique<core::CreditState>(*cba);
       bus.set_filter(filter.get());
     }
   }
@@ -82,7 +82,7 @@ struct RawRig {
 
   bus::RoundRobinArbiter arbiter;
   bus::NonSplitBus bus;
-  std::unique_ptr<core::CreditFilter> filter;
+  std::unique_ptr<core::CreditState> filter;
   std::vector<std::unique_ptr<SyntheticMaster>> masters;
   sim::Kernel kernel;
 };

@@ -135,16 +135,6 @@ TEST(PartitionedL2, MassiveTrafficFromOneMasterNeverEvictsAnother) {
       << "partitioning must isolate storage interference";
 }
 
-TEST(PartitionedL2, ResetPartitionClearsOnlyThatPartition) {
-  rng::RandBank bank(3);
-  PartitionedL2 l2(2, tiny_partition(), MemoryTimings{}, bank);
-  (void)l2.begin_transaction(req_of(0, 0x100), 0);
-  (void)l2.begin_transaction(req_of(1, 0x100), 0);
-  l2.reset_partition(0, 123);
-  EXPECT_EQ(l2.begin_transaction(req_of(0, 0x100), 0), 28u);  // cleared
-  EXPECT_EQ(l2.begin_transaction(req_of(1, 0x100), 0), 5u);   // untouched
-}
-
 // --- classify (read-only preview) -----------------------------------------------------
 
 TEST(PartitionedL2, ClassifyDoesNotMutate) {
@@ -213,14 +203,6 @@ TEST(Dram, WorstCaseBoundsMaxL) {
     ASSERT_LE(latency, dram.worst_case());
     ASSERT_GE(latency, DramConfig{}.row_hit);
   }
-}
-
-TEST(Dram, ResetClosesRows) {
-  DramModel dram(DramConfig{});
-  (void)dram.access(0x1000);
-  dram.reset();
-  EXPECT_EQ(dram.access(0x1000), 28u);  // row closed again
-  EXPECT_EQ(dram.stats().accesses, 1u);
 }
 
 TEST(Dram, ConfigValidation) {

@@ -9,7 +9,7 @@
 #include <sstream>
 
 #include "bus/bus.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "ctrl/controller.hpp"
 #include "metrics/aggregator.hpp"
 #include "metrics/probes.hpp"
@@ -370,36 +370,35 @@ TEST(Probes, CreditProbeWithAndWithoutFilter) {
   EXPECT_EQ(with.at("credit.budget").size(), 4u);
 }
 
-TEST(Probes, CtrlProbeSkipsNullAndStatic) {
+TEST(Probes, CtrlProbeSkipsNull) {
   const auto stats = two_master_stats();
-  core::CreditFilter filter(core::CbaConfig::homogeneous(2, 56));
+  core::CreditState credits(core::CbaConfig::homogeneous(2, 56));
   Record r;
+  // A static machine has no controller: ctrl.* keys appear only for the
+  // adaptive one, so static campaigns keep the pre-controller record
+  // shape byte-for-byte.
   probe_ctrl(nullptr, r);
-  const ctrl::StaticController fixed(filter.state());
-  probe_ctrl(&fixed, r);
-  // ctrl.* keys appear only for the adaptive controller, so static
-  // campaigns keep the pre-controller record shape byte-for-byte.
   EXPECT_EQ(r.size(), 0u);
 
-  const auto adaptive = ctrl::make_controller(
-      ctrl::parse_controller("adaptive:1024"), filter.state(), stats);
-  probe_ctrl(adaptive.get(), r);
+  const ctrl::AdaptiveController adaptive(
+      ctrl::parse_controller("adaptive:1024"), credits, stats);
+  probe_ctrl(&adaptive, r);
   EXPECT_EQ(r.at("ctrl.increment").size(), 2u);
   EXPECT_DOUBLE_EQ(r.at("ctrl.epochs").scalar(), 0.0);
 }
 
 TEST(Probes, CatalogCoversProbeKeysWithPerMasterFlags) {
   const auto stats = two_master_stats();
-  core::CreditFilter filter(core::CbaConfig::homogeneous(2, 56));
-  const auto controller = ctrl::make_controller(
-      ctrl::parse_controller("adaptive:1024"), filter.state(), stats);
+  core::CreditState credits(core::CbaConfig::homogeneous(2, 56));
+  const ctrl::AdaptiveController controller(
+      ctrl::parse_controller("adaptive:1024"), credits, stats);
   Record r;
   probe_tua(1234, cpu::CoreStats{}, r);
   probe_bus(stats, r);
   probe_fairness(stats, r);
   probe_credit(0, std::vector<double>(2, 56.0), r);
   probe_segments(nullptr, stats, r);
-  probe_ctrl(controller.get(), r);
+  probe_ctrl(&controller, r);
   // Every emitted key is in the catalog with the right shape...
   for (const auto& [key, value] : r) {
     const MetricInfo* info = find_metric(key);

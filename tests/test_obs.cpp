@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "exp/experiment.hpp"
 #include "exp/runner.hpp"
 #include "exp/sinks.hpp"
@@ -232,9 +232,9 @@ class HomeBudgetRecorder final : public sim::Component {
     const bus::Interconnect& ic = machine_.interconnect();
     std::vector<double>& row = seen[now];
     for (MasterId m = 0; m < machine_.config().n_cores; ++m) {
-      const core::CreditFilter* filter =
+      const core::CreditState* filter =
           machine_.credit_filter(ic.home_segment(m));
-      row.push_back(filter->state().budget_cycles(ic.local_slot(m)));
+      row.push_back(filter->budget_cycles(ic.local_slot(m)));
     }
   }
 
@@ -269,8 +269,7 @@ TEST(Timeline, CreditTracksReadEachMastersHomeSegmentSlot) {
     platform::Multicore machine(cfg, 7, *tua);
     obs::Timeline timeline;
     timeline.attach(machine);
-    HomeBudgetRecorder recorder(machine,
-                                obs::Timeline::Config{}.counter_stride);
+    HomeBudgetRecorder recorder(machine, obs::Timeline::kCounterStride);
     machine.kernel().add(recorder);
     ASSERT_TRUE(machine.run().tua_finished) << cores;
 

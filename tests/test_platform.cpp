@@ -121,7 +121,7 @@ TEST(Multicore, WcetModeSpawnsVirtualContenders) {
   EXPECT_EQ(machine.kernel().component_count(), 3u);
   ASSERT_NE(machine.credit_filter(), nullptr);
   // TuA budget zeroed per §III-B.
-  EXPECT_EQ(machine.credit_filter()->state().budget(0), 0u);
+  EXPECT_EQ(machine.credit_filter()->budget(0), 0u);
 }
 
 TEST(Multicore, OperationModeHasNoContenders) {
@@ -130,7 +130,7 @@ TEST(Multicore, OperationModeHasNoContenders) {
   Multicore machine(PlatformConfig::paper(BusSetup::kCba), 3, *tua);
   EXPECT_EQ(machine.kernel().component_count(), 2u);  // core + bus
   // Operation mode keeps the TuA's budget full at start.
-  EXPECT_EQ(machine.credit_filter()->state().budget(0), 224u);
+  EXPECT_EQ(machine.credit_filter()->budget(0), 224u);
 }
 
 TEST(Multicore, RealCorunnersRun) {
@@ -169,9 +169,9 @@ TEST(Multicore, RunHonoursCycleBudget) {
 }
 
 TEST(Multicore, CreditWiringIsOneCodePathOnEveryInterconnect) {
-  // Every interconnect is a set of segments with one credit filter each
-  // (the single bus: segment 0, local slot = master id), so the filter,
-  // controller and probe wiring must read the same on all of them.
+  // Every interconnect is a set of segments with one credit state each
+  // (the single bus: segment 0, local slot = master id), so the credit
+  // and probe wiring must read the same on all of them.
   const std::vector<std::string> interconnects{
       "bus = non-split\ntopology = single\n",
       "bus = split\ntopology = single\n",
@@ -191,11 +191,11 @@ TEST(Multicore, CreditWiringIsOneCodePathOnEveryInterconnect) {
       const bus::Interconnect& ic = machine.interconnect();
 
       ASSERT_EQ(machine.credit_filter() != nullptr, cba);
-      EXPECT_EQ(machine.controller() != nullptr,
-                cba && !cfg.topology.segmented());
+      // `controller = static` (the default) builds no controller.
+      EXPECT_EQ(machine.controller(), nullptr);
       if (cba) {
         const core::CreditState& tua_home =
-            machine.credit_filter(ic.home_segment(0))->state();
+            *machine.credit_filter(ic.home_segment(0));
         EXPECT_EQ(tua_home.budget(ic.local_slot(0)), 0u);
       }
 
@@ -209,14 +209,14 @@ TEST(Multicore, CreditWiringIsOneCodePathOnEveryInterconnect) {
       }
       std::uint64_t underflows = 0;
       for (std::uint32_t s = 0; s < ic.n_segments(); ++s) {
-        underflows += machine.credit_filter(s)->state().underflow_clamps();
+        underflows += machine.credit_filter(s)->underflow_clamps();
       }
       EXPECT_EQ(r.credit_underflows, underflows);
       const metrics::Value& budgets = r.record.at("credit.budget");
       ASSERT_EQ(budgets.size(), cfg.n_cores);
       for (MasterId m = 0; m < cfg.n_cores; ++m) {
         const core::CreditState& home =
-            machine.credit_filter(ic.home_segment(m))->state();
+            *machine.credit_filter(ic.home_segment(m));
         EXPECT_EQ(budgets[m], home.budget_cycles(ic.local_slot(m))) << m;
       }
     }

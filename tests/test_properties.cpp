@@ -10,7 +10,7 @@
 
 #include "bus/arbiter_factory.hpp"
 #include "bus/bus.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "platform/multicore.hpp"
 #include "platform/scenarios.hpp"
 #include "platform/synthetic_master.hpp"
@@ -45,7 +45,7 @@ struct SweepRig {
     b = std::make_unique<bus::NonSplitBus>(bus::BusConfig{4, true}, *arbiter,
                                            slave);
     if (cba.has_value()) {
-      filter = std::make_unique<core::CreditFilter>(*cba);
+      filter = std::make_unique<core::CreditState>(*cba);
       b->set_filter(filter.get());
     }
     for (MasterId m = 0; m < 4; ++m) {
@@ -65,7 +65,7 @@ struct SweepRig {
   rng::RandBank bank;
   std::unique_ptr<bus::Arbiter> arbiter;
   std::unique_ptr<bus::NonSplitBus> b;
-  std::unique_ptr<core::CreditFilter> filter;
+  std::unique_ptr<core::CreditState> filter;
   std::vector<std::unique_ptr<SyntheticMaster>> masters;
   sim::Kernel kernel;
 };
@@ -349,7 +349,7 @@ TEST(CreditInvariants, BudgetsStayInRange) {
   SweepRig rig(ArbiterKind::kLottery, {5, 9, 28, 56},
                core::CbaConfig::paper_hcba(56), 1000);
   // Sample budgets during execution.
-  const auto& state = rig.filter->state();
+  const auto& state = *rig.filter;
   const auto& cfg = state.config();
   for (int extra = 0; extra < 5000; ++extra) {
     rig.kernel.step();

@@ -14,7 +14,7 @@
 #include "bus/round_robin.hpp"
 #include "bus/segmented.hpp"
 #include "core/cba_config.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "exp/experiment.hpp"
 #include "exp/runner.hpp"
 #include "exp/sinks.hpp"
@@ -39,11 +39,7 @@ class FixedSlave final : public bus::BusSlave {
     ++transactions_;
     return hold_;
   }
-  void complete_transaction(const BusRequest&, Cycle) override {
-    ++completions_;
-  }
   std::uint64_t transactions_ = 0;
-  std::uint64_t completions_ = 0;
 
  private:
   Cycle hold_;
@@ -375,8 +371,8 @@ TEST(Segmented, PerSegmentCreditConservationUnderTableOneRules) {
     cba.validate();
     return cba;
   };
-  core::CreditFilter filter0(segment_cba());
-  core::CreditFilter filter1(segment_cba());
+  core::CreditState filter0(segment_cba());
+  core::CreditState filter1(segment_cba());
   seg.set_filter(0, &filter0);
   seg.set_filter(1, &filter1);
 
@@ -411,10 +407,9 @@ TEST(Segmented, PerSegmentCreditConservationUnderTableOneRules) {
   kernel.add(seg);
   kernel.run_until([&]() { return false; }, 3000);
 
-  const std::array<const core::CreditFilter*, 2> filters{&filter0,
-                                                         &filter1};
+  const std::array<const core::CreditState*, 2> filters{&filter0, &filter1};
   for (std::uint32_t s = 0; s < 2; ++s) {
-    const core::CreditState& state = filters[s]->state();
+    const core::CreditState& state = *filters[s];
     const bus::BusStatistics& stats = seg.segment_statistics(s);
     ASSERT_EQ(stats.total_cycles, 3000u);
     const std::uint64_t occupied = stats.master[0].hold_cycles;
@@ -466,8 +461,8 @@ TEST(Segmented, RemoteOccupancyIsChargedToTheHomeBudget) {
     cba.validate();
     return cba;
   };
-  core::CreditFilter filter0(open_cba());
-  core::CreditFilter filter1(open_cba());
+  core::CreditState filter0(open_cba());
+  core::CreditState filter1(open_cba());
   seg.set_filter(0, &filter0);
   seg.set_filter(1, &filter1);
 
@@ -486,12 +481,12 @@ TEST(Segmented, RemoteOccupancyIsChargedToTheHomeBudget) {
       seg.segment_statistics(0).master[0].hold_cycles;
   EXPECT_EQ(home_hold, cfg.bridge_hold);
   const Cycle foreign_hold = 5;  // the target-segment service
-  EXPECT_EQ(filter0.state().underflow_clamps(), 0u);
-  EXPECT_EQ(filter0.state().budget(0),
+  EXPECT_EQ(filter0.underflow_clamps(), 0u);
+  EXPECT_EQ(filter0.budget(0),
             100 + 1 * kCycles - 2 * (home_hold + foreign_hold));
   // And nothing was charged on segment 1's CORE slot (the hop rode the
   // exempt bridge slot there).
-  EXPECT_EQ(filter1.state().budget(0), 100 + 1 * kCycles);
+  EXPECT_EQ(filter1.budget(0), 100 + 1 * kCycles);
 }
 
 /// Records every BusObserver milestone with its cycle stamps.
@@ -569,7 +564,7 @@ TEST(SegmentedPlatform, MulticoreRunsConProtocolPerSegmentHcba) {
 
   // H-CBA carried over: the TuA's home-segment filter gives slot 0 the
   // 1/2 recovery rate from the global config.
-  const core::CbaConfig& seg0 = machine.credit_filter(0)->state().config();
+  const core::CbaConfig& seg0 = machine.credit_filter(0)->config();
   EXPECT_DOUBLE_EQ(static_cast<double>(seg0.increment[0]) /
                        static_cast<double>(seg0.scale),
                    0.5);

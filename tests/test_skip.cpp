@@ -56,7 +56,6 @@
 #include "bus/segmented.hpp"
 #include "bus/topology.hpp"
 #include "core/cba_config.hpp"
-#include "core/credit_filter.hpp"
 #include "core/credit_state.hpp"
 #include "core/virtual_contender.hpp"
 #include "cpu/in_order_core.hpp"
@@ -355,7 +354,7 @@ struct Rig {
     bus = std::make_unique<bus::NonSplitBus>(
         bus::BusConfig{cfg.n_masters, cfg.overlapped}, *arbiter, slave);
     if (cfg.cba.has_value()) {
-      filter = std::make_unique<core::CreditFilter>(*cfg.cba);
+      filter = std::make_unique<core::CreditState>(*cfg.cba);
       bus->set_filter(filter.get());
     }
     if (cfg.bus_first) order.push_back(bus.get());
@@ -375,7 +374,7 @@ struct Rig {
         vc.self = m;
         vc.tua = 0;
         vc.policy = cfg.policy;
-        cs.push_back({vc, filter ? &filter->state() : nullptr});
+        cs.push_back({vc, filter.get()});
       }
       contenders = std::make_unique<core::VirtualContender>(cs, *bus);
       order.push_back(contenders.get());
@@ -400,7 +399,7 @@ struct Rig {
   rng::RandBank bank;
   std::unique_ptr<bus::Arbiter> arbiter;
   std::unique_ptr<bus::NonSplitBus> bus;
-  std::unique_ptr<core::CreditFilter> filter;
+  std::unique_ptr<core::CreditState> filter;
   std::vector<std::unique_ptr<workloads::FixedOpsStream>> streams;
   std::vector<std::unique_ptr<cpu::InOrderCore>> cores;
   std::unique_ptr<core::VirtualContender> contenders;
@@ -453,7 +452,7 @@ void expect_same_rig(const Rig& a, const Rig& b, const std::string& where) {
   }
   expect_same_bus(*a.bus, *b.bus, where);
   if (a.filter) {
-    expect_same_credits(a.filter->state(), b.filter->state(), where);
+    expect_same_credits(*a.filter, *b.filter, where);
   }
   ASSERT_EQ(a.contenders == nullptr, b.contenders == nullptr) << where;
   if (a.contenders == nullptr) return;
@@ -580,7 +579,7 @@ TEST(FastForward, SaturationCrossingInTheCycleTheTuaRequests) {
       Rig skipped(cfg);
       for (Rig* rig : {&ticked, &skipped}) {
         for (MasterId m = 1; m < 4; ++m) {
-          rig->filter->state().set_budget(m, table1.saturation[m] - 10 * m);
+          rig->filter->set_budget(m, table1.saturation[m] - 10 * m);
         }
       }
       const std::string where =
@@ -680,8 +679,8 @@ TuaParking expect_same_machine_runs(const platform::PlatformConfig& config,
   expect_same_core(ticked.core(0), skipped.core(0), where);
   expect_same_bus(ticked.bus(), skipped.bus(), where);
   if (ticked.credit_filter() != nullptr) {
-    expect_same_credits(ticked.credit_filter()->state(),
-                        skipped.credit_filter()->state(), where);
+    expect_same_credits(*ticked.credit_filter(), *skipped.credit_filter(),
+                        where);
   }
   expect_same_records(a.record, b.record, where);
   if (chunk != kStepping) {
@@ -775,7 +774,7 @@ TEST(FastForward, StripeEndsInsideQuietWindows) {
 
 enum class SegFilters : std::uint8_t {
   kNone,        ///< no eligibility filter on any segment
-  kCredits,     ///< a CreditFilter per segment
+  kCredits,     ///< a CreditState per segment
   kContenders,  ///< credits, and a Table-I contender on every segment
 };
 
@@ -857,13 +856,13 @@ struct Digest {
 class BudgetReader final : public sim::Component {
  public:
   explicit BudgetReader(
-      const std::vector<std::unique_ptr<core::CreditFilter>>& filters)
+      const std::vector<std::unique_ptr<core::CreditState>>& filters)
       : sim::Component("budget-reader"), filters_(filters) {}
 
   void tick(Cycle now) override {
     seen.add(now);
     for (const auto& filter : filters_) {
-      const CreditState& state = filter->state();
+      const CreditState& state = *filter;
       for (MasterId m = 0; m < state.config().n_masters; ++m) {
         seen.add(state.budget(m));
         seen.add(state.underflow_clamps(m));
@@ -875,7 +874,7 @@ class BudgetReader final : public sim::Component {
   Digest seen;
 
  private:
-  const std::vector<std::unique_ptr<core::CreditFilter>>& filters_;
+  const std::vector<std::unique_ptr<core::CreditState>>& filters_;
 };
 
 /// Reads every statistic every `period` cycles, mid-run; its horizon is
@@ -920,7 +919,7 @@ struct SegRig {
         });
     if (cfg.filters != SegFilters::kNone) {
       for (std::uint32_t s = 0; s < seg->n_segments(); ++s) {
-        filters.push_back(std::make_unique<core::CreditFilter>(
+        filters.push_back(std::make_unique<core::CreditState>(
             segment_credits(kPerSegment, seg->n_local_masters(s))));
         seg->set_filter(s, filters.back().get());
       }
@@ -934,7 +933,7 @@ struct SegRig {
         vc.self = m;
         vc.tua = 0;
         vc.credit_slot = seg->local_slot(m);
-        cs.push_back({vc, &filters[home]->state()});
+        cs.push_back({vc, filters[home].get()});
         contender_ids.push_back(m);
         continue;
       }
@@ -987,7 +986,7 @@ struct SegRig {
   PatternSlave slave;
   rng::RandBank bank;
   std::unique_ptr<bus::SegmentedInterconnect> seg;
-  std::vector<std::unique_ptr<core::CreditFilter>> filters;
+  std::vector<std::unique_ptr<core::CreditState>> filters;
   std::vector<std::unique_ptr<workloads::FixedOpsStream>> streams;
   std::vector<std::unique_ptr<cpu::InOrderCore>> cores;
   std::unique_ptr<core::VirtualContender> contenders;
@@ -1010,7 +1009,7 @@ void expect_same_seg_rig(const SegRig& a, const SegRig& b,
                      where + " core " + std::to_string(i));
   }
   for (std::size_t s = 0; s < a.filters.size(); ++s) {
-    expect_same_credits(a.filters[s]->state(), b.filters[s]->state(),
+    expect_same_credits(*a.filters[s], *b.filters[s],
                         where + " segment " + std::to_string(s));
   }
   ASSERT_EQ(a.contenders == nullptr, b.contenders == nullptr) << where;
@@ -1250,7 +1249,7 @@ struct SynthRig {
     bus = std::make_unique<bus::NonSplitBus>(bus::BusConfig{n, true},
                                              *arbiter, slave);
     if (cfg.credits) {
-      filter = std::make_unique<core::CreditFilter>(
+      filter = std::make_unique<core::CreditState>(
           CbaConfig::homogeneous(n, 56));
       bus->set_filter(filter.get());
     }
@@ -1279,7 +1278,7 @@ struct SynthRig {
   rng::RandBank bank;
   std::unique_ptr<bus::Arbiter> arbiter;
   std::unique_ptr<bus::NonSplitBus> bus;
-  std::unique_ptr<core::CreditFilter> filter;
+  std::unique_ptr<core::CreditState> filter;
   std::vector<std::unique_ptr<platform::SyntheticMaster>> masters;
   std::vector<sim::Component*> order;
 };
@@ -1313,8 +1312,7 @@ std::pair<std::uint64_t, std::uint64_t> check_synth_rig(
       }
       expect_same_bus(*ticked.bus, *skipped.bus, where);
       if (cfg.credits) {
-        expect_same_credits(ticked.filter->state(), skipped.filter->state(),
-                            where);
+        expect_same_credits(*ticked.filter, *skipped.filter, where);
       }
       EXPECT_EQ(simulated, skipped.bus->statistics().total_cycles) << where;
       executed_total += executed;
@@ -1549,8 +1547,8 @@ void expect_same_mesh_corun(const platform::PlatformConfig& config,
   }
   for (std::uint32_t s = 0; s < machine.interconnect().n_segments(); ++s) {
     if (machine.credit_filter(s) == nullptr) continue;
-    expect_same_credits(ticked.machine->credit_filter(s)->state(),
-                        machine.credit_filter(s)->state(),
+    expect_same_credits(*ticked.machine->credit_filter(s),
+                        *machine.credit_filter(s),
                         where + " segment " + std::to_string(s));
   }
   expect_same_records(a.record, b.record, where);
@@ -1763,8 +1761,7 @@ void expect_same_segmented_wcet(const platform::PlatformConfig& config,
   }
   for (std::uint32_t s = 0; s < skipped.interconnect().n_segments(); ++s) {
     if (skipped.credit_filter(s) == nullptr) continue;
-    expect_same_credits(ticked.credit_filter(s)->state(),
-                        skipped.credit_filter(s)->state(),
+    expect_same_credits(*ticked.credit_filter(s), *skipped.credit_filter(s),
                         where + " segment " + std::to_string(s));
   }
   expect_same_records(a.record, b.record, where);

@@ -9,7 +9,7 @@
 
 #include "bus/round_robin.hpp"
 #include "bus/split_bus.hpp"
-#include "core/credit_filter.hpp"
+#include "core/credit_state.hpp"
 #include "sim/kernel.hpp"
 
 namespace cbus::bus {
@@ -155,8 +155,8 @@ TEST(SplitBus, OneOutstandingPerMaster) {
 
 TEST(SplitBus, CbaFilterAppliesToAddressPhase) {
   SplitHarness h;
-  core::CreditFilter filter(core::CbaConfig::homogeneous(4, 56));
-  filter.state().set_budget(0, 0);  // master 0 ineligible
+  core::CreditState filter(core::CbaConfig::homogeneous(4, 56));
+  filter.set_budget(0, 0);  // master 0 ineligible
   h.bus.set_filter(&filter);
   h.bus.request(h.req(0), 0);
   h.bus.request(h.req(1), 0);

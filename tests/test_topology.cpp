@@ -130,7 +130,6 @@ class FixedSlave final : public bus::BusSlave {
   Cycle begin_transaction(const bus::BusRequest&, Cycle) override {
     return hold_;
   }
-  void complete_transaction(const bus::BusRequest&, Cycle) override {}
 
  private:
   Cycle hold_;

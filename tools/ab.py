@@ -37,9 +37,15 @@ benchmark.
 Exit status: 0 when every identity check passed and no metric regressed
 beyond its bound, 1 otherwise, 2 when the comparison was refused. It
 changes no gate, bound or pin.
+
+    python3 tools/ab.py --self-test
+
+checks the identity verdict and the timing judgement on fabricated runs
+without building anything; CTest runs it as ``tools.ab_selftest``.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -200,46 +206,73 @@ def run_experiment(sim, exp, workdir, args):
             "executed lane-cycles": cycles.get("executed")}
 
 
+def compare_points(points):
+    """The identity verdict over (point, parent run, change run) triples,
+    each run as run_experiment returns it. Returns the mismatches and the
+    points whose executed lane-cycles moved, as (point, parent, change);
+    those do not decide identity."""
+    failures, moved = [], []
+    for point, a, b in points:
+        a, b = dict(a), dict(b)
+        executed = (a.pop("executed lane-cycles"),
+                    b.pop("executed lane-cycles"))
+        if executed[0] != executed[1]:
+            moved.append((point,) + executed)
+        bad = []
+        for key in a:
+            if a[key] == b[key]:
+                continue
+            small = key in ("exit", "simulated lane-cycles")
+            bad.append(f"{key} {a[key]} -> {b[key]}" if small else key)
+        if a["exit"] != 0:
+            bad.append(f"exit code {a['exit']}")
+        status = "ok" if not bad else "DIFFERS: " + ", ".join(bad)
+        log(f"identity {point}: {status}")
+        if bad:
+            failures.append(f"{point}: {', '.join(bad)}")
+    return failures, moved
+
+
 def identity(dirs, sims, workdir):
-    """Returns the mismatches over the whole matrix and the points whose
-    executed lane-cycles moved, as (point, parent, change)."""
+    """Runs every shipped experiment on both sides at threads {1,4} x
+    batch {1,8}; returns compare_points' verdict over the matrix."""
     exps = {side: sorted(p.name for p in (dirs[side] / "examples" /
                                           "experiments").glob("*.exp"))
             for side in SIDES}
-    failures, moved = [], []
+    failures = []
     if exps["parent"] != exps["change"]:
         failures.append(f"experiment sets differ: {exps['parent']} vs "
                         f"{exps['change']}")
-    for name in sorted(set(exps["parent"]) & set(exps["change"])):
-        for threads in (1, 4):
-            for batch in (1, 8):
-                args = ["--threads", str(threads), "--batch", str(batch)]
-                point = f"{name} threads {threads} batch {batch}"
-                seen = {}
-                for side in SIDES:
-                    exp = dirs[side] / "examples" / "experiments" / name
-                    seen[side] = run_experiment(
-                        sims[side], exp,
-                        workdir / side / f"{name}-t{threads}-b{batch}", args)
-                a, b = seen["parent"], seen["change"]
-                executed = (a.pop("executed lane-cycles"),
-                            b.pop("executed lane-cycles"))
-                if executed[0] != executed[1]:
-                    moved.append((point,) + executed)
-                bad = []
-                for key in a:
-                    if a[key] == b[key]:
-                        continue
-                    small = key in ("exit", "simulated lane-cycles")
-                    bad.append(f"{key} {a[key]} -> {b[key]}" if small
-                               else key)
-                if a["exit"] != 0:
-                    bad.append(f"exit code {a['exit']}")
-                status = "ok" if not bad else "DIFFERS: " + ", ".join(bad)
-                log(f"identity {point}: {status}")
-                if bad:
-                    failures.append(f"{point}: {', '.join(bad)}")
-    return failures, moved
+
+    def points():
+        for name in sorted(set(exps["parent"]) & set(exps["change"])):
+            for threads in (1, 4):
+                for batch in (1, 8):
+                    args = ["--threads", str(threads), "--batch", str(batch)]
+                    seen = {
+                        side: run_experiment(
+                            sims[side],
+                            dirs[side] / "examples" / "experiments" / name,
+                            workdir / side / f"{name}-t{threads}-b{batch}",
+                            args)
+                        for side in SIDES}
+                    yield (f"{name} threads {threads} batch {batch}",
+                           seen["parent"], seen["change"])
+
+    mismatches, moved = compare_points(points())
+    return failures + mismatches, moved
+
+
+def identity_report(failures, moved):
+    """The identity lines main prints."""
+    lines = [f"identity: {'PASS' if not failures else 'FAIL'} "
+             f"({len(failures)} mismatches)"]
+    lines += [f"  {f}" for f in failures]
+    lines.append(f"executed lane-cycles: {len(moved)} points moved")
+    for point, a, b in moved:
+        ratio = f"{b / a:.3f}x" if a and b is not None else "n/a"
+        lines.append(f"  {point}: {a} -> {b}  {ratio}")
+    return lines
 
 
 # --- timing -------------------------------------------------------------------
@@ -322,11 +355,89 @@ def judge(name, parent, change, better, bound):
     return line, regressed
 
 
+def report_workload(title, runs, bounds):
+    """Prints one workload's verdict over its paired perfbench runs
+    ({side: [(metric values, correct)]}); returns 1 when a run was not
+    correct or an end-to-end metric regressed beyond its bound, else 0."""
+    correct = {side: all(ok for _, ok in runs[side]) for side in SIDES}
+    print(f"{title}: correct parent={correct['parent']} "
+          f"change={correct['change']}")
+    status = 0 if all(correct.values()) else 1
+    for name, meta in bounds.items():
+        line, regressed = judge(name, [v[name] for v, _ in runs["parent"]],
+                                [v[name] for v, _ in runs["change"]],
+                                meta["better"], meta["bound"])
+        print(line)
+        status = 1 if regressed else status
+    return status
+
+
+# --- self-test ----------------------------------------------------------------
+
+def self_test():
+    """The identity verdict and the timing judgement on fabricated runs."""
+    def verdict(parent, change, bound=0.05):
+        runs = {"parent": [({"m": v}, True) for v in parent],
+                "change": [({"m": v}, True) for v in change]}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = report_workload("w", runs,
+                                     {"m": {"better": "higher",
+                                            "bound": bound}})
+        return out.getvalue().splitlines()[-1], status
+
+    parent = [100.0 + i for i in range(10)]  # median 104.5, IQR 4.5
+    # 9/10 wins and a median gap of 10 above the parent's IQR: a claim.
+    nine = [99.0] + [p + 10 for p in parent[1:]]
+    line, status = verdict(parent, nine)
+    assert "  CLAIM" in line and "within 5%" in line and status == 0, line
+    # 8/10 wins: no claim, whatever the gap.
+    eight = [99.0, 100.0] + [p + 10 for p in parent[2:]]
+    line, status = verdict(parent, eight)
+    assert "no claim" in line and status == 0, line
+    # A median 10% worse than a 5% bound regresses and fails the run.
+    line, status = verdict(parent, [0.9 * p for p in parent])
+    assert "REGRESSION beyond 5%" in line and status == 1, line
+    # A parent IQR wider than the bound leaves a small move unresolved...
+    wide = [80.0, 85.0, 90.0, 95.0, 100.0, 100.0, 105.0, 110.0, 115.0, 120.0]
+    line, status = verdict(wide, [p + 1 for p in wide])
+    assert "unresolved: parent IQR" in line and status == 0, line
+    # ...unless every change run beats every parent run.
+    line, status = verdict(wide, [200.0 + p for p in wide])
+    assert "within 5%" in line and "  CLAIM" in line, line
+
+    run = {"stdout": b"ok\n", "stderr": b"", "exit": 0,
+           "files": {"out.csv": b"a,b\n1,2\n"},
+           "simulated lane-cycles": 1000, "executed lane-cycles": 400}
+    # Only executed lane-cycles differ: identity passes, moves listed.
+    failures, moved = compare_points(
+        [("p1", run, {**run, "executed lane-cycles": 100}),
+         ("p2", run, {**run, "executed lane-cycles": 200})])
+    lines = identity_report(failures, moved)
+    assert lines == ["identity: PASS (0 mismatches)",
+                     "executed lane-cycles: 2 points moved",
+                     "  p1: 400 -> 100  0.250x",
+                     "  p2: 400 -> 200  0.500x"], lines
+    # One stdout byte differs on one of two points: identity fails.
+    failures, moved = compare_points(
+        [("p1", run, run), ("p2", run, {**run, "stdout": b"ok!\n"})])
+    lines = identity_report(failures, moved)
+    assert lines[:2] == ["identity: FAIL (1 mismatches)", "  p2: stdout"], \
+        lines
+    assert not moved, moved
+
+    print("ab: self-test PASSED (claim at 9/10 wins, none at 8/10, "
+          "regression fails, wide parent IQR unresolved unless every run "
+          "is better, executed lane-cycle moves pass, one stdout byte "
+          "fails)")
+    return 0
+
+
 # --- main ---------------------------------------------------------------------
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--parent", required=True, help="parent revision")
+    ap.add_argument("--parent", help="parent revision")
     ap.add_argument("--change", help="change revision (default: the "
                     "working tree)")
     ap.add_argument("--workdir", help="kept work directory (default: a "
@@ -342,7 +453,13 @@ def main():
                     help="perfbench --seconds (default: BENCHMARK.json's "
                     "run_seconds)")
     ap.add_argument("--json", help="write every sample to this file")
+    ap.add_argument("--self-test", action="store_true",
+                    help="check the verdicts on fabricated runs and exit")
     opt = ap.parse_args()
+    if opt.self_test:
+        return self_test()
+    if not opt.parent:
+        ap.error("--parent is required")
 
     files = {"parent": revision_files(opt.parent),
              "change": (revision_files(opt.change) if opt.change
@@ -383,16 +500,9 @@ def main():
             report["executed_lane_cycles"] = [
                 {"point": point, "parent": a, "change": b}
                 for point, a, b in moved]
-            print(f"identity: {'PASS' if not failures else 'FAIL'} "
-                  f"({len(failures)} mismatches)")
-            for f in failures:
-                print(f"  {f}")
+            print("\n".join(identity_report(failures, moved)))
             if failures:
                 status = 1
-            print(f"executed lane-cycles: {len(moved)} points moved")
-            for point, a, b in moved:
-                ratio = f"{b / a:.3f}x" if a and b is not None else "n/a"
-                print(f"  {point}: {a} -> {b}  {ratio}")
 
         for workload in workloads:
             for seed in opt.seeds:
@@ -401,20 +511,9 @@ def main():
                 runs = paired(opt.pairs, lambda side: perfbench_once(
                     dirs[side], workload, seed, seconds))
                 report["workloads"][f"{workload}/{seed}"] = runs
-                correct = {side: all(ok for _, ok in runs[side])
-                           for side in SIDES}
-                print(f"{workload} seed {seed} ({opt.pairs} pairs, "
-                      f"{seconds} s): correct parent={correct['parent']} "
-                      f"change={correct['change']}")
-                if not all(correct.values()):
+                if report_workload(f"{workload} seed {seed} ({opt.pairs} "
+                                   f"pairs, {seconds} s)", runs, bounds):
                     status = 1
-                for name, meta in bounds.items():
-                    line, regressed = judge(
-                        name, [v[name] for v, _ in runs["parent"]],
-                        [v[name] for v, _ in runs["change"]],
-                        meta["better"], meta["bound"])
-                    print(line)
-                    status = 1 if regressed else status
 
         for name in opt.experiments:
             log(f"timing experiment {name}: {opt.pairs} pairs")

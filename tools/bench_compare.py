@@ -18,16 +18,25 @@ benchmark regressing relative to the others (the case a code change
 causes) fails. ``--warn-only`` downgrades failures to warnings for
 unpinned/noisy runners.
 
+A change that speeds up most benchmarks drags that median down with it,
+and its untouched benchmarks then read as regressions. ``--parent``
+takes the parent's results from the same sitting instead: the machine
+factor is then the median parent/baseline ratio, which the change cannot
+move.
+
 Usage:
   bench_compare.py [--baseline bench/baselines.json] [--threshold 0.25]
                    [--warn-only] results.json [more.json ...]
+                   [--parent parent.json [more.json ...]]
   bench_compare.py --self-test
 
 The self-test fabricates a clean result set (must pass) and one with a
 single 2x slowdown injected (must fail), then three passes in which one
 pass carries a 2x outlier (must pass) and three in which every pass
-does (must fail), exercising the gate logic without running any
-benchmark; CTest runs it as ``tools.bench_compare_selftest``.
+does (must fail), and a change that halves three of four benchmarks
+(the fourth is flagged without ``--parent`` and passes with it),
+exercising the gate logic without running any benchmark; CTest runs it
+as ``tools.bench_compare_selftest``.
 """
 
 import argparse
@@ -65,13 +74,15 @@ def load_baseline(path):
             for name, entry in doc["benchmarks"].items()}
 
 
-def compare(current, baseline, threshold):
+def compare(current, baseline, threshold, parent=None):
     """Return (rows, regressions, machine_factor, missing).
 
     Rows: (name, ratio, normalized, flag). `missing` lists baseline
     benchmarks absent from the results -- lost coverage (a rename, or a
     gated binary dropped from the CI step) must fail the gate too, or a
-    regression simply hides by renaming.
+    regression simply hides by renaming. With `parent` (name -> time,
+    the parent's medians from the same sitting) the machine factor is
+    the median parent/baseline ratio instead of current/baseline.
     """
     matched = sorted(name for name in current if name in baseline)
     missing = sorted(name for name in baseline if name not in current)
@@ -80,7 +91,15 @@ def compare(current, baseline, threshold):
             "bench_compare: no benchmark names match the baseline "
             "(refresh bench/baselines.json?)")
     ratios = {name: current[name] / baseline[name] for name in matched}
-    machine = statistics.median(ratios.values())
+    if parent is None:
+        machine = statistics.median(ratios.values())
+    else:
+        own = [parent[name] / baseline[name] for name in matched
+               if name in parent]
+        if not own:
+            raise SystemExit("bench_compare: no parent result matches the "
+                             "baseline")
+        machine = statistics.median(own)
     rows, regressions = [], []
     for name in matched:
         normalized = ratios[name] / machine
@@ -97,12 +116,14 @@ def compare(current, baseline, threshold):
 def run_gate(args):
     current = median_times(load_results(args.results))
     baseline = load_baseline(args.baseline)
+    parent = median_times(load_results(args.parent)) if args.parent else None
     rows, regressions, machine, missing = compare(
-        current, baseline, args.threshold)
+        current, baseline, args.threshold, parent)
 
     width = max(len(name) for name, *_ in rows)
     print(f"bench_compare: {len(rows)} benchmark(s) vs {args.baseline}, "
-          f"machine-speed factor {machine:.3f}x, "
+          f"machine-speed factor {machine:.3f}x"
+          f"{' (from the parent)' if parent else ''}, "
           f"threshold {args.threshold:.0%}")
     for name, ratio, normalized, flag in rows:
         print(f"  {name:<{width}}  ratio {ratio:7.3f}x  "
@@ -166,9 +187,22 @@ def self_test():
     _, regressions, _, _ = compare(median_times(samples), baseline, 0.25)
     assert regressions == ["BM_X/2"], f"3-pass 2x slowdown missed: {regressions}"
 
+    # A change that halves three of four benchmarks drags the median
+    # factor down with it: the untouched BM_X/3 reads 2x slow. Taken
+    # from the parent's own results, the factor stays put and it passes.
+    faster = {name: ns / 2.0 if name != "BM_X/3" else ns
+              for name, ns in clean.items()}
+    _, regressions, _, _ = compare(faster, baseline, 0.25)
+    assert regressions == ["BM_X/3"], f"median factor moved: {regressions}"
+    rows, regressions, machine, _ = compare(faster, baseline, 0.25, clean)
+    assert not regressions, f"parent factor flagged: {regressions}"
+    assert machine == 3.0, f"parent factor {machine}"
+    assert [flag for *_, flag in rows] == ["improved"] * 3 + [""], rows
+
     print("bench_compare: self-test PASSED (clean passes, injected 2x "
           "slowdown fails, dropped benchmark detected, one-pass outlier "
-          "outvoted, every-pass slowdown fails)")
+          "outvoted, every-pass slowdown fails, parent factor ignores "
+          "a broad speedup)")
     return 0
 
 
@@ -183,6 +217,10 @@ def main():
     parser.add_argument("--warn-only", action="store_true",
                         help="report regressions without failing "
                              "(non-pinned runners)")
+    parser.add_argument("--parent", nargs="+", metavar="FILE",
+                        help="the parent's --benchmark_out JSON files from "
+                             "the same sitting; the machine factor comes "
+                             "from them")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the gate logic and exit")
     args = parser.parse_args()
